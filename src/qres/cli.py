@@ -12,7 +12,6 @@ from .features import FeatureId
 from .gbrt import TrainConfig
 from .plan import PlanError, load_corpus, save_corpus
 from .registry import RegistryError, load_registry, save_registry, train_registry
-from .scaling import FormKind
 from .synth import SynthError
 
 EXIT_OK = 0
@@ -75,13 +74,9 @@ def cmd_train(args) -> int:
     for (op, resource), entry in sorted(
         registry.entries.items(), key=lambda kv: (int(kv[0][0]), kv[0][1])
     ):
-        examples = reg.collect_examples(plans, resource, args.source)[op]
-        default = entry.models[entry.default_idx]
-        sse = reg._training_sse(default, examples)
-        rmse = (sse / len(examples)) ** 0.5
         print(
             f"  {op.name:<16} {resource:<10} models={len(entry.models)} "
-            f"default=#{entry.default_idx} train_rmse={rmse:.3f}"
+            f"default=#{entry.default_idx} train_rmse={entry.train_rmse:.3f}"
         )
     return EXIT_OK
 
@@ -151,27 +146,19 @@ def cmd_fit_scaling(args) -> int:
             xs = [float(row[f.name]) for f in features]
             observations.append((xs, float(row[args.resource_column])))
     if len(features) == 1:
-        candidates = list(scaling.SINGLE_FEATURE_CANDIDATES)
+        candidates = scaling.SINGLE_FEATURE_CANDIDATES
     else:
-        candidates = [FormKind.Product2, FormKind.Sum2, FormKind.FLogSecond]
-    report = []
-    for kind in candidates:
-        orders = [tuple(features)]
-        if kind is FormKind.FLogSecond and len(features) == 2:
-            orders.append((features[1], features[0]))
-        for order in orders:
-            perm = [features.index(f) for f in order]
-            obs = [([x[i] for i in perm], y) for x, y in observations]
-            form, sse = scaling.fit_form(kind, order, obs)
-            report.append(
-                {
-                    "kind": kind.name,
-                    "features": [f.name for f in order],
-                    "alpha": form.alpha,
-                    "beta": form.beta,
-                    "sse": sse,
-                }
-            )
+        candidates = scaling.TWO_FEATURE_CANDIDATES
+    report = [
+        {
+            "kind": form.kind.name,
+            "features": [f.name for f in form.features],
+            "alpha": form.alpha,
+            "beta": form.beta,
+            "sse": sse,
+        }
+        for form, sse in scaling.fit_candidates(candidates, features, observations)
+    ]
     best = scaling.select_form(candidates, features, observations)
     doc = {
         "candidates": report,

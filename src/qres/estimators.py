@@ -5,8 +5,8 @@ from typing import Sequence
 
 from . import evalkit, registry as reg
 from .evalkit import EstimatorFn, LinearOpModel
-from .features import extract_features
-from .plan import NO_PARENT, OperatorType, PlanNode, QueryPlan
+from .features import featurize
+from .plan import OperatorType, QueryPlan
 from .registry import ModelRegistry, collect_examples
 
 
@@ -28,16 +28,9 @@ def mart_estimator(
 
     def estimate(plan: QueryPlan) -> float:
         total = 0.0
-
-        def visit(node: PlanNode, parent_op: int) -> None:
-            nonlocal total
-            fv = extract_features(node, parent_op, source)
+        for node, fv in featurize(plan.root, source):
             entry = registry.entry(node.op, resource)
             total += reg.estimate_with_model(entry.models[0], fv)
-            for child in node.children:
-                visit(child, int(node.op))
-
-        visit(plan.root, NO_PARENT)
         return total
 
     return estimate
@@ -56,18 +49,11 @@ def train_linear_estimator(
 
     def estimate(plan: QueryPlan) -> float:
         total = 0.0
-
-        def visit(node: PlanNode, parent_op: int) -> None:
-            nonlocal total
+        for node, fv in featurize(plan.root, source):
             model = models.get(node.op)
             if model is None:
                 raise reg.RegistryError(f"no model for operator {node.op.name}")
-            fv = extract_features(node, parent_op, source)
             total += max(0.0, model.predict(fv))
-            for child in node.children:
-                visit(child, int(node.op))
-
-        visit(plan.root, NO_PARENT)
         return total
 
     return estimate

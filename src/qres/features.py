@@ -1,13 +1,12 @@
-"""Operator feature vectors, the feature-dependency relation, and normalization."""
+"""Operator feature vectors and the feature-dependency relation."""
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
-from .plan import JOIN_OPS, LEAF_OPS, NO_PARENT, OperatorType, PlanNode
+from .plan import JOIN_OPS, LEAF_OPS, NO_PARENT, OperatorType, PlanNode, preorder
 
 
 class FeatureError(ValueError):
@@ -148,9 +147,6 @@ class FeatureVector:
     values: dict[FeatureId, float]
     cardinality_source: str = "true"  # "true" | "estimated"
 
-    def copy(self) -> "FeatureVector":
-        return FeatureVector(self.op, dict(self.values), self.cardinality_source)
-
 
 def _inner_table_tuple_count(node: PlanNode) -> Optional[int]:
     """Base-table tuple count (pre-predicate) of the inner subtree, if any."""
@@ -223,42 +219,7 @@ def extract_features(
     return FeatureVector(op=op, values=v, cardinality_source=source)
 
 
-def normalize_for_outlier(fv: FeatureVector, outlier: FeatureId) -> FeatureVector:
-    """Divide the outlier's dependents by its raw value and drop the outlier.
-
-    All other features are unchanged. The outlier must be present with a
-    positive value; a zero or absent value cannot define a per-unit model.
-    """
-    value = fv.values.get(outlier)
-    if value is None or value <= 0:
-        raise FeatureError(
-            f"degenerate scaling feature: {outlier.name} is absent or non-positive"
-        )
-    out = dict(fv.values)
-    for dep in dependents(outlier):
-        if dep in out:
-            out[dep] = out[dep] / value
-    del out[outlier]
-    return FeatureVector(op=fv.op, values=out, cardinality_source=fv.cardinality_source)
-
-
-def features_to_csv(vectors: Iterable[FeatureVector]) -> str:
-    """Export feature vectors as CSV, one row per operator instance.
-
-    Columns follow feature-code order over the union of present features;
-    inapplicable features are left empty.
-    """
-    vectors = list(vectors)
-    present: set[FeatureId] = set()
-    for fv in vectors:
-        present.update(fv.values)
-    columns = sorted(present)
-    buf = io.StringIO()
-    buf.write("op," + ",".join(c.name for c in columns) + "\n")
-    for fv in vectors:
-        row = [fv.op.name]
-        for c in columns:
-            val = fv.values.get(c)
-            row.append("" if val is None else repr(val))
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+def featurize(root: PlanNode, source: str = "true") -> Iterator[tuple[PlanNode, FeatureVector]]:
+    """Every operator under ``root`` in pre-order, with its feature vector."""
+    for node, parent_op in preorder(root):
+        yield node, extract_features(node, parent_op, source)

@@ -85,6 +85,18 @@ class PlanNode:
     observed: Optional[dict[str, float]] = None
 
     def validate(self, path: str = "root") -> None:
+        """Check every node of the subtree; errors name the offending node's
+        path from this node, e.g. ``root.children[0]``."""
+        # Child paths are pushed in the order the walk pushes the children,
+        # so each pop yields the path of the node just visited.
+        paths = [path]
+        for node, _ in preorder(self):
+            node_path = paths.pop()
+            node._validate_one(node_path)
+            for i in reversed(range(len(node.children))):
+                paths.append(f"{node_path}.children[{i}]")
+
+    def _validate_one(self, path: str) -> None:
         arity = operator_arity(self.op)
         if len(self.children) != arity:
             raise PlanError(
@@ -105,14 +117,28 @@ class PlanNode:
             for res, value in self.observed.items():
                 if value < 0:
                     raise PlanError(f"{path}: negative observed value for {res}")
-        for i, child in enumerate(self.children):
-            child.validate(f"{path}.children[{i}]")
 
     def walk(self) -> Iterator["PlanNode"]:
         """Pre-order traversal of the subtree rooted at this node."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        return (node for node, _ in preorder(self))
+
+
+def preorder(root: PlanNode, mirrored: bool = False) -> Iterator[tuple[PlanNode, int]]:
+    """Every node under ``root`` in pre-order, with its parent's operator code
+    (``NO_PARENT`` for ``root``).
+
+    The walk keeps its own stack, so plans of any depth can be visited.
+    Children are visited left to right, or right to left when ``mirrored``:
+    the reverse of a mirrored walk is a post-order with children left to right.
+    """
+    stack = [(root, NO_PARENT)]
+    while stack:
+        node, parent_op = stack.pop()
+        yield node, parent_op
+        if node.children:
+            op = int(node.op)
+            for child in node.children if mirrored else reversed(node.children):
+                stack.append((child, op))
 
 
 @dataclass
@@ -287,13 +313,16 @@ def parse_plan(document: str) -> QueryPlan:
     """Parse and validate one plan document (a JSON object)."""
     try:
         doc = json.loads(document)
+        if not isinstance(doc, dict) or "root" not in doc:
+            raise PlanError("plan document must be an object with a 'root' node")
+        root = _node_from_dict(doc["root"], "root")
     except json.JSONDecodeError as exc:
         raise PlanError(f"malformed plan document: {exc}") from None
-    if not isinstance(doc, dict) or "root" not in doc:
-        raise PlanError("plan document must be an object with a 'root' node")
+    except RecursionError:
+        raise PlanError("plan document nested too deeply to decode") from None
     plan = QueryPlan(
         query_id=str(doc.get("query_id", "")),
-        root=_node_from_dict(doc["root"], "root"),
+        root=root,
         scale=float(doc["scale"]) if doc.get("scale") is not None else None,
         template=doc.get("template"),
     )

@@ -24,12 +24,13 @@ from .features import (
     FeatureVector,
     applicable_features,
     dependents,
-    extract_features,
+    featurize,
 )
 from .gbrt import MartModel, TrainConfig, Tree, TrainingError
-from .plan import JOIN_OPS, NO_PARENT, OperatorType, PlanNode, QueryPlan, decompose_pipelines
+from .plan import JOIN_OPS, OperatorType, QueryPlan, decompose_pipelines
 from .scaling import (
     SINGLE_FEATURE_CANDIDATES,
+    TWO_FEATURE_CANDIDATES,
     FormKind,
     ScalingError,
     basis,
@@ -82,9 +83,6 @@ class CombinedModel:
         return [f for t in self.terms for f in t.features]
 
 
-Model = "MartModel | CombinedModel"
-
-
 def transform_for_scaling(
     fv: FeatureVector, terms: Sequence[ScaleTerm]
 ) -> FeatureVector:
@@ -109,6 +107,14 @@ def transform_for_scaling(
     return FeatureVector(op=fv.op, values=work, cardinality_source=fv.cardinality_source)
 
 
+def _scale_factor(terms: Sequence[ScaleTerm], raw: dict[FeatureId, float]) -> float:
+    """The product of the terms' unit values: a combined model's scale factor g."""
+    g = 1.0
+    for term in terms:
+        g *= term.unit_value(raw)
+    return g
+
+
 def build_combined(
     examples: Sequence[tuple[FeatureVector, float]],
     terms: Sequence[ScaleTerm],
@@ -120,12 +126,10 @@ def build_combined(
     """
     if not examples:
         raise TrainingError("empty training set")
-    transformed = []
-    for fv, y in examples:
-        g = 1.0
-        for term in terms:
-            g *= term.unit_value(fv.values)
-        transformed.append((transform_for_scaling(fv, terms), y / g))
+    transformed = [
+        (transform_for_scaling(fv, terms), y / _scale_factor(terms, fv.values))
+        for fv, y in examples
+    ]
     label = "/".join(
         f"{t.kind.name}({','.join(f.name for f in t.features)})" for t in terms
     )
@@ -136,9 +140,7 @@ def build_combined(
 def estimate_with_model(model, fv: FeatureVector) -> float:
     """Evaluate one model on a raw feature vector; negative output clamps to 0."""
     if isinstance(model, CombinedModel):
-        g = 1.0
-        for term in model.terms:
-            g *= term.unit_value(fv.values)
+        g = _scale_factor(model.terms, fv.values)
         value = g * gbrt.predict(model.scaled_model, transform_for_scaling(fv, model.terms))
     else:
         value = gbrt.predict(model, fv)
@@ -185,6 +187,9 @@ class RegistryEntry:
     resource: str
     models: list  # MartModel | CombinedModel; index 0 is always the plain model
     default_idx: int = 0
+    #: The default model's RMSE over its training examples; set by training,
+    #: not stored in the model file.
+    train_rmse: Optional[float] = None
 
 
 @dataclass
@@ -232,18 +237,6 @@ def select_model(
     return best
 
 
-def estimate_operator(
-    registry: ModelRegistry,
-    node: PlanNode,
-    parent_op: int,
-    resource: str,
-    source: str = "true",
-) -> float:
-    fv = extract_features(node, parent_op, source)
-    model, _ = select_model(registry, node.op, resource, fv)
-    return estimate_with_model(model, fv)
-
-
 @dataclass
 class QueryEstimate:
     total: float
@@ -258,15 +251,11 @@ def estimate_query(
     sum of the pipeline subtotals."""
     estimates: dict[int, float] = {}
     per_operator: list[tuple[str, float]] = []
-
-    def visit(node: PlanNode, parent_op: int) -> None:
-        value = estimate_operator(registry, node, parent_op, resource, source)
+    for node, fv in featurize(plan.root, source):
+        model, _ = select_model(registry, node.op, resource, fv)
+        value = estimate_with_model(model, fv)
         estimates[id(node)] = value
         per_operator.append((node.op.name, value))
-        for child in node.children:
-            visit(child, int(node.op))
-
-    visit(plan.root, NO_PARENT)
     per_pipeline = [
         sum(estimates[id(n)] for n in p.nodes) for p in decompose_pipelines(plan)
     ]
@@ -285,17 +274,12 @@ def collect_examples(
     """Featurize every labeled operator instance, grouped by operator type."""
     by_op: dict[OperatorType, list[tuple[FeatureVector, float]]] = {}
     for plan in plans:
-        def visit(node: PlanNode, parent_op: int) -> None:
+        for node, fv in featurize(plan.root, source):
             if node.observed is None or resource not in node.observed:
                 raise RegistryError(
                     f"plan {plan.query_id}: node lacks observed {resource!r} label"
                 )
-            fv = extract_features(node, parent_op, source)
             by_op.setdefault(node.op, []).append((fv, node.observed[resource]))
-            for child in node.children:
-                visit(child, int(node.op))
-
-        visit(plan.root, NO_PARENT)
     return by_op
 
 
@@ -371,19 +355,20 @@ def train_entry(
         if f1 in eligible and f2 in eligible:
             obs2 = [([fv.values[f1], fv.values[f2]], t) for fv, t in examples]
             try:
-                form = select_form(
-                    (FormKind.Product2, FormKind.Sum2, FormKind.FLogSecond),
-                    (f1, f2),
-                    obs2,
-                )
+                form = select_form(TWO_FEATURE_CANDIDATES, (f1, f2), obs2)
                 term = ScaleTerm(kind=form.kind, features=form.features, beta=form.beta)
                 models.append(build_combined(examples, [term], _model_cfg(cfg, salt)))
             except (ScalingError, FeatureError, TrainingError):
                 pass
-    default_idx = min(
-        range(len(models)), key=lambda i: (_training_sse(models[i], examples), i)
+    sses = [_training_sse(model, examples) for model in models]
+    default_idx = min(range(len(models)), key=lambda i: (sses[i], i))
+    return RegistryEntry(
+        op=op,
+        resource=resource,
+        models=models,
+        default_idx=default_idx,
+        train_rmse=(sses[default_idx] / len(examples)) ** 0.5,
     )
-    return RegistryEntry(op=op, resource=resource, models=models, default_idx=default_idx)
 
 
 def train_registry(

@@ -38,6 +38,8 @@ N_PARAMS = {k: (2 if k is FormKind.Power else 1) for k in FormKind}
 
 SINGLE_FEATURE_CANDIDATES = (FormKind.Linear, FormKind.NLogN, FormKind.Power, FormKind.Log)
 
+TWO_FEATURE_CANDIDATES = (FormKind.Product2, FormKind.Sum2, FormKind.FLogSecond)
+
 
 def basis(kind: FormKind, values: Sequence[float], beta: float = 1.0) -> float:
     """The form evaluated with alpha = 1."""
@@ -112,37 +114,48 @@ def fit_form(
     return ScalingForm(kind, alpha, tuple(features)), sse
 
 
+def fit_candidates(
+    candidates: Sequence[FormKind],
+    features: Sequence[FeatureId],
+    observations: Sequence[tuple[Sequence[float], float]],
+) -> list[tuple[ScalingForm, float]]:
+    """Fit every candidate form; returns ``(form, residual SSE)`` in candidate
+    order.
+
+    FLogSecond is asymmetric, so with two features it is fitted in both
+    feature orders, the given order first; observations are reordered to match.
+    """
+    features = tuple(features)
+    fitted = []
+    for kind in candidates:
+        orders = [features]
+        if kind is FormKind.FLogSecond and len(features) == 2:
+            orders.append((features[1], features[0]))
+        for order in orders:
+            perm = [features.index(f) for f in order]
+            obs = [([x[i] for i in perm], y) for x, y in observations]
+            fitted.append(fit_form(kind, order, obs))
+    return fitted
+
+
 def select_form(
     candidates: Sequence[FormKind],
     features: Sequence[FeatureId],
     observations: Sequence[tuple[Sequence[float], float]],
-    orientations: Sequence[Sequence[FeatureId]] | None = None,
 ) -> ScalingForm:
     """Fit every candidate and return the one with the smallest residual SSE.
 
     Ties (within relative 1e-9) prefer fewer fitted parameters, then the lower
-    form code. ``orientations`` supplies feature orderings for asymmetric
-    two-feature forms; observations are reordered to match.
+    form code, then the earlier fit of :func:`fit_candidates`.
     """
     if len(candidates) < 2:
         raise ScalingError("need at least 2 candidate forms")
-    features = tuple(features)
-    fitted: list[tuple[float, int, int, int, ScalingForm]] = []
-    seq = 0
-    for kind in candidates:
-        variants: list[tuple[FeatureId, ...]]
-        if kind is FormKind.FLogSecond and len(features) == 2 and orientations is None:
-            variants = [features, (features[1], features[0])]
-        else:
-            variants = [features]
-        for order in variants:
-            perm = [features.index(f) for f in order]
-            obs = [([x[i] for i in perm], y) for x, y in observations]
-            form, sse = fit_form(kind, order, obs)
-            fitted.append((sse, N_PARAMS[kind], int(kind), seq, form))
-            seq += 1
-    best_sse = min(f[0] for f in fitted)
+    fitted = fit_candidates(candidates, features, observations)
+    best_sse = min(sse for _, sse in fitted)
     tol = 1e-9 * (1.0 + abs(best_sse))
-    near = [f for f in fitted if f[0] <= best_sse + tol]
-    near.sort(key=lambda f: (f[1], f[2], f[3]))
-    return near[0][4]
+    near = [
+        (N_PARAMS[form.kind], int(form.kind), seq, form)
+        for seq, (form, sse) in enumerate(fitted)
+        if sse <= best_sse + tol
+    ]
+    return min(near)[3]

@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .features import FeatureId, FeatureVector, extract_features, lg
-from .plan import NO_PARENT, OperatorType, PlanNode, QueryPlan, TableMeta
+from .features import FeatureId, extract_features, featurize, lg
+from .plan import OperatorType, PlanNode, QueryPlan, TableMeta, preorder
 
 F = FeatureId
 
@@ -314,49 +314,48 @@ SORT_SCAN_TEMPLATES = frozenset({"scan", "filter_scan", "sort_scan", "sort_filte
 _EXACT_CARD_OPS = frozenset({OperatorType.TableScan, OperatorType.IndexScan})
 
 
-def _assign_estimates(node: PlanNode, rng, bias: float, sigma: float) -> None:
-    for child in node.children:
-        _assign_estimates(child, rng, bias, sigma)
-    if node.op in _EXACT_CARD_OPS:
-        node.est_out_cardinality = node.true_out_cardinality
-    else:
-        noise = math.exp(rng.normal(0.0, sigma)) if sigma > 0 else 1.0
-        node.est_out_cardinality = max(
-            1, math.ceil(node.true_out_cardinality * bias * noise)
-        )
+def _assign_estimates(root: PlanNode, rng, bias: float, sigma: float) -> None:
+    # The draw order is part of the corpus: post-order, children left to right.
+    for node, _ in reversed(list(preorder(root, mirrored=True))):
+        if node.op in _EXACT_CARD_OPS:
+            node.est_out_cardinality = node.true_out_cardinality
+        else:
+            noise = math.exp(rng.normal(0.0, sigma)) if sigma > 0 else 1.0
+            node.est_out_cardinality = max(
+                1, math.ceil(node.true_out_cardinality * bias * noise)
+            )
 
 
-def _assign_optimizer_cost(node: PlanNode) -> None:
+def _assign_optimizer_cost(root: PlanNode) -> None:
     """Crude hand-style cost in arbitrary optimizer units (deliberately not
-    proportional to the oracles)."""
-    for child in node.children:
-        _assign_optimizer_cost(child)
-    op = node.op
-    est = float(node.est_out_cardinality)
-    if node.table is not None:
-        if op is OperatorType.IndexSeek:
-            node.est_io_cost = node.table.index_depth + 0.003 * est
+    proportional to the oracles). A node's cost reads cardinality estimates
+    only, so the nodes may be visited in any order."""
+    for node in root.walk():
+        op = node.op
+        est = float(node.est_out_cardinality)
+        if node.table is not None:
+            if op is OperatorType.IndexSeek:
+                node.est_io_cost = node.table.index_depth + 0.003 * est
+            else:
+                node.est_io_cost = node.table.page_count + 0.001 * node.table.tuple_count
         else:
-            node.est_io_cost = node.table.page_count + 0.001 * node.table.tuple_count
-    else:
-        cin = sum(float(c.est_out_cardinality) for c in node.children)
-        if op is OperatorType.Sort:
-            node.est_io_cost = 0.002 * cin * lg(cin)
-        else:
-            node.est_io_cost = 0.002 * cin + 0.0005 * est
-    node.est_io_cost = max(node.est_io_cost, 1e-6)
+            cin = sum(float(c.est_out_cardinality) for c in node.children)
+            if op is OperatorType.Sort:
+                node.est_io_cost = 0.002 * cin * lg(cin)
+            else:
+                node.est_io_cost = 0.002 * cin + 0.0005 * est
+        node.est_io_cost = max(node.est_io_cost, 1e-6)
 
 
-def _assign_labels(node: PlanNode, parent_op: int, oracle: OracleSpec, rng) -> None:
-    fv = extract_features(node, parent_op, source="true")
-    node.observed = {}
-    for resource in ("cpu_us", "logical_io"):
-        value = oracle.cost(node.op, resource, fv.values)
-        if oracle.noise_sigma > 0:
-            value *= math.exp(rng.normal(0.0, oracle.noise_sigma))
-        node.observed[resource] = value
-    for child in node.children:
-        _assign_labels(child, int(node.op), oracle, rng)
+def _assign_labels(root: PlanNode, oracle: OracleSpec, rng) -> None:
+    # The draw order is part of the corpus: pre-order, children left to right.
+    for node, fv in featurize(root, source="true"):
+        node.observed = {}
+        for resource in ("cpu_us", "logical_io"):
+            value = oracle.cost(node.op, resource, fv.values)
+            if oracle.noise_sigma > 0:
+                value *= math.exp(rng.normal(0.0, oracle.noise_sigma))
+            node.observed[resource] = value
 
 
 def oracle_label(
@@ -391,7 +390,7 @@ def generate_corpus(
         root = _TEMPLATES[template](rng, tables)
         _assign_estimates(root, rng, spec.card_bias, spec.card_sigma)
         _assign_optimizer_cost(root)
-        _assign_labels(root, NO_PARENT, oracle, rng)
+        _assign_labels(root, oracle, rng)
         plan = QueryPlan(
             query_id=f"q{qidx:05d}", root=root, scale=scale, template=template
         )

@@ -141,3 +141,84 @@ def test_unknown_flag_is_usage_error(capsys):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == EXIT_USAGE
+
+
+def test_train_report_prints_default_models_training_rmse(workspace, tmp_path, capsys):
+    from qres.plan import load_corpus
+    from qres.registry import collect_examples, estimate_with_model, load_registry
+
+    _, _, corpus, _ = workspace
+    model = tmp_path / "model.bin"
+    assert main([
+        "train", "--corpus", str(corpus), "--out", str(model),
+        "--iterations", "40", "--seed", "0",
+    ]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()[1:]
+    registry = load_registry(str(model))
+    plans = load_corpus(str(corpus))
+    assert len(lines) == len(registry.entries)
+    for line in lines:
+        op_name, resource, _, default, rmse_field = line.split()
+        entry = next(
+            e for (op, res), e in registry.entries.items()
+            if op.name == op_name and res == resource
+        )
+        assert default == f"default=#{entry.default_idx}"
+        examples = collect_examples(plans, resource)[entry.op]
+        default_model = entry.models[entry.default_idx]
+        sse = sum((estimate_with_model(default_model, fv) - y) ** 2 for fv, y in examples)
+        assert rmse_field == f"train_rmse={(sse / len(examples)) ** 0.5:.3f}"
+
+
+def test_fit_scaling_two_features_lists_both_flogsecond_orders(tmp_path, capsys):
+    import math
+
+    from qres.features import FeatureId
+    from qres.scaling import FormKind, select_form
+
+    points = [(10, 1000), (20, 5000), (50, 200), (80, 70000), (200, 3000), (400, 900)]
+    observations = [([float(a), float(b)], 0.7 * a * math.log2(b)) for a, b in points]
+    csv_path = tmp_path / "obs2.csv"
+    csv_path.write_text(
+        "CIN1,SSEKTABLE,resource\n"
+        + "".join(f"{a!r},{b!r},{y!r}\n" for (a, b), y in observations)
+    )
+    assert main([
+        "fit-scaling", "--csv", str(csv_path), "--features", "CIN1,SSEKTABLE",
+    ]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert [(c["kind"], c["features"]) for c in doc["candidates"]] == [
+        ("Product2", ["CIN1", "SSEKTABLE"]),
+        ("Sum2", ["CIN1", "SSEKTABLE"]),
+        ("FLogSecond", ["CIN1", "SSEKTABLE"]),
+        ("FLogSecond", ["SSEKTABLE", "CIN1"]),
+    ]
+    best = select_form(
+        (FormKind.Product2, FormKind.Sum2, FormKind.FLogSecond),
+        (FeatureId.CIN1, FeatureId.SSEKTABLE),
+        observations,
+    )
+    assert doc["selected"] == {
+        "kind": best.kind.name,
+        "features": [f.name for f in best.features],
+        "alpha": best.alpha,
+        "beta": best.beta,
+    }
+    assert doc["selected"]["kind"] == "FLogSecond"
+    assert doc["selected"]["features"] == ["CIN1", "SSEKTABLE"]
+
+
+def test_estimate_on_too_deep_plan_is_data_error(workspace, tmp_path, capsys):
+    _, _, _, model = workspace
+    depth = 600
+    scan = (
+        '{"op":"TableScan","card_true":100,"card_est":100,"table":{"table_id":"a",'
+        '"tuple_count":100,"page_count":2,"column_count":8,"avg_row_bytes":100.0}}'
+    )
+    root = '{"op":"Filter","card_true":50,"card_est":50,"children":[' * depth + scan + "]}" * depth
+    plans = tmp_path / "deep.jsonl"
+    plans.write_text('{"query_id":"deep","root":' + root + "}\n")
+    code = main(["estimate", "--model", str(model), "--plans", str(plans)])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err

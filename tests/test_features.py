@@ -14,11 +14,11 @@ from qres.features import (
     applicable_features,
     dependents,
     extract_features,
-    features_to_csv,
     lg,
-    normalize_for_outlier,
 )
 from qres.plan import NO_PARENT, OperatorType, PlanNode
+from qres.registry import ScaleTerm, transform_for_scaling
+from qres.scaling import FormKind
 
 F = FeatureId
 
@@ -180,11 +180,16 @@ def test_never_scale_io_contents():
     }
 
 
+def normalize(fv, feature):
+    """Normalization by one scale feature, as a one-term combined model does it."""
+    return transform_for_scaling(fv, [ScaleTerm(kind=FormKind.Linear, features=(feature,))])
+
+
 def test_normalize_for_outlier_scan():
     # [DERIVED] dividing TSIZE's dependents by TSIZE and dropping TSIZE
     table = make_table(tuples=10_000)
     fv = extract_features(scan_node(table), NO_PARENT)
-    norm = normalize_for_outlier(fv, F.TSIZE)
+    norm = normalize(fv, F.TSIZE)
     assert F.TSIZE not in norm.values
     assert norm.values[F.COUT] == fv.values[F.COUT] / 10_000.0
     assert norm.values[F.PAGES] == fv.values[F.PAGES] / 10_000.0
@@ -205,7 +210,7 @@ def test_normalize_join_cin_makes_ratios_scale_free():
             out_row_bytes=50.0, join_inner_columns=1, join_outer_columns=1,
             hash_ops_per_tuple=1.0,
         )
-        return normalize_for_outlier(extract_features(j, NO_PARENT), F.CIN1)
+        return normalize(extract_features(j, NO_PARENT), F.CIN1)
 
     a, b = join_at(1), join_at(10)
     for f in a.values:
@@ -218,23 +223,4 @@ def test_normalize_rejects_zero_outlier():
     fv = extract_features(scan_node(make_table(tuples=10)), NO_PARENT)
     fv.values[F.TSIZE] = 0.0
     with pytest.raises(FeatureError, match="degenerate"):
-        normalize_for_outlier(fv, F.TSIZE)
-
-
-def test_features_to_csv_shape():
-    fvs = [
-        extract_features(scan_node(make_table()), NO_PARENT),
-        extract_features(sort_over_scan().root, NO_PARENT),
-    ]
-    text = features_to_csv(fvs)
-    lines = text.strip().split("\n")
-    assert len(lines) == 3
-    header = lines[0].split(",")
-    assert header[0] == "op"
-    # Columns are in feature-code order.
-    codes = [FeatureId[h] for h in header[1:]]
-    assert codes == sorted(codes)
-    # Inapplicable features are empty cells.
-    scan_row = lines[1].split(",")
-    assert scan_row[0] == "TableScan"
-    assert "" in scan_row
+        normalize(fv, F.TSIZE)

@@ -338,3 +338,89 @@ def test_deserialize_rejects_trailing_bytes(trained):
     blob = serialize(registry)
     with pytest.raises(RegistryError, match="trailing"):
         deserialize(blob + b"\x00")
+
+
+def test_train_rmse_is_default_models_training_error(trained):
+    registry, corpus = trained
+    for (op, resource), entry in registry.entries.items():
+        examples = collect_examples(corpus, resource)[op]
+        default = entry.models[entry.default_idx]
+        sse = sum((estimate_with_model(default, fv) - y) ** 2 for fv, y in examples)
+        assert entry.train_rmse == pytest.approx((sse / len(examples)) ** 0.5, rel=1e-12)
+
+
+def test_fixed_corpus_bytes_and_estimates_are_pinned(small_corpus, fast_cfg, tmp_path):
+    # A refactor that keeps these keeps the generated corpus, the model file
+    # and the estimates bit for bit.
+    import hashlib
+
+    from qres.plan import save_corpus
+
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(small_corpus, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "880c7a6672d0b8bb0530326b4010f436e33ee875d19cc2fa3fd31e02c13e00be"
+    )
+    registry = train_registry(small_corpus, ["cpu_us", "logical_io"], fast_cfg)
+    assert hashlib.sha256(serialize(registry)).hexdigest() == (
+        "506f2bf351544d23bb276c10ceacb624f55d60f3863c53097dd1ac7a1facb93e"
+    )
+    totals = {
+        resource: [estimate_query(registry, p, resource).total for p in small_corpus[:8]]
+        for resource in ("cpu_us", "logical_io")
+    }
+    assert totals == {
+        "cpu_us": [
+            104679.96936963502, 17415.562712181956, 25827.446883714794,
+            163865.19388877295, 479679.6179612563, 2737683.4088666076,
+            47285.29411573553, 215031.85794316133,
+        ],
+        "logical_io": [
+            497.2479530999178, 235.47695012744936, 230.77552697262192,
+            993.0277391777881, 240.18613683394062, 975.3283351452687,
+            499.3702749474744, 993.0277391777881,
+        ],
+    }
+
+
+def test_deep_plan_is_walked_without_recursion():
+    # Far deeper than the interpreter's recursion limit.
+    from qres.estimators import mart_estimator, train_linear_estimator
+    from qres.plan import decompose_pipelines
+    from qres.synth import CorpusSpec, TableSpec, generate_corpus
+
+    corpus = generate_corpus(CorpusSpec(
+        templates={"scan": 1.0, "filter_scan": 1.0},
+        tables=[TableSpec("t", 10_000, 100.0, 8)],
+        scales=[1.0, 2.0],
+        query_count=16,
+        rng_seed=5,
+    ))
+    resources = ["cpu_us", "logical_io"]
+    registry = train_registry(corpus, resources, TrainConfig(iterations=10, rng_seed=0))
+
+    depth = 5_000
+    node = scan_node(make_table(tuples=10_000))
+    node.observed = {"cpu_us": 8_000.0, "logical_io": 123.0}
+    for _ in range(depth):
+        node = PlanNode(
+            op=OperatorType.Filter, children=[node],
+            true_out_cardinality=5_000, est_out_cardinality=5_000,
+            out_row_bytes=100.0, est_io_cost=10.0,
+            observed={"cpu_us": 2_500.0, "logical_io": 0.0},
+        )
+    plan = QueryPlan(query_id="deep", root=node)
+    plan.validate()
+    pipes = decompose_pipelines(plan)
+    assert [len(p.nodes) for p in pipes] == [depth + 1]
+    by_op = collect_examples([plan], "cpu_us")
+    assert len(by_op[OperatorType.Filter]) == depth
+    assert len(by_op[OperatorType.TableScan]) == 1
+    for resource in resources:
+        est = estimate_query(registry, plan, resource)
+        assert len(est.per_operator) == depth + 1
+        assert est.per_operator[-1][0] == "TableScan"
+        assert est.total == sum(est.per_pipeline)
+        assert math.isfinite(est.total) and est.total >= 0.0
+        assert math.isfinite(mart_estimator(registry, resource)(plan))
+        assert math.isfinite(train_linear_estimator(corpus, resource)(plan))
