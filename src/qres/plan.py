@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator, Optional
@@ -230,6 +231,24 @@ def decompose_pipelines(plan: QueryPlan) -> list[Pipeline]:
 # External line-delimited JSON plan format
 
 
+def _finite(value) -> float:
+    """``float(value)``, refusing NaN and infinities."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {value!r}")
+    return x
+
+
+def _object(value, path: str, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise PlanError(f"{path}: {what} must be an object")
+    return value
+
+
+#: Conversion failures of a field; ``int(inf)`` raises OverflowError.
+_FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def _table_from_dict(doc: dict, path: str) -> TableMeta:
     try:
         return TableMeta(
@@ -237,44 +256,47 @@ def _table_from_dict(doc: dict, path: str) -> TableMeta:
             tuple_count=int(doc["tuple_count"]),
             page_count=int(doc["page_count"]),
             column_count=int(doc["column_count"]),
-            avg_row_bytes=float(doc["avg_row_bytes"]),
+            avg_row_bytes=_finite(doc["avg_row_bytes"]),
             index_depth=int(doc.get("index_depth", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _FIELD_ERRORS as exc:
         raise PlanError(f"{path}: malformed table metadata: {exc}") from None
 
 
 def _node_from_dict(doc: dict, path: str) -> PlanNode:
-    if not isinstance(doc, dict):
-        raise PlanError(f"{path}: node must be an object")
+    _object(doc, path, "node")
     try:
         op = OperatorType[doc["op"]]
-    except KeyError:
+    except (KeyError, TypeError):
         raise PlanError(f"{path}: unknown or missing operator {doc.get('op')!r}") from None
-    cols = doc.get("cols", {})
+    cols = _object(doc.get("cols", {}), path, "cols")
     observed = doc.get("observed")
     if observed is not None:
-        observed = {str(k): float(v) for k, v in observed.items()}
+        _object(observed, path, "observed")
+    children = doc.get("children", [])
+    if not isinstance(children, list):
+        raise PlanError(f"{path}: children must be a list")
     try:
+        if observed is not None:
+            observed = {str(k): _finite(v) for k, v in observed.items()}
         node = PlanNode(
             op=op,
             true_out_cardinality=int(doc["card_true"]),
             est_out_cardinality=int(doc["card_est"]),
-            out_row_bytes=float(doc.get("row_bytes", 0.0)),
+            out_row_bytes=_finite(doc.get("row_bytes", 0.0)),
             table=_table_from_dict(doc["table"], path) if doc.get("table") else None,
-            est_io_cost=float(doc.get("est_io_cost", 0.0)),
+            est_io_cost=_finite(doc.get("est_io_cost", 0.0)),
             sort_columns=int(cols.get("sort_columns", 0)),
             hash_columns=int(cols.get("hash_columns", 0)),
             join_inner_columns=int(cols.get("join_inner_columns", 0)),
             join_outer_columns=int(cols.get("join_outer_columns", 0)),
-            hash_ops_per_tuple=float(cols.get("hash_ops_per_tuple", 0.0)),
+            hash_ops_per_tuple=_finite(cols.get("hash_ops_per_tuple", 0.0)),
             observed=observed,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _FIELD_ERRORS as exc:
         raise PlanError(f"{path}: malformed node: {exc}") from None
     node.children = [
-        _node_from_dict(c, f"{path}.children[{i}]")
-        for i, c in enumerate(doc.get("children", []))
+        _node_from_dict(c, f"{path}.children[{i}]") for i, c in enumerate(children)
     ]
     return node
 
@@ -320,10 +342,14 @@ def parse_plan(document: str) -> QueryPlan:
         raise PlanError(f"malformed plan document: {exc}") from None
     except RecursionError:
         raise PlanError("plan document nested too deeply to decode") from None
+    try:
+        scale = _finite(doc["scale"]) if doc.get("scale") is not None else None
+    except _FIELD_ERRORS as exc:
+        raise PlanError(f"malformed plan scale: {exc}") from None
     plan = QueryPlan(
         query_id=str(doc.get("query_id", "")),
         root=root,
-        scale=float(doc["scale"]) if doc.get("scale") is not None else None,
+        scale=scale,
         template=doc.get("template"),
     )
     plan.validate()

@@ -29,8 +29,10 @@ from .features import (
 from .gbrt import MartModel, TrainConfig, Tree, TrainingError
 from .plan import JOIN_OPS, OperatorType, QueryPlan, decompose_pipelines
 from .scaling import (
+    POWER_EXPONENT_GRID,
     SINGLE_FEATURE_CANDIDATES,
     TWO_FEATURE_CANDIDATES,
+    TWO_FEATURE_KINDS,
     FormKind,
     ScalingError,
     basis,
@@ -471,37 +473,116 @@ class _Reader:
         return float(np.frombuffer(self.take(4), dtype="<f4")[0])
 
 
-def _decode_tree(r: _Reader) -> Tree:
-    n = r.u8()
-    child = np.empty(n, dtype=np.uint8)
-    feat = np.empty(n, dtype=np.uint8)
-    val = np.empty(n, dtype=np.float32)
-    for i in range(n):
-        child[i] = r.u8()
-        feat[i] = r.u8()
-        val[i] = np.frombuffer(r.take(4), dtype="<f4")[0]
-    return Tree(child=child, feature=feat, value=val)
+#: One stored tree node: right-child offset, feature code, value.
+_NODE = np.dtype([("child", "u1"), ("feature", "u1"), ("value", "<f4")])
+
+#: Members of each stored enum by code; a code with no member is corrupt.
+_MEMBERS = {cls: {int(m): m for m in cls} for cls in (OperatorType, FeatureId, FormKind)}
 
 
-def _decode_mart(r: _Reader, target_transform: str = "identity") -> MartModel:
+def _decode_enum(cls, code: int):
+    member = _MEMBERS[cls].get(code)
+    if member is None:
+        raise RegistryError(f"invalid {cls.__name__} code {code}")
+    return member
+
+
+def _check_trees(child, feat, value, sizes: list[int], schema) -> None:
+    """Reject node arrays the prediction kernel cannot walk: it trusts every
+    right-child offset and split feature. ``child``, ``feat`` and ``value``
+    hold all trees of one model, tree t having ``sizes[t]`` nodes."""
+    if 0 in sizes:
+        raise RegistryError("empty tree")
+    sizes = np.array(sizes)
+    ends = np.cumsum(sizes)
+    internal = child != 0
+    # Nodes left in the tree from each node on, itself included: a right
+    # child must land inside, so the last node of a tree must be a leaf.
+    left_in_tree = np.repeat(ends, sizes) - np.arange(len(child))
+    n_splits = np.add.reduceat(internal, ends - sizes, dtype=np.intp)
+    if (
+        (child >= left_in_tree).any()
+        or (child == 1).any()
+        or (sizes != 2 * n_splits + 1).any()
+    ):
+        raise RegistryError("malformed tree: child offsets leave the tree")
+    # Row 0 admits a leaf's feature byte 0, row 1 the split features.
+    allowed = np.zeros((2, 256), dtype=bool)
+    allowed[0, 0] = True
+    allowed[1, [int(f) for f in schema]] = True
+    if not allowed[internal.view(np.uint8), feat].all():
+        raise RegistryError("tree node feature outside its model's schema")
+    if not np.isfinite(value).all():
+        raise RegistryError("non-finite tree threshold or leaf value")
+
+
+def _decode_trees(r: _Reader, schema) -> list[Tree]:
+    """All trees of one model: one bulk read of their node records, checked
+    together, then copied into arrays of each tree's own."""
+    n_trees = r.u16()
+    data, start = r.data, r.pos
+    sizes: list[int] = []
+    heads: list[int] = []
+    pos = start
+    for _ in range(n_trees):
+        if pos >= len(data):
+            raise RegistryError("truncated model payload")
+        sizes.append(data[pos])
+        heads.append(pos - start)
+        pos += 1 + _NODE.itemsize * data[pos]
+    if not sizes:
+        return []
+    nodes = np.delete(np.frombuffer(r.take(pos - start), dtype=np.uint8), heads)
+    nodes = nodes.view(_NODE)
+    child = np.ascontiguousarray(nodes["child"])
+    feat = np.ascontiguousarray(nodes["feature"])
+    value = nodes["value"].astype(np.float32)
+    _check_trees(child, feat, value, sizes, schema)
+    trees = []
+    end = 0
+    for n in sizes:
+        begin, end = end, end + n
+        trees.append(Tree(
+            child[begin:end].copy(), feat[begin:end].copy(), value[begin:end].copy()
+        ))
+    return trees
+
+
+def _decode_mart(r: _Reader) -> MartModel:
     init, lr = struct.unpack("<ff", r.take(8))
-    schema = [FeatureId(r.u8()) for _ in range(r.u8())]
+    schema = [_decode_enum(FeatureId, r.u8()) for _ in range(r.u8())]
     stats = {}
     for f in schema:
         low, high = struct.unpack("<ff", r.take(8))
         stats[f] = (low, high)
-    trees = [_decode_tree(r) for _ in range(r.u16())]
+    numbers = [init, lr, *(v for pair in stats.values() for v in pair)]
+    if not all(map(math.isfinite, numbers)) or any(lo > hi for lo, hi in stats.values()):
+        raise RegistryError("non-finite model parameter or inverted feature range")
     return MartModel(
         init=float(init),
-        trees=trees,
+        trees=_decode_trees(r, schema),
         learning_rate=float(lr),
         schema=schema,
         feature_stats=stats,
-        target_transform=target_transform,
     )
 
 
+def _decode_term(r: _Reader, op: OperatorType) -> ScaleTerm:
+    kind = _decode_enum(FormKind, r.u8())
+    beta = r.f32()
+    feats = tuple(_decode_enum(FeatureId, r.u8()) for _ in range(r.u8()))
+    scalable = SCALE_CANDIDATES.intersection(applicable_features(op))
+    if len(feats) != (2 if kind in TWO_FEATURE_KINDS else 1) or not scalable.issuperset(feats):
+        raise RegistryError(f"invalid {kind.name} scaling features for {op.name}")
+    if beta != 1.0 and not (
+        kind is FormKind.Power and 0.0 < beta <= max(POWER_EXPONENT_GRID)
+    ):
+        raise RegistryError(f"invalid {kind.name} exponent {beta}")
+    return ScaleTerm(kind=kind, features=feats, beta=beta)
+
+
 def deserialize(data: bytes) -> ModelRegistry:
+    """Decode a model file; corrupt bytes raise :class:`RegistryError`."""
     r = _Reader(data)
     if r.take(4) != MAGIC:
         raise RegistryError("bad magic bytes: not a model file")
@@ -509,32 +590,44 @@ def deserialize(data: bytes) -> ModelRegistry:
     if version != FORMAT_VERSION:
         raise RegistryError(f"unsupported model format version {version}")
     registry = ModelRegistry()
+    last_key = None
     for _ in range(r.u16()):
-        op = OperatorType(r.u8())
-        resource = _RESOURCE_NAME[r.u8()]
+        op = _decode_enum(OperatorType, r.u8())
+        code = r.u8()
+        if code not in _RESOURCE_NAME:
+            raise RegistryError(f"invalid resource code {code}")
+        if last_key is not None and (int(op), code) <= last_key:
+            raise RegistryError("model entries duplicated or out of order")
+        last_key = (int(op), code)
         default_idx = r.u16()
         n_models = r.u16()
+        features = applicable_features(op)
         models: list = []
         for _ in range(n_models):
             kind = r.u8()
             if kind == 0:
-                models.append(_decode_mart(r))
+                mart = _decode_mart(r)
+                schema = features
+                models.append(mart)
             elif kind == 1:
-                scaled = _decode_mart(r)
-                terms = []
-                for _ in range(r.u8()):
-                    fk = FormKind(r.u8())
-                    beta = r.f32()
-                    feats = tuple(FeatureId(r.u8()) for _ in range(r.u8()))
-                    terms.append(ScaleTerm(kind=fk, features=feats, beta=beta))
+                mart = _decode_mart(r)
+                terms = [_decode_term(r, op) for _ in range(r.u8())]
+                scale = {f for t in terms for f in t.features}
+                schema = tuple(f for f in features if f not in scale)
                 label = "/".join(
                     f"{t.kind.name}({','.join(f.name for f in t.features)})"
                     for t in terms
                 )
-                scaled.target_transform = f"per-unit:{label}"
-                models.append(CombinedModel(terms=terms, scaled_model=scaled))
+                mart.target_transform = f"per-unit:{label}"
+                models.append(CombinedModel(terms=terms, scaled_model=mart))
             else:
                 raise RegistryError(f"unknown model kind byte {kind}")
+            # Featurization gives the model exactly these features.
+            if tuple(mart.schema) != schema:
+                raise RegistryError("model schema does not match its operator's features")
+        if default_idx >= n_models:
+            raise RegistryError(f"default model #{default_idx} of {n_models} models")
+        resource = _RESOURCE_NAME[code]
         registry.entries[(op, resource)] = RegistryEntry(
             op=op, resource=resource, models=models, default_idx=default_idx
         )

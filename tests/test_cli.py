@@ -222,3 +222,29 @@ def test_estimate_on_too_deep_plan_is_data_error(workspace, tmp_path, capsys):
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nested too deeply" in err
+
+
+def test_estimate_on_corrupt_model_is_data_error(workspace, tmp_path, capsys):
+    _, _, corpus, model = workspace
+    corrupt = bytearray(model.read_bytes())
+    corrupt[7] = 0  # the first entry's operator code
+    bad = tmp_path / "corrupt.bin"
+    bad.write_bytes(bytes(corrupt))
+    code = main(["estimate", "--model", str(bad), "--plans", str(corpus)])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "invalid OperatorType code 0" in err
+
+
+@pytest.mark.parametrize("field", ['"observed":[1,2]', '"cols":[1]', '"row_bytes":NaN'])
+def test_estimate_on_malformed_plan_field_is_data_error(workspace, tmp_path, capsys, field):
+    _, _, _, model = workspace
+    plans = tmp_path / "plan.jsonl"
+    plans.write_text(
+        '{"root":{"op":"TableScan","card_true":10,"card_est":10,' + field + ','
+        '"table":{"table_id":"a","tuple_count":10,"page_count":1,"column_count":2,'
+        '"avg_row_bytes":10.0}}}\n'
+    )
+    code = main(["estimate", "--model", str(model), "--plans", str(plans)])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: ")

@@ -14,6 +14,7 @@ from qres.plan import (
     PlanNode,
     QueryPlan,
     decompose_pipelines,
+    load_corpus,
     operator_arity,
     parse_plan,
     plan_to_json,
@@ -135,6 +136,43 @@ def test_parse_rejects_unknown_operator():
 def test_parse_rejects_non_object():
     with pytest.raises(PlanError):
         parse_plan("[1,2,3]")
+
+
+_SCAN = (
+    '"op":"TableScan","card_true":10,"card_est":10,"table":{"table_id":"a",'
+    '"tuple_count":10,"page_count":1,"column_count":2,"avg_row_bytes":10.0}'
+)
+
+
+BAD_PLAN_LINES = {
+    "observed list": ('{"root":{%s,"observed":[1,2]}}' % _SCAN, "observed must be an object"),
+    "observed text": ('{"root":{%s,"observed":{"cpu_us":"x"}}}' % _SCAN, "could not convert"),
+    "cols list": ('{"root":{%s,"cols":[1]}}' % _SCAN, "cols must be an object"),
+    "children number": ('{"root":{%s,"children":3}}' % _SCAN, "children must be a list"),
+    "NaN": ('{"root":{%s,"row_bytes":NaN}}' % _SCAN, "non-finite"),
+    "Infinity": ('{"root":{%s,"row_bytes":Infinity}}' % _SCAN, "non-finite"),
+    "1e999": ('{"root":{%s,"row_bytes":1e999}}' % _SCAN, "non-finite"),
+    "-Infinity observed": (
+        '{"root":{%s,"observed":{"cpu_us":-Infinity}}}' % _SCAN, "non-finite"
+    ),
+    "NaN scale": ('{"root":{%s},"scale":NaN}' % _SCAN, "non-finite"),
+    "1e999 cardinality": (
+        '{"root":{%s}}' % _SCAN.replace('"card_true":10', '"card_true":1e999'), "infinity"
+    ),
+    "NaN table row bytes": (
+        '{"root":{%s}}' % _SCAN.replace('"avg_row_bytes":10.0', '"avg_row_bytes":NaN'),
+        "non-finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PLAN_LINES))
+def test_one_line_plan_file_with_bad_field_is_plan_error(tmp_path, case):
+    line, message = BAD_PLAN_LINES[case]
+    path = tmp_path / "plan.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(PlanError, match=message):
+        load_corpus(str(path))
 
 
 def test_observed_total_and_has_labels():

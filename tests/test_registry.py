@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_table, scan_node, sort_over_scan
 from qres.features import FeatureError, FeatureId, FeatureVector, extract_features
-from qres.gbrt import TrainConfig
+from qres.gbrt import TrainConfig, Tree
 from qres.plan import NO_PARENT, OperatorType, PlanNode, QueryPlan
 from qres.registry import (
     CombinedModel,
@@ -338,6 +338,225 @@ def test_deserialize_rejects_trailing_bytes(trained):
     blob = serialize(registry)
     with pytest.raises(RegistryError, match="trailing"):
         deserialize(blob + b"\x00")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300))
+def test_any_payload_loads_or_raises_registry_error(payload):
+    try:
+        deserialize(b"QRES\x01" + payload)
+    except RegistryError:
+        pass
+
+
+def _mart(model):
+    return model.scaled_model if isinstance(model, CombinedModel) else model
+
+
+def test_decoded_tree_arrays_are_owned_and_typed(trained):
+    registry, _ = trained
+    loaded = deserialize(serialize(registry))
+    for key, entry in registry.entries.items():
+        for model, back in zip(entry.models, loaded.entries[key].models):
+            for tree, got in zip(_mart(model).trees, _mart(back).trees):
+                for name, dtype in (
+                    ("child", np.uint8), ("feature", np.uint8), ("value", np.float32),
+                ):
+                    arr = getattr(got, name)
+                    assert arr.dtype == dtype
+                    assert arr.flags.owndata and arr.flags.writeable
+                    assert arr.flags.c_contiguous
+                    assert np.array_equal(arr, getattr(tree, name))
+
+
+def _split_tree(mart):
+    return next(t for t in mart.trees if t.n_nodes >= 3)
+
+
+def _combined(registry):
+    return next(
+        m for e in registry.entries.values() for m in e.models
+        if isinstance(m, CombinedModel)
+    )
+
+
+def _retype_term(registry, **changes):
+    model = _combined(registry)
+    term = model.terms[0]
+    fields = {"kind": term.kind, "features": term.features, "beta": term.beta}
+    model.terms[0] = ScaleTerm(**{**fields, **changes})
+
+
+def _set_schema(mart, schema):
+    stats = next(iter(mart.feature_stats.values()))
+    mart.schema = schema
+    mart.feature_stats = {f: stats for f in schema}
+
+
+def _first_entry(registry):
+    return registry.entries[min(registry.entries, key=lambda k: (int(k[0]), k[1]))]
+
+
+def _set_node(tree, name, i, v):
+    getattr(tree, name)[i] = v
+
+
+def _replace_first_tree(mart, child, feature):
+    n = len(child)
+    mart.trees[0] = Tree(
+        child=np.array(child, dtype=np.uint8),
+        feature=np.array(feature, dtype=np.uint8),
+        value=np.zeros(n, dtype=np.float32),
+    )
+
+
+# Each case corrupts a fresh copy of a trained registry in memory, serializes
+# it (the encoder does not validate) and expects load to name the fault.
+CORRUPTIONS = {
+    "duplicate entry": (
+        lambda r: setattr(
+            r.entries[(OperatorType.TableScan, "logical_io")], "resource", "cpu_us"
+        ),
+        "duplicated or out of order",
+    ),
+    "default index": (
+        lambda r: setattr(_first_entry(r), "default_idx", len(_first_entry(r).models)),
+        "default model",
+    ),
+    "feature code": (
+        lambda r: _set_schema(_first_entry(r).models[0], [99]),
+        "invalid FeatureId code 99",
+    ),
+    "schema of another operator": (
+        lambda r: _set_schema(
+            _first_entry(r).models[0], _first_entry(r).models[0].schema[:-1]
+        ),
+        "schema does not match",
+    ),
+    "non-finite init": (
+        lambda r: setattr(_first_entry(r).models[0], "init", math.nan),
+        "non-finite model parameter",
+    ),
+    "form kind": (lambda r: _retype_term(r, kind=99), "invalid FormKind code 99"),
+    "term arity": (
+        lambda r: _retype_term(r, kind=FormKind.Product2), "invalid Product2 scaling"
+    ),
+    "term feature": (
+        lambda r: _retype_term(r, features=(F.OUTPUTUSAGE,)), "scaling features"
+    ),
+    "power exponent": (
+        lambda r: _retype_term(r, kind=FormKind.Power, beta=1e30), "exponent"
+    ),
+    "offset past tree": (
+        lambda r: _set_node(_split_tree(_first_entry(r).models[0]), "child", 0, 250),
+        "child offsets",
+    ),
+    "offset 1": (
+        lambda r: _set_node(_split_tree(_first_entry(r).models[0]), "child", 0, 1),
+        "child offsets",
+    ),
+    "last node a split": (
+        lambda r: _replace_first_tree(_first_entry(r).models[0], [0, 0, 2], [0, 0, 1]),
+        "child offsets",
+    ),
+    "leaves not splits + 1": (
+        lambda r: _replace_first_tree(_first_entry(r).models[0], [2, 0, 0, 0], [1, 0, 0, 0]),
+        "child offsets",
+    ),
+    "empty tree": (
+        lambda r: _replace_first_tree(_first_entry(r).models[0], [], []), "empty tree"
+    ),
+    "leaf feature": (
+        lambda r: _set_node(_split_tree(_first_entry(r).models[0]), "feature", -1, 1),
+        "feature outside",
+    ),
+    "split feature": (
+        lambda r: _set_node(_split_tree(_first_entry(r).models[0]), "feature", 0, 30),
+        "feature outside",
+    ),
+    "non-finite leaf": (
+        lambda r: _set_node(_split_tree(_first_entry(r).models[0]), "value", 1, math.inf),
+        "non-finite tree",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_deserialize_names_corruption(trained, case):
+    registry, _ = trained
+    blob = serialize(registry)
+    copy = deserialize(blob)
+    mutate, message = CORRUPTIONS[case]
+    mutate(copy)
+    corrupt = serialize(copy)
+    assert corrupt != blob
+    with pytest.raises(RegistryError, match=message):
+        deserialize(corrupt)
+
+
+@pytest.mark.parametrize("offset, value, message", [
+    (7, 0, "invalid OperatorType code 0"),   # first entry's operator
+    (8, 5, "invalid resource code 5"),       # first entry's resource
+])
+def test_deserialize_rejects_bad_entry_codes(trained, offset, value, message):
+    registry, _ = trained
+    blob = bytearray(serialize(registry))
+    blob[offset] = value
+    with pytest.raises(RegistryError, match=message):
+        deserialize(bytes(blob))
+
+
+@pytest.fixture(scope="module")
+def flip_case():
+    from qres.synth import CorpusSpec, TableSpec, generate_corpus
+
+    def corpus(scales, count, seed):
+        return generate_corpus(CorpusSpec(
+            templates={"sort_scan": 1.0, "hash_join": 1.0},
+            tables=[TableSpec("big", 20_000, 100.0, 8), TableSpec("small", 4_000, 120.0, 6)],
+            scales=scales, query_count=count, rng_seed=seed,
+            noise_sigma=0.05, card_sigma=0.1,
+        ))
+
+    train = corpus([1.0, 2.0, 4.0], 24, 9)
+    registry = train_registry(train, ["cpu_us", "logical_io"], TrainConfig(iterations=3, rng_seed=0))
+    # In-range plans pick default models; far larger ones score every model
+    # and pick others.
+    return serialize(registry), train[:3] + corpus([32.0], 3, 10)
+
+
+def test_single_bit_flips_raise_registry_error_or_estimate(flip_case):
+    import random
+
+    from qres.gbrt import FEATURE_SPACE, predict_dense
+
+    blob, plans = flip_case
+    rng = random.Random(0)
+    flips = rng.sample(range(8 * len(blob)), 320)
+    rejected = 0
+    for flip in flips:
+        corrupt = bytearray(blob)
+        corrupt[flip // 8] ^= 1 << (flip % 8)
+        try:
+            loaded = deserialize(bytes(corrupt))
+        except RegistryError:
+            rejected += 1
+            continue
+        for plan in plans:
+            for resource in ("cpu_us", "logical_io"):
+                est = estimate_query(loaded, plan, resource)
+                assert est.total == sum(est.per_pipeline)
+        # Walk every tree of every model, not only those the plans picked.
+        for entry in loaded.entries.values():
+            for model in entry.models:
+                mart = _mart(model)
+                for bound in (0, 1):
+                    x = np.zeros(FEATURE_SPACE)
+                    for f in mart.schema:
+                        x[int(f)] = mart.feature_stats[f][bound]
+                    assert math.isfinite(predict_dense(mart, x))
+    # Flips of node offsets, feature codes and enum codes are caught on load.
+    assert 0 < rejected < len(flips)
 
 
 def test_train_rmse_is_default_models_training_error(trained):
