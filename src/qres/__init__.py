@@ -17,6 +17,7 @@ from .gbrt import MartModel, TrainConfig, train
 from .plan import OperatorType, PlanNode, QueryPlan, decompose_pipelines, parse_plan
 from .registry import (
     ModelRegistry,
+    estimate_many,
     estimate_query,
     load_registry,
     save_registry,
@@ -39,6 +40,7 @@ __all__ = [
     "ScalingForm",
     "TrainConfig",
     "decompose_pipelines",
+    "estimate_many",
     "estimate_query",
     "extract_features",
     "generate_corpus",

@@ -8,7 +8,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import estimators, evalkit, registry as reg, scaling, synth
-from .features import FeatureId
+from .features import FeatureId, featurize_many
 from .gbrt import TrainConfig
 from .plan import PlanError, load_corpus, save_corpus
 from .registry import RegistryError, load_registry, save_registry, train_registry
@@ -85,19 +85,19 @@ def cmd_estimate(args) -> int:
     registry = load_registry(args.model)
     plans = load_corpus(args.plans)
     resource = _RESOURCE_FLAG[args.resource]
-    out = []
-    for plan in plans:
-        est = reg.estimate_query(registry, plan, resource, source=args.source)
-        out.append(
-            {
-                "query_id": plan.query_id,
-                "total": est.total,
-                "per_pipeline": est.per_pipeline,
-                "per_operator": [
-                    {"op": name, "estimate": value} for name, value in est.per_operator
-                ],
-            }
+    out = [
+        {
+            "query_id": plan.query_id,
+            "total": est.total,
+            "per_pipeline": est.per_pipeline,
+            "per_operator": [
+                {"op": name, "estimate": value} for name, value in est.per_operator
+            ],
+        }
+        for plan, est in zip(
+            plans, reg.estimate_batch(registry, featurize_many(plans, args.source), resource)
         )
+    ]
     text = json.dumps(out, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -114,8 +114,8 @@ def cmd_eval(args) -> int:
         raise RegistryError("empty test corpus")
     resource = _RESOURCE_FLAG[args.resource]
     table: dict[str, evalkit.EstimatorFn] = {
-        "SCALING": estimators.scaling_estimator(registry, resource, args.source),
-        "MART": estimators.mart_estimator(registry, resource, args.source),
+        "SCALING": estimators.scaling_estimator(registry, resource),
+        "MART": estimators.mart_estimator(registry, resource),
     }
     if args.baselines:
         if not args.train_corpus:
@@ -125,7 +125,7 @@ def cmd_eval(args) -> int:
             train, resource, args.source, seed=args.seed or 0
         )
         table["OPT"] = estimators.train_opt_estimator(train, resource)
-    reports = evalkit.compare(table, test, resource)
+    reports = evalkit.compare(table, test, resource, args.source)
     csv_text = evalkit.report_csv(reports)
     json_text = evalkit.report_json(reports)
     if args.out:

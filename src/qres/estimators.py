@@ -1,37 +1,38 @@
-"""Query-level estimator functions wrapping the registry and the baselines."""
+"""Query-level estimators: each maps a featurized corpus to one total per plan.
+
+SCALING and MART are views of :func:`registry.operator_estimates`; LINEAR
+scores each operator type's rows at once; all three read the batch's one
+featurization pass.
+"""
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from . import evalkit, registry as reg
 from .evalkit import EstimatorFn, LinearOpModel
-from .features import featurize
+from .features import FeatureBatch
 from .plan import OperatorType, QueryPlan
 from .registry import ModelRegistry, collect_examples
 
 
-def scaling_estimator(
-    registry: ModelRegistry, resource: str, source: str = "true"
-) -> EstimatorFn:
-    """Full model-selection estimator (default model + scaled fallbacks)."""
+def scaling_estimator(registry: ModelRegistry, resource: str) -> EstimatorFn:
+    """Full model-selection estimator (default model + scaled fallbacks): the
+    total of :func:`registry.estimate_query`."""
 
-    def estimate(plan: QueryPlan) -> float:
-        return reg.estimate_query(registry, plan, resource, source).total
+    def estimate(batch: FeatureBatch) -> list[float]:
+        return [e.total for e in reg.estimate_batch(registry, batch, resource)]
 
     return estimate
 
 
-def mart_estimator(
-    registry: ModelRegistry, resource: str, source: str = "true"
-) -> EstimatorFn:
+def mart_estimator(registry: ModelRegistry, resource: str) -> EstimatorFn:
     """Plain tree-ensemble estimator: always the unscaled model, no selection."""
 
-    def estimate(plan: QueryPlan) -> float:
-        total = 0.0
-        for node, fv in featurize(plan.root, source):
-            entry = registry.entry(node.op, resource)
-            total += reg.estimate_with_model(entry.models[0], fv)
-        return total
+    def estimate(batch: FeatureBatch) -> list[float]:
+        values = reg.operator_estimates(registry, batch, resource, plain=True)
+        return batch.plan_sums(values.tolist())
 
     return estimate
 
@@ -47,14 +48,15 @@ def train_linear_estimator(
         if len(examples) >= 2
     }
 
-    def estimate(plan: QueryPlan) -> float:
-        total = 0.0
-        for node, fv in featurize(plan.root, source):
-            model = models.get(node.op)
+    def estimate(batch: FeatureBatch) -> list[float]:
+        values = np.empty(len(batch.nodes))
+        for op, X in batch.raw.items():
+            model = models.get(op)
             if model is None:
-                raise reg.RegistryError(f"no model for operator {node.op.name}")
-            total += max(0.0, model.predict(fv))
-        return total
+                raise reg.RegistryError(f"no model for operator {op.name}")
+            pred = model.predict_rows(X)
+            values[batch.at[op]] = np.where(pred > 0.0, pred, 0.0)
+        return batch.plan_sums(values.tolist())
 
     return estimate
 
@@ -75,13 +77,13 @@ def train_opt_estimator(
             )
     alphas = evalkit.fit_opt_baseline(samples)
 
-    def estimate(plan: QueryPlan) -> float:
-        total = 0.0
-        for node in plan.root.walk():
+    def estimate(batch: FeatureBatch) -> list[float]:
+        values = []
+        for node in batch.nodes:
             alpha = alphas.get(node.op)
             if alpha is None:
                 raise reg.RegistryError(f"no model for operator {node.op.name}")
-            total += max(0.0, alpha * node.est_io_cost)
-        return total
+            values.append(max(0.0, alpha * node.est_io_cost))
+        return batch.plan_sums(values)
 
     return estimate

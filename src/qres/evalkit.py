@@ -9,10 +9,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .features import FeatureId, FeatureVector
+from .features import FeatureBatch, FeatureId, FeatureVector, featurize_many
 from .plan import OperatorType, QueryPlan
 
-EstimatorFn = Callable[[QueryPlan], float]
+#: An estimator maps a featurized corpus to one total per plan, in plan order.
+EstimatorFn = Callable[[FeatureBatch], Sequence[float]]
 
 
 class EvalError(ValueError):
@@ -105,10 +106,12 @@ class LinearOpModel:
     coefficients: np.ndarray      # aligned with schema
     intercept: float
 
-    def predict(self, fv: FeatureVector) -> float:
-        acc = self.intercept
+    def predict_rows(self, X: np.ndarray) -> np.ndarray:
+        """The prediction for every code-indexed row of ``X``, its terms
+        added in schema order."""
+        acc = np.full(len(X), self.intercept)
         for f, c in zip(self.schema, self.coefficients):
-            acc += c * fv.values[f]
+            acc = acc + c * X[:, f]
         return acc
 
 
@@ -184,15 +187,17 @@ def compare(
     estimators: dict[str, EstimatorFn],
     corpus: Sequence[QueryPlan],
     resource: str,
+    source: str = "true",
 ) -> dict[str, EvalReport]:
-    """Query-granularity evaluation of each estimator against observed totals."""
+    """Query-granularity evaluation of each estimator against observed totals;
+    the corpus is featurized once, with ``source`` cardinalities, for all."""
+    batch = featurize_many(corpus, source)
+    truths = [plan.observed_total(resource) for plan in corpus]
     reports = {}
     for name, estimator in estimators.items():
         pairs = []
         excluded = 0
-        for plan in corpus:
-            true_usage = plan.observed_total(resource)
-            estimate = estimator(plan)
+        for plan, true_usage, estimate in zip(corpus, truths, estimator(batch)):
             if estimate <= 0.0 or true_usage <= 0.0:
                 excluded += 1
                 continue

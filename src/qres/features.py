@@ -1,12 +1,16 @@
 """Operator feature vectors and the feature-dependency relation."""
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .plan import JOIN_OPS, LEAF_OPS, NO_PARENT, OperatorType, PlanNode, preorder
+import numpy as np
+
+from .plan import JOIN_OPS, LEAF_OPS, NO_PARENT, OperatorType, PlanNode, QueryPlan, preorder
 
 
 class FeatureError(ValueError):
@@ -48,6 +52,10 @@ class FeatureId(IntEnum):
 
 F = FeatureId
 
+#: Dense feature rows are indexed by feature code; codes fit in one byte and
+#: the highest code in use is 24.
+FEATURE_SPACE = 32
+
 #: Features irrelevant (or second-order) for logical I/O; never scaling candidates
 #: for that resource.
 NEVER_SCALE_IO = frozenset(
@@ -80,6 +88,7 @@ OP_SPECIFIC: dict[OperatorType, tuple[FeatureId, ...]] = {
 }
 
 
+@functools.cache
 def applicable_features(op: OperatorType) -> tuple[FeatureId, ...]:
     """The exact feature set of an operator type, ordered by feature code."""
     feats = {F.COUT, F.SOUTAVG, F.SOUTTOT, F.OUTPUTUSAGE}
@@ -223,3 +232,61 @@ def featurize(root: PlanNode, source: str = "true") -> Iterator[tuple[PlanNode, 
     """Every operator under ``root`` in pre-order, with its feature vector."""
     for node, parent_op in preorder(root):
         yield node, extract_features(node, parent_op, source)
+
+
+@dataclass
+class FeatureBatch:
+    """Every operator of a list of plans, featurized in one pass.
+
+    ``nodes`` lists the operators plan by plan, each plan in pre-order; plan i
+    owns positions ``bounds[i]:bounds[i + 1]``. ``raw[op]`` holds one row per
+    operator of type ``op``, indexed by feature code (0 where a feature does
+    not apply), and ``at[op]`` the positions of those operators in ``nodes``.
+    """
+
+    plans: Sequence[QueryPlan]
+    nodes: list[PlanNode]
+    bounds: list[int]
+    raw: dict[OperatorType, np.ndarray]
+    at: dict[OperatorType, np.ndarray]
+
+    def plan_sums(self, values: Sequence[float]) -> list[float]:
+        """Each plan's sum of its operators' ``values``, added in pre-order."""
+        sums = []
+        for lo, hi in zip(self.bounds, self.bounds[1:]):
+            total = 0.0
+            for v in values[lo:hi]:
+                total += v
+            sums.append(total)
+        return sums
+
+
+def featurize_many(plans: Sequence[QueryPlan], source: str = "true") -> FeatureBatch:
+    """One :func:`featurize` pass over every plan, kept as one raw feature
+    matrix per operator type."""
+    nodes: list[PlanNode] = []
+    bounds = [0]
+    rows: dict[OperatorType, array] = {}
+    at: dict[OperatorType, list[int]] = {}
+    for plan in plans:
+        for node, fv in featurize(plan.root, source):
+            op, values = node.op, fv.values
+            if op not in rows:
+                rows[op], at[op] = array("d"), []
+            rows[op].extend([values[f] for f in applicable_features(op)])
+            at[op].append(len(nodes))
+            nodes.append(node)
+        bounds.append(len(nodes))
+    raw = {}
+    for op, flat in rows.items():
+        codes = [int(f) for f in applicable_features(op)]
+        X = np.zeros((len(at[op]), FEATURE_SPACE))
+        X[:, codes] = np.frombuffer(flat).reshape(len(at[op]), len(codes))
+        raw[op] = X
+    return FeatureBatch(
+        plans=plans,
+        nodes=nodes,
+        bounds=bounds,
+        raw=raw,
+        at={op: np.array(pos, dtype=np.intp) for op, pos in at.items()},
+    )

@@ -23,16 +23,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import FeatureId, FeatureVector
+from .features import FEATURE_SPACE, FeatureId, FeatureVector
 
 
 class TrainingError(ValueError):
     """Raised for unusable training input or prediction-time schema mismatch."""
-
-
-#: Dense prediction vectors are indexed by feature code; codes fit in one byte
-#: and the highest code in use is 24.
-FEATURE_SPACE = 32
 
 
 @dataclass
@@ -118,6 +113,10 @@ class MartModel:
 #: 10-leaf configuration) are evaluated through a lookup table of
 #: ``2**TABLE_MAX_SPLITS`` one-byte leaf numbers; larger trees are walked.
 TABLE_MAX_SPLITS = 9
+
+#: Most split comparisons (rows x splits x trees) or walk cursors (rows x
+#: walked trees) one chunk of :meth:`_Layout.predict_rows` holds at once.
+CHUNK_ELEMENTS = 1 << 18
 
 
 def _walk(child, feat, thr, X, rows, node) -> np.ndarray:
@@ -209,6 +208,36 @@ class _Layout:
             )
             total += (self.lr * self.node_thr[reached].astype(np.float64)).sum()
         return self.init + float(total)
+
+    def predict_rows(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`predict` of every row of ``X`` (rows, FEATURE_SPACE), bit for
+        bit: each row's terms are summed as one contiguous row, so NumPy's
+        pairwise sum adds them in the order it adds a single vector's.
+
+        Rows go through in chunks of at most :data:`CHUNK_ELEMENTS` split
+        comparisons (rows x splits x trees) or walk cursors.
+        """
+        k, n_tab = self.feat.shape
+        step = max(1, CHUNK_ELEMENTS // max(1, k * n_tab + self.walk_starts.size))
+        out = np.empty(len(X))
+        for lo in range(0, len(X), step):
+            rows = X[lo : lo + step]
+            code = np.zeros((len(rows), n_tab), dtype=np.uint16)
+            for j in range(k):
+                code |= np.left_shift(rows[:, self.feat[j]] <= self.thr[j], j, dtype=np.uint16)
+            leaf = self.leaf.take(self.leaf_base + code)
+            total = self.value.take(self.value_base + leaf).sum(axis=1)
+            if self.walk_starts.size:
+                n_walk = self.walk_starts.size
+                reached = _walk(
+                    self.child, self.node_feat, self.node_thr, rows,
+                    np.repeat(np.arange(len(rows)), n_walk),
+                    np.tile(self.walk_starts, len(rows)),
+                )
+                term = self.lr * self.node_thr[reached].astype(np.float64)
+                total += term.reshape(len(rows), n_walk).sum(axis=1)
+            out[lo : lo + step] = self.init + total
+        return out
 
 
 class _BuildNode:

@@ -231,7 +231,7 @@ def decompose_pipelines(plan: QueryPlan) -> list[Pipeline]:
 # External line-delimited JSON plan format
 
 
-def _finite(value) -> float:
+def finite_float(value) -> float:
     """``float(value)``, refusing NaN and infinities."""
     x = float(value)
     if not math.isfinite(x):
@@ -256,14 +256,26 @@ def _table_from_dict(doc: dict, path: str) -> TableMeta:
             tuple_count=int(doc["tuple_count"]),
             page_count=int(doc["page_count"]),
             column_count=int(doc["column_count"]),
-            avg_row_bytes=_finite(doc["avg_row_bytes"]),
+            avg_row_bytes=finite_float(doc["avg_row_bytes"]),
             index_depth=int(doc.get("index_depth", 0)),
         )
     except _FIELD_ERRORS as exc:
         raise PlanError(f"{path}: malformed table metadata: {exc}") from None
 
 
-def _node_from_dict(doc: dict, path: str) -> PlanNode:
+#: Most nodes on a root-to-leaf path of a plan in the JSON format. Decoding
+#: and encoding recurse once per level; deeper plans raise :class:`PlanError`
+#: (in memory, plans of any depth are walked without recursion).
+MAX_PLAN_DEPTH = 256
+
+
+def _too_deep() -> PlanError:
+    return PlanError(f"plan nested too deeply: more than {MAX_PLAN_DEPTH} levels")
+
+
+def _node_from_dict(doc: dict, path: str, depth: int = 1) -> PlanNode:
+    if depth > MAX_PLAN_DEPTH:
+        raise _too_deep()
     _object(doc, path, "node")
     try:
         op = OperatorType[doc["op"]]
@@ -278,33 +290,36 @@ def _node_from_dict(doc: dict, path: str) -> PlanNode:
         raise PlanError(f"{path}: children must be a list")
     try:
         if observed is not None:
-            observed = {str(k): _finite(v) for k, v in observed.items()}
+            observed = {str(k): finite_float(v) for k, v in observed.items()}
         node = PlanNode(
             op=op,
             true_out_cardinality=int(doc["card_true"]),
             est_out_cardinality=int(doc["card_est"]),
-            out_row_bytes=_finite(doc.get("row_bytes", 0.0)),
+            out_row_bytes=finite_float(doc.get("row_bytes", 0.0)),
             table=_table_from_dict(doc["table"], path) if doc.get("table") else None,
-            est_io_cost=_finite(doc.get("est_io_cost", 0.0)),
+            est_io_cost=finite_float(doc.get("est_io_cost", 0.0)),
             sort_columns=int(cols.get("sort_columns", 0)),
             hash_columns=int(cols.get("hash_columns", 0)),
             join_inner_columns=int(cols.get("join_inner_columns", 0)),
             join_outer_columns=int(cols.get("join_outer_columns", 0)),
-            hash_ops_per_tuple=_finite(cols.get("hash_ops_per_tuple", 0.0)),
+            hash_ops_per_tuple=finite_float(cols.get("hash_ops_per_tuple", 0.0)),
             observed=observed,
         )
     except _FIELD_ERRORS as exc:
         raise PlanError(f"{path}: malformed node: {exc}") from None
     node.children = [
-        _node_from_dict(c, f"{path}.children[{i}]") for i, c in enumerate(children)
+        _node_from_dict(c, f"{path}.children[{i}]", depth + 1)
+        for i, c in enumerate(children)
     ]
     return node
 
 
-def _node_to_dict(node: PlanNode) -> dict:
+def _node_to_dict(node: PlanNode, depth: int = 1) -> dict:
+    if depth > MAX_PLAN_DEPTH:
+        raise _too_deep()
     doc: dict = {
         "op": node.op.name,
-        "children": [_node_to_dict(c) for c in node.children],
+        "children": [_node_to_dict(c, depth + 1) for c in node.children],
         "card_true": node.true_out_cardinality,
         "card_est": node.est_out_cardinality,
         "row_bytes": node.out_row_bytes,
@@ -341,9 +356,9 @@ def parse_plan(document: str) -> QueryPlan:
     except json.JSONDecodeError as exc:
         raise PlanError(f"malformed plan document: {exc}") from None
     except RecursionError:
-        raise PlanError("plan document nested too deeply to decode") from None
+        raise _too_deep() from None
     try:
-        scale = _finite(doc["scale"]) if doc.get("scale") is not None else None
+        scale = finite_float(doc["scale"]) if doc.get("scale") is not None else None
     except _FIELD_ERRORS as exc:
         raise PlanError(f"malformed plan scale: {exc}") from None
     plan = QueryPlan(
@@ -357,6 +372,8 @@ def parse_plan(document: str) -> QueryPlan:
 
 
 def plan_to_json(plan: QueryPlan) -> str:
+    """One plan document; a plan deeper than :data:`MAX_PLAN_DEPTH` raises
+    :class:`PlanError`."""
     doc: dict = {"query_id": plan.query_id, "root": _node_to_dict(plan.root)}
     if plan.scale is not None:
         doc["scale"] = plan.scale

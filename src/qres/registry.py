@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -19,12 +19,14 @@ from . import gbrt
 from .features import (
     NEVER_SCALE_IO,
     SCALE_CANDIDATES,
+    FeatureBatch,
     FeatureError,
     FeatureId,
     FeatureVector,
     applicable_features,
     dependents,
     featurize,
+    featurize_many,
 )
 from .gbrt import MartModel, TrainConfig, Tree, TrainingError
 from .plan import JOIN_OPS, OperatorType, QueryPlan, decompose_pipelines
@@ -140,12 +142,15 @@ def build_combined(
 
 
 def estimate_with_model(model, fv: FeatureVector) -> float:
-    """Evaluate one model on a raw feature vector; negative output clamps to 0."""
+    """Evaluate one model on a raw feature vector; negative output clamps to 0
+    and a non-finite one raises :class:`ScalingError`."""
     if isinstance(model, CombinedModel):
         g = _scale_factor(model.terms, fv.values)
         value = g * gbrt.predict(model.scaled_model, transform_for_scaling(fv, model.terms))
     else:
         value = gbrt.predict(model, fv)
+    if not math.isfinite(value):
+        raise ScalingError("non-finite estimate")
     return max(0.0, value)
 
 
@@ -258,12 +263,185 @@ def estimate_query(
         value = estimate_with_model(model, fv)
         estimates[id(node)] = value
         per_operator.append((node.op.name, value))
+    return _query_estimate(plan, estimates, per_operator)
+
+
+def _query_estimate(
+    plan: QueryPlan, estimates: dict[int, float], per_operator: list[tuple[str, float]]
+) -> QueryEstimate:
+    """The plan's estimate from its operators' values, keyed by node id."""
     per_pipeline = [
         sum(estimates[id(n)] for n in p.nodes) for p in decompose_pipelines(plan)
     ]
     return QueryEstimate(
         total=sum(per_pipeline), per_pipeline=per_pipeline, per_operator=per_operator
     )
+
+
+# ---------------------------------------------------------------------------
+# Batch estimation: the rules above, applied to one op's rows at a time.
+
+
+def estimate_many(
+    registry: ModelRegistry, plans: Sequence[QueryPlan], resource: str, source: str = "true"
+) -> list[QueryEstimate]:
+    """``[estimate_query(registry, p, resource, source) for p in plans]``, bit
+    for bit, from one featurization pass."""
+    return list(estimate_batch(registry, featurize_many(plans, source), resource))
+
+
+def estimate_batch(
+    registry: ModelRegistry, batch: FeatureBatch, resource: str
+) -> Iterator[QueryEstimate]:
+    """Each plan's :func:`estimate_query`, in plan order, from a featurized
+    batch; a caller that keeps only part of each estimate holds one at a time."""
+    values = operator_estimates(registry, batch, resource).tolist()
+    b = batch.bounds
+    for i, plan in enumerate(batch.plans):
+        nodes, vals = batch.nodes[b[i] : b[i + 1]], values[b[i] : b[i + 1]]
+        yield _query_estimate(
+            plan,
+            {id(n): v for n, v in zip(nodes, vals)},
+            [(n.op.name, v) for n, v in zip(nodes, vals)],
+        )
+
+
+def operator_estimates(
+    registry: ModelRegistry, batch: FeatureBatch, resource: str, plain: bool = False
+) -> np.ndarray:
+    """Every operator's :func:`estimate_with_model` in batch order, by the
+    model :func:`select_model` picks, or by the plain model when ``plain``.
+    Each picked model scores all of its rows in one kernel call."""
+    out = np.empty(len(batch.nodes))
+    for op, X in batch.raw.items():
+        entry = registry.entry(op, resource)
+        if plain:
+            pick = np.zeros(len(X), dtype=np.intp)
+        else:
+            pick = _select_rows(registry, entry, X)
+        values = np.empty(len(X))
+        for idx in np.unique(pick):
+            rows = np.flatnonzero(pick == idx)
+            values[rows] = _estimate_rows(entry.models[idx], X[rows], op)
+        out[batch.at[op]] = values
+    return out
+
+
+def _normalize_rows(X: np.ndarray, op: OperatorType, model) -> tuple:
+    """:func:`transform_for_scaling` of every row of ``X`` (op's raw rows)
+    for ``model``, with the same divisions in the same order. Returns
+    ``(rows, degenerate, mart, absent)``: the rows that cannot be normalized,
+    the model's ensemble, and the features of its schema the rows lack."""
+    degenerate = np.zeros(len(X), dtype=bool)
+    kept = set(applicable_features(op))
+    mart = model
+    if isinstance(model, CombinedModel):
+        mart = model.scaled_model
+        raw, X = X, X.copy()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for fid in model.scale_feature_ids:
+                if fid not in kept:
+                    degenerate[:] = True
+                    continue
+                v = raw[:, fid]
+                degenerate |= v <= 0
+                for dep in dependents(fid):
+                    if dep in kept:
+                        X[:, dep] = X[:, dep] / v
+                kept.discard(fid)
+    return X, degenerate, mart, [f for f in mart.schema if f not in kept]
+
+
+def _out_ratio_rows(X: np.ndarray, op: OperatorType, model) -> tuple:
+    """:func:`model_out_ratios` of every row of ``X``: a (rows, features)
+    matrix of ratios, and a mask of the rows whose ratios are ``[inf]``."""
+    X, degenerate, mart, absent = _normalize_rows(X, op, model)
+    columns = []
+    for f in mart.schema:
+        if f is FeatureId.OUTPUTUSAGE:
+            continue
+        low, high = mart.feature_stats[f]
+        v = X[:, f]
+        if high == low:
+            columns.append(np.where(v == high, 0.0, math.inf))
+        else:
+            excursion = np.maximum(low - v, 0.0) + np.maximum(v - high, 0.0)
+            columns.append(excursion / (high - low))
+    ratios = np.column_stack(columns or [np.zeros(len(X))])
+    return ratios, degenerate | bool(absent)
+
+
+def _selection_keys(X: np.ndarray, op: OperatorType, model) -> np.ndarray:
+    """:func:`select_model`'s key of ``model`` for every row of ``X``, less
+    the model index, one row of floats each: the largest ratio, the count of
+    scale features, the other ratios in descending order and a 0.0. Padding
+    a row with -inf, below every ratio, orders a shorter key first, as tuple
+    comparison does."""
+    ratios, inf_rows = _out_ratio_rows(X, op, model)
+    n = ratios.shape[1]
+    desc = np.sort(ratios, axis=1)[:, ::-1]
+    keys = np.empty((len(X), n + 2))
+    keys[:, 0] = desc[:, 0]
+    keys[:, 1] = _n_scale_features(model)
+    keys[:, 2 : n + 1] = desc[:, 1:]
+    keys[:, n + 1] = 0.0
+    keys[inf_rows, 0] = math.inf
+    keys[inf_rows, 2:] = [0.0] + [-math.inf] * (n - 1)
+    return keys
+
+
+def _pad_keys(keys: np.ndarray, width: int) -> np.ndarray:
+    if keys.shape[1] == width:
+        return keys
+    return np.pad(keys, ((0, 0), (0, width - keys.shape[1])), constant_values=-math.inf)
+
+
+def _select_rows(registry: ModelRegistry, entry: RegistryEntry, X: np.ndarray) -> np.ndarray:
+    """:func:`select_model`'s pick for every row of ``X``: the default model
+    where its ratios are all 0, else the model of the least key, ties going
+    to the lower index. Ratios are never NaN on finite rows; rows with a
+    non-finite feature are passed to :func:`select_model` itself."""
+    op = entry.op
+    pick = np.full(len(X), entry.default_idx, dtype=np.intp)
+    ratios, inf_rows = _out_ratio_rows(X, op, entry.models[entry.default_idx])
+    out = np.flatnonzero(inf_rows | (ratios != 0.0).any(axis=1))
+    if out.size:
+        X_out, rows = X[out], np.arange(out.size)
+        best = _selection_keys(X_out, op, entry.models[0])
+        pick[out] = 0
+        for idx, model in enumerate(entry.models[1:], 1):
+            keys = _selection_keys(X_out, op, model)
+            width = max(best.shape[1], keys.shape[1])
+            best, keys = _pad_keys(best, width), _pad_keys(keys, width)
+            differ = keys != best
+            first = differ.argmax(axis=1)
+            better = differ.any(axis=1) & (keys[rows, first] < best[rows, first])
+            best[better] = keys[better]
+            pick[out[better]] = idx
+    for i in np.flatnonzero(~np.isfinite(X).all(axis=1)):
+        values = {f: float(X[i, f]) for f in applicable_features(op)}
+        fv = FeatureVector(op=op, values=values)
+        pick[i] = select_model(registry, op, entry.resource, fv)[1]
+    return pick
+
+
+def _estimate_rows(model, X: np.ndarray, op: OperatorType) -> np.ndarray:
+    """:func:`estimate_with_model` of every row of ``X``; each row's scale
+    factor comes from :func:`_scale_factor` itself."""
+    g = None
+    if isinstance(model, CombinedModel):
+        ids = model.scale_feature_ids
+        g = [_scale_factor(model.terms, dict(zip(ids, row))) for row in X[:, ids].tolist()]
+    X, _, mart, absent = _normalize_rows(X, op, model)
+    if absent:
+        raise gbrt.TrainingError(f"feature {absent[0].name} absent from input vector")
+    value = mart.layout().predict_rows(X)
+    if g is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.array(g) * value
+    if not np.isfinite(value).all():
+        raise ScalingError("non-finite estimate")
+    return np.where(value > 0.0, value, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ sum(b*y) / sum(b*b); the Power exponent is chosen from a small grid.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
@@ -42,7 +43,18 @@ TWO_FEATURE_CANDIDATES = (FormKind.Product2, FormKind.Sum2, FormKind.FLogSecond)
 
 
 def basis(kind: FormKind, values: Sequence[float], beta: float = 1.0) -> float:
-    """The form evaluated with alpha = 1."""
+    """The form evaluated with alpha = 1; a result too large for a float
+    raises :class:`ScalingError`."""
+    try:
+        value = _basis(kind, values, beta)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScalingError(f"{kind.name} scale factor overflows on {list(values)}")
+    return value
+
+
+def _basis(kind: FormKind, values: Sequence[float], beta: float) -> float:
     if kind in TWO_FEATURE_KINDS:
         if len(values) != 2:
             raise ScalingError(f"{kind.name} takes two feature values")

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .features import FeatureId, extract_features, featurize, lg
-from .plan import OperatorType, PlanNode, QueryPlan, TableMeta, preorder
+from .plan import OperatorType, PlanNode, QueryPlan, TableMeta, finite_float, preorder
 
 F = FeatureId
 
@@ -76,25 +76,30 @@ def default_tables() -> list[TableSpec]:
 
 
 def spec_from_json(text: str) -> CorpusSpec:
+    """Parse a corpus spec; malformed fields and NaN or infinite numbers raise
+    :class:`SynthError`."""
     doc = json.loads(text)
-    spec = CorpusSpec(
-        templates={str(k): float(v) for k, v in doc["templates"].items()},
-        tables=[
-            TableSpec(
-                table_id=str(t["table_id"]),
-                base_tuples=int(t["base_tuples"]),
-                row_bytes=float(t["row_bytes"]),
-                columns=int(t["columns"]),
-            )
-            for t in doc["tables"]
-        ],
-        scales=[float(s) for s in doc["scales"]],
-        query_count=int(doc["query_count"]),
-        rng_seed=int(doc.get("rng_seed", 0)),
-        noise_sigma=float(doc.get("noise_sigma", 0.0)),
-        card_sigma=float(doc.get("card_sigma", 0.0)),
-        card_bias=float(doc.get("card_bias", 1.0)),
-    )
+    try:
+        spec = CorpusSpec(
+            templates={str(k): finite_float(v) for k, v in doc["templates"].items()},
+            tables=[
+                TableSpec(
+                    table_id=str(t["table_id"]),
+                    base_tuples=int(t["base_tuples"]),
+                    row_bytes=finite_float(t["row_bytes"]),
+                    columns=int(t["columns"]),
+                )
+                for t in doc["tables"]
+            ],
+            scales=[finite_float(s) for s in doc["scales"]],
+            query_count=int(doc["query_count"]),
+            rng_seed=int(doc.get("rng_seed", 0)),
+            noise_sigma=finite_float(doc.get("noise_sigma", 0.0)),
+            card_sigma=finite_float(doc.get("card_sigma", 0.0)),
+            card_bias=finite_float(doc.get("card_bias", 1.0)),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+        raise SynthError(f"malformed corpus spec: {exc}") from None
     spec.validate()
     return spec
 

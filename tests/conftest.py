@@ -3,8 +3,17 @@ from __future__ import annotations
 
 import pytest
 
+from qres.features import FeatureId
 from qres.gbrt import TrainConfig
 from qres.plan import OperatorType, PlanNode, QueryPlan, TableMeta
+from qres.registry import (
+    ModelRegistry,
+    RegistryEntry,
+    ScaleTerm,
+    build_combined,
+    collect_examples,
+)
+from qres.scaling import FormKind
 from qres.synth import CorpusSpec, TableSpec, generate_corpus
 
 
@@ -38,6 +47,30 @@ def sort_over_scan(tuples: int = 1024, sort_cols: int = 1) -> QueryPlan:
     plan = QueryPlan(query_id="sort-scan", root=sort)
     plan.validate()
     return plan
+
+
+def seek_plan(tuples: int) -> QueryPlan:
+    """One IndexSeek over a table of ``tuples`` rows."""
+    table = make_table(tuples=10_000)
+    table = TableMeta(table_id="t", tuple_count=tuples, page_count=table.page_count,
+                      column_count=8, avg_row_bytes=100.0, index_depth=3)
+    seek = PlanNode(
+        op=OperatorType.IndexSeek, true_out_cardinality=50, est_out_cardinality=50,
+        out_row_bytes=100.0, table=table, est_io_cost=4.0,
+    )
+    plan = QueryPlan(query_id="seek", root=seek)
+    plan.validate()
+    return plan
+
+
+def scaled_seek_registry(corpus, kind=FormKind.Power, beta=3.0) -> ModelRegistry:
+    """An IndexSeek/cpu_us entry whose only model scales by one TSIZE term,
+    ``TSIZE ** 3`` by default."""
+    op = OperatorType.IndexSeek
+    examples = collect_examples(corpus, "cpu_us")[op]
+    term = ScaleTerm(kind=kind, features=(FeatureId.TSIZE,), beta=beta)
+    model = build_combined(examples, [term], TrainConfig(iterations=5, rng_seed=0))
+    return ModelRegistry({(op, "cpu_us"): RegistryEntry(op, "cpu_us", [model])})
 
 
 @pytest.fixture(scope="session")

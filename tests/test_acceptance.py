@@ -17,7 +17,7 @@ import pytest
 
 from qres import estimators, evalkit
 from qres.evalkit import EvalPair, fit_opt_baseline, l1_err, ratio_buckets, ratio_err
-from qres.features import FeatureId, FeatureVector
+from qres.features import FeatureId, FeatureVector, featurize_many
 from qres.gbrt import TrainConfig, predict, train
 from qres.plan import OperatorType
 from qres.registry import (
@@ -81,8 +81,7 @@ def test_a1_extrapolation_robustness():
     mart = estimators.mart_estimator(registry, "cpu_us")
     big = [p for p in test_set if p.template in SORT_SCAN_TEMPLATES]
     under = 0
-    for plan in big:
-        est = mart(plan)
+    for plan, est in zip(big, mart(featurize_many(big))):
         true = plan.observed_total("cpu_us")
         if est < true and ratio_err(EvalPair(est, true)) > 2.0:
             under += 1
@@ -94,8 +93,8 @@ def test_a1_extrapolation_robustness():
     for resource in ("cpu_us", "logical_io"):
         est_fn = estimators.scaling_estimator(registry, resource)
         ok_count = 0
-        for plan in test_set:
-            pair = EvalPair(est_fn(plan), plan.observed_total(resource))
+        for plan, est in zip(test_set, est_fn(featurize_many(test_set))):
+            pair = EvalPair(est, plan.observed_total(resource))
             if pair.estimate > 0 and ratio_err(pair) <= 2.0:
                 ok_count += 1
         scaling_fracs[resource] = ok_count / len(test_set)
@@ -266,9 +265,10 @@ def test_a5_bias_compensation():
     l1 = {}
     for source in ("true", "estimated"):
         registry = train_registry(train_set, ["cpu_us"], cfg, source=source)
-        est_fn = estimators.scaling_estimator(registry, "cpu_us", source)
+        est_fn = estimators.scaling_estimator(registry, "cpu_us")
         pairs = [
-            EvalPair(est_fn(p), p.observed_total("cpu_us")) for p in test_set
+            EvalPair(est, p.observed_total("cpu_us"))
+            for p, est in zip(test_set, est_fn(featurize_many(test_set, source)))
         ]
         pairs = [p for p in pairs if p.estimate > 0]
         l1[source] = l1_err(pairs)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from qres.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from qres.plan import plan_to_json
 
 SPEC = {
     "templates": {"scan": 1.0, "sort_scan": 1.0, "hash_join": 1.0},
@@ -248,3 +249,65 @@ def test_estimate_on_malformed_plan_field_is_data_error(workspace, tmp_path, cap
     code = main(["estimate", "--model", str(model), "--plans", str(plans)])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_estimate_and_eval_output_bytes_are_pinned(small_corpus, fast_cfg, tmp_path, capsys):
+    # The batch estimation path keeps every output byte of the per-plan path
+    # it replaced.
+    import hashlib
+
+    from qres.plan import save_corpus
+    from qres.registry import save_registry, train_registry
+
+    corpus, model = tmp_path / "corpus.jsonl", tmp_path / "model.bin"
+    save_corpus(small_corpus, str(corpus))
+    save_registry(train_registry(small_corpus, ["cpu_us", "logical_io"], fast_cfg), str(model))
+    digests = {}
+    for resource in ("cpu", "io"):
+        out = tmp_path / f"est-{resource}.json"
+        assert main([
+            "estimate", "--model", str(model), "--plans", str(corpus),
+            "--resource", resource, "--out", str(out),
+        ]) == EXIT_OK
+        prefix = tmp_path / f"eval-{resource}"
+        assert main([
+            "eval", "--model", str(model), "--corpus", str(corpus), "--resource", resource,
+            "--baselines", "--train-corpus", str(corpus), "--out", str(prefix),
+        ]) == EXIT_OK
+        for path in (out, tmp_path / f"eval-{resource}.csv", tmp_path / f"eval-{resource}.json"):
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert digests == {
+        "est-cpu.json": "e4044f40ec5738035edc7fed92797e38d6fb598c54f34161306a823bc1e837e3",
+        "est-io.json": "25f2570b4c769cc62e2420bc93da21f1c10c8795ee48eccab52ee1d6089a3f07",
+        "eval-cpu.csv": "5e195aaeef83e9f0f10ab83f2fec665ff0aaf5d83536628bc873778a3fb73910",
+        "eval-cpu.json": "3683caaa88971d7664bdc80a923cbc4e435bf9456b1986b2846b7ee969d59b39",
+        "eval-io.csv": "a51879ad8c921427aa54473eb796464fa0cc7f116cf1e29e08fb60a28c1a2ca4",
+        "eval-io.json": "4199ee40fa91c730823ccae3f89f8813cf3d4259d103e83a49e2f48da15c8033",
+    }
+
+
+@pytest.mark.parametrize("field,value", [
+    ("scales", "[NaN]"), ("scales", "[Infinity]"), ("noise_sigma", "-Infinity"),
+    ("query_count", "NaN"), ("card_bias", "NaN"),
+])
+def test_gen_on_non_finite_spec_number_is_data_error(tmp_path, capsys, field, value):
+    text = json.dumps({**SPEC, field: "@"}).replace('"@"', value)
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    code = main(["gen", "--spec", str(spec), "--out", str(tmp_path / "c.jsonl")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: malformed corpus spec")
+
+
+def test_estimate_with_overflowing_scale_factor_is_data_error(small_corpus, tmp_path, capsys):
+    from conftest import scaled_seek_registry, seek_plan
+
+    from qres.registry import save_registry
+
+    model, plans = tmp_path / "model.bin", tmp_path / "plans.jsonl"
+    save_registry(scaled_seek_registry(small_corpus), str(model))
+    plans.write_text(plan_to_json(seek_plan(10**120)) + "\n")
+    code = main(["estimate", "--model", str(model), "--plans", str(plans)])
+    assert code == EXIT_DATA
+    assert "overflows" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from qres.plan import (
     BLOCKING_OPS,
     JOIN_OPS,
     LEAF_OPS,
+    MAX_PLAN_DEPTH,
     NO_PARENT,
     OperatorType,
     PlanError,
@@ -18,6 +19,7 @@ from qres.plan import (
     operator_arity,
     parse_plan,
     plan_to_json,
+    save_corpus,
 )
 
 
@@ -126,6 +128,30 @@ def test_json_round_trip_preserves_fields():
     assert back.root.sort_columns == 3
     assert back.root.observed == {"cpu_us": 12.5, "logical_io": 0.0}
     assert back.root.children[0].table.tuple_count == 777
+
+
+def _filter_chain(depth: int) -> QueryPlan:
+    """A plan of ``depth`` nodes: Filters over one scan."""
+    node = scan_node(make_table())
+    for _ in range(depth - 1):
+        node = PlanNode(op=OperatorType.Filter, children=[node],
+                        true_out_cardinality=10, est_out_cardinality=10)
+    return QueryPlan(query_id="chain", root=node)
+
+
+def test_json_depth_limit_is_shared_by_encoder_and_parser(tmp_path):
+    deepest = _filter_chain(MAX_PLAN_DEPTH)
+    assert plan_to_json(parse_plan(plan_to_json(deepest))) == plan_to_json(deepest)
+    # One level more: the hand-written document is refused like the plan.
+    text = plan_to_json(deepest).replace('"root":', '"root":{"op":"Filter","card_true":1,"card_est":1,"children":[', 1)
+    with pytest.raises(PlanError, match="nested too deeply"):
+        parse_plan(text[:-1] + "]}}")
+    for depth in (MAX_PLAN_DEPTH + 1, 600):
+        plan = _filter_chain(depth)
+        with pytest.raises(PlanError, match="nested too deeply"):
+            plan_to_json(plan)
+        with pytest.raises(PlanError, match="nested too deeply"):
+            save_corpus([plan], str(tmp_path / "deep.jsonl"))
 
 
 def test_parse_rejects_unknown_operator():

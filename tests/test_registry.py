@@ -8,12 +8,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_table, scan_node, sort_over_scan
-from qres.features import FeatureError, FeatureId, FeatureVector, extract_features
+from qres.features import (
+    FeatureError,
+    FeatureId,
+    FeatureVector,
+    extract_features,
+    featurize,
+    featurize_many,
+)
 from qres.gbrt import TrainConfig, Tree
 from qres.plan import NO_PARENT, OperatorType, PlanNode, QueryPlan
 from qres.registry import (
     CombinedModel,
     ModelRegistry,
+    RegistryEntry,
     RegistryError,
     ScaleTerm,
     build_combined,
@@ -21,6 +29,7 @@ from qres.registry import (
     deserialize,
     eligible_scale_features,
     encoded_tree_size,
+    estimate_many,
     estimate_query,
     estimate_with_model,
     model_out_ratios,
@@ -641,5 +650,188 @@ def test_deep_plan_is_walked_without_recursion():
         assert est.per_operator[-1][0] == "TableScan"
         assert est.total == sum(est.per_pipeline)
         assert math.isfinite(est.total) and est.total >= 0.0
-        assert math.isfinite(mart_estimator(registry, resource)(plan))
-        assert math.isfinite(train_linear_estimator(corpus, resource)(plan))
+        batch = featurize_many([plan])
+        assert math.isfinite(mart_estimator(registry, resource)(batch)[0])
+        assert math.isfinite(train_linear_estimator(corpus, resource)(batch)[0])
+
+
+# ---------------------------------------------------------------------------
+# Batch estimation: estimate_many and the estimator views agree with the
+# per-plan path bit for bit.
+
+
+def _same_as_single(registry, plans, resource):
+    many = estimate_many(registry, plans, resource)
+    assert len(many) == len(plans)
+    for plan, got in zip(plans, many):
+        want = estimate_query(registry, plan, resource)
+        assert (got.total, got.per_pipeline, got.per_operator) == (
+            want.total, want.per_pipeline, want.per_operator
+        ), plan.query_id
+
+
+@pytest.fixture(scope="module")
+def batch_case(small_corpus, all_template_spec, fast_cfg):
+    import dataclasses
+
+    from qres.synth import generate_corpus
+
+    large = generate_corpus(dataclasses.replace(all_template_spec, scales=[32.0]))
+    registry = train_registry(small_corpus, ["cpu_us", "logical_io"], fast_cfg)
+    return registry, small_corpus, large
+
+
+@pytest.mark.parametrize("resource", ["cpu_us", "logical_io"])
+def test_estimate_many_equals_estimate_query(batch_case, resource):
+    registry, in_range, large = batch_case
+    _same_as_single(registry, in_range, resource)
+    _same_as_single(registry, large, resource)
+
+
+@pytest.mark.parametrize("max_leaves", [1, 40])
+def test_estimate_many_on_leaf_only_and_walked_trees(small_corpus, batch_case, max_leaves):
+    # One leaf per tree leaves the split tables zero wide; 40 leaves put
+    # trees past the table limit onto the walk path.
+    _, _, large = batch_case
+    cfg = TrainConfig(iterations=12, max_leaves=max_leaves, rng_seed=1)
+    registry = train_registry(small_corpus, ["cpu_us"], cfg)
+    layouts = [
+        (m.scaled_model if isinstance(m, CombinedModel) else m).layout()
+        for e in registry.entries.values() for m in e.models
+    ]
+    if max_leaves == 1:
+        assert all(lay.feat.shape[0] == 0 for lay in layouts)
+    else:
+        assert any(lay.walk_starts.size for lay in layouts)
+    _same_as_single(registry, small_corpus + large, "cpu_us")
+
+
+def test_estimate_many_in_chunks(batch_case, monkeypatch):
+    from qres import gbrt
+
+    registry, in_range, large = batch_case
+    monkeypatch.setattr(gbrt, "CHUNK_ELEMENTS", 1000)  # one or two rows per chunk
+    _same_as_single(registry, in_range + large, "cpu_us")
+
+
+def test_estimate_many_with_zero_scale_feature(batch_case):
+    # A zero cardinality cannot normalize the models scaled by it: their
+    # ratios are [inf], and the rows still pick the model estimate_query picks.
+    import copy
+
+    registry, in_range, large = batch_case
+    plans = copy.deepcopy(in_range[:24] + large[:24])
+    for plan in plans:
+        for node in plan.root.walk():
+            if node.children:
+                node.children[0].true_out_cardinality = 0
+                break
+    _same_as_single(registry, plans, "cpu_us")
+    _same_as_single(registry, plans, "logical_io")
+
+
+def test_estimate_many_breaks_exact_ties_by_model_index(batch_case):
+    # Each entry holds every combined model twice: the copies tie exactly on
+    # ratios and scale-feature count, so the lower index must win.
+    registry, in_range, large = batch_case
+    doubled = ModelRegistry({
+        key: RegistryEntry(e.op, e.resource, e.models + e.models[1:], e.default_idx)
+        for key, e in registry.entries.items()
+    })
+    for resource in ("cpu_us", "logical_io"):
+        _same_as_single(doubled, in_range + large, resource)
+        picks = [
+            (node.op, select_model(doubled, node.op, resource, fv)[1])
+            for plan in large for node, fv in featurize(plan.root)
+        ]
+        assert any(idx != doubled.entry(op, resource).default_idx for op, idx in picks)
+        assert all(idx < len(registry.entry(op, resource).models) for op, idx in picks)
+
+
+def test_estimator_views_equal_per_plan_sums(batch_case):
+    # MART and LINEAR add their operators' values in pre-order, as a
+    # per-plan loop over featurize does.
+    from qres.estimators import mart_estimator, train_linear_estimator
+    from qres.evalkit import fit_linear_baseline
+
+    registry, in_range, large = batch_case
+    plans = in_range + large
+    batch = featurize_many(plans)
+    for resource in ("cpu_us", "logical_io"):
+        linear = {
+            op: fit_linear_baseline(ex, seed=0)
+            for op, ex in collect_examples(in_range, resource).items()
+        }
+        mart_want, linear_want = [], []
+        for plan in plans:
+            mart_total = linear_total = 0.0
+            for node, fv in featurize(plan.root):
+                mart_total += estimate_with_model(registry.entry(node.op, resource).models[0], fv)
+                model = linear[node.op]
+                acc = model.intercept
+                for f, c in zip(model.schema, model.coefficients):
+                    acc += c * fv.values[f]
+                linear_total += max(0.0, acc)
+            mart_want.append(mart_total)
+            linear_want.append(linear_total)
+        assert mart_estimator(registry, resource)(batch) == mart_want
+        assert train_linear_estimator(in_range, resource)(batch) == linear_want
+
+
+def test_overflowing_scale_factor_or_estimate_is_scaling_error(small_corpus):
+    # TSIZE ** 3 at 1e120 rows is past the largest float, and so is a
+    # per-unit estimate of 1e300 times 1e10 rows: both paths raise
+    # ScalingError instead of OverflowError or an infinite estimate.
+    from conftest import scaled_seek_registry, seek_plan
+
+    from qres.scaling import ScalingError
+
+    registry = scaled_seek_registry(small_corpus)
+    assert estimate_query(registry, seek_plan(10**6), "cpu_us").total > 0.0
+    _same_as_single(registry, [seek_plan(10**6), seek_plan(10**9)], "cpu_us")
+    plans = [seek_plan(10**6), seek_plan(10**120)]
+    with pytest.raises(ScalingError, match="overflows"):
+        estimate_query(registry, plans[1], "cpu_us")
+    with pytest.raises(ScalingError, match="overflows"):
+        estimate_many(registry, plans, "cpu_us")
+
+    registry = scaled_seek_registry(small_corpus, FormKind.Linear, 1.0)
+    entry = registry.entry(OperatorType.IndexSeek, "cpu_us")
+    entry.models[0].scaled_model.init = 1e300  # before any layout is built
+    plans = [seek_plan(10), seek_plan(10**10)]
+    assert math.isfinite(estimate_query(registry, plans[0], "cpu_us").total)
+    with pytest.raises(ScalingError, match="non-finite estimate"):
+        estimate_query(registry, plans[1], "cpu_us")
+    with pytest.raises(ScalingError, match="non-finite estimate"):
+        estimate_many(registry, plans, "cpu_us")
+
+
+def test_estimate_many_with_non_finite_features(batch_case):
+    # A NaN or huge row width makes features NaN or inf, and normalizing inf
+    # by inf gives NaN ratios; the batch path leaves such rows to select_model.
+    import copy
+
+    from qres.scaling import ScalingError
+
+    registry, in_range, large = batch_case
+    plans = copy.deepcopy(in_range[:32] + large[:32])
+    for i, plan in enumerate(plans):
+        nodes = list(plan.root.walk())
+        nodes[i % len(nodes)].out_row_bytes = (math.nan, 1e307)[i % 2]
+
+    def non_finite(plan):
+        values = [v for _, fv in featurize(plan.root) for v in fv.values.values()]
+        return not all(map(math.isfinite, values))
+
+    for resource in ("cpu_us", "logical_io"):
+        kept = []
+        for plan in plans:
+            try:
+                estimate_query(registry, plan, resource)
+            except ScalingError:
+                with pytest.raises(ScalingError):
+                    estimate_many(registry, [plan], resource)
+            else:
+                kept.append(plan)
+        assert sum(map(non_finite, kept)) >= len(plans) // 2
+        _same_as_single(registry, kept, resource)

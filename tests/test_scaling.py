@@ -62,6 +62,16 @@ def test_basis_rejects_nonpositive_and_wrong_arity():
         basis(FormKind.Sum2, [1.0])
 
 
+def test_basis_overflow_is_scaling_error():
+    # A float ** raises OverflowError and a float product returns inf; both
+    # become ScalingError.
+    with pytest.raises(ScalingError, match="overflows"):
+        basis(FormKind.Power, [1e120], beta=3.0)
+    with pytest.raises(ScalingError, match="overflows"):
+        basis(FormKind.Product2, [1e200, 1e200])
+    assert basis(FormKind.Power, [1e100], beta=3.0) == 1e100**3.0
+
+
 def test_fit_alpha_closed_form_matches_grid_search():
     # [DERIVED] alpha = sum(b*y)/sum(b*b) must beat a fine brute-force grid.
     rng = np.random.default_rng(0)
