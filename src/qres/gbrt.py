@@ -14,12 +14,24 @@ the trees evaluated by table and by walk respectively. Trees with at most
 bit pattern used as an index into a per-tree table of leaf numbers. Larger
 trees are walked in lock step, one level of every tree per NumPy step;
 training applies each new tree to all of its rows with the same walk.
+
+Training boosts a family of independent problems (:func:`train_family`) in
+lock step: every iteration grows one tree per problem, and each best-first
+step scores the new leaves of all trees in one padded pass (:class:`_Grower`).
+Each column is sorted once per family, filtered to each tree's subsample, and
+carried down to a node's children by a stable partition, in the spirit of the
+attribute lists of SLIQ (Mehta et al., EDBT 1996) and SPRINT (Shafer et al.,
+VLDB 1996). Prefix sums therefore add a node's residuals in the order of a
+fresh stable sort of its rows, and a node's residual total is NumPy's pairwise
+sum of its residuals in row order, so every tree is bit for bit the tree of a
+node-at-a-time search.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,10 +58,6 @@ class Tree:
     @property
     def n_nodes(self) -> int:
         return len(self.child)
-
-    @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.child == 0))
 
 
 @dataclass
@@ -240,122 +248,226 @@ class _Layout:
         return out
 
 
-class _BuildNode:
-    __slots__ = (
-        "rows", "value", "gain", "split_col", "threshold", "left", "right", "left_mask",
-    )
-
-    def __init__(self, rows: np.ndarray, value: float):
-        self.rows = rows
-        self.value = value
-        self.gain = -math.inf
-        self.split_col = -1
-        self.threshold = 0.0
-        self.left: Optional["_BuildNode"] = None
-        self.right: Optional["_BuildNode"] = None
-        self.left_mask: Optional[np.ndarray] = None
+# ---------------------------------------------------------------------------
+# Training: the trees of independent problems grown in lock step
 
 
-def _best_split(node: _BuildNode, X: np.ndarray, r: np.ndarray, min_per_leaf: int) -> None:
-    """Exhaustive SSE-minimizing split search over all features and midpoints.
+class _Grower:
+    """One least-squares regression tree per problem, grown in lock step.
 
-    Ties break toward the lowest feature column (ascending feature code) and
-    then the lowest threshold.
+    Tree p fits the residuals ``r[p]`` (k,) on the rows of ``X[p]`` (k, C),
+    row i of tree p having the id ``p * k + i``; ``order[p, c]`` lists the
+    rows by column c's values, stably. Each column's order is kept as
+    ``order`` (row ids), ``vals`` (the column's values) and ``res`` (the
+    rows' residuals). The extra column C keeps the rows in ascending order,
+    the order in which a node's residual total is summed. A node owns
+    positions ``start:start + size`` of every column of its tree, and a split
+    carries each column down to the children by a stable partition, left
+    rows first.
+
+    Nodes live in flat arrays, node ``p * S + slot``: slot 0 is the root and
+    the split of best-first step s puts its children in slots 2s + 1 and
+    2s + 2. ``gain`` is -inf unless the node is a leaf with a split, which
+    sends left the first ``n_left`` rows of column ``col``.
     """
-    rows = node.rows
-    m = len(rows)
-    if m < 2 * min_per_leaf or m < 2:
-        return
-    Xs = X[rows]
-    rs = r[rows]
-    order = np.argsort(Xs, axis=0, kind="stable")
-    sv = np.take_along_axis(Xs, order, axis=0)
-    sr = rs[order]
-    csum = np.cumsum(sr, axis=0)
-    total = rs.sum()
-    base = total * total / m
-    n_left = np.arange(1, m, dtype=np.float64)[:, None]
-    left_sum = csum[:-1]
-    right_sum = total - left_sum
-    gain = left_sum**2 / n_left + right_sum**2 / (m - n_left) - base
-    valid = sv[1:] > sv[:-1]
-    if min_per_leaf > 1:
-        valid[: min_per_leaf - 1, :] = False
-        valid[m - min_per_leaf :, :] = False
-    gain = np.where(valid, gain, -np.inf)
-    best_gain = -math.inf
-    best_col = -1
-    best_pos = -1
-    col_best = np.argmax(gain, axis=0)
-    for c in range(gain.shape[1]):
-        g = gain[col_best[c], c]
-        if g > best_gain + 1e-12:
-            best_gain = g
-            best_col = c
-            best_pos = int(col_best[c])
-    if best_col < 0 or not np.isfinite(best_gain) or best_gain <= 1e-12:
-        return
-    lo = sv[best_pos, best_col]
-    hi = sv[best_pos + 1, best_col]
-    node.gain = float(best_gain)
-    node.split_col = best_col
-    node.threshold = float(lo + (hi - lo) / 2.0)
-    node.left_mask = Xs[:, best_col] <= node.threshold
-    # Guard against a midpoint that rounds onto the upper value.
-    if node.left_mask.all() or not node.left_mask.any():
-        node.left_mask = Xs[:, best_col] <= lo
+
+    def __init__(
+        self, X: np.ndarray, r: np.ndarray, order: np.ndarray, max_leaves: int, min_per_leaf: int
+    ):
+        P, k, C = X.shape
+        self.P, self.k, self.C, self.S = P, k, C, 2 * max_leaves - 1
+        self.min_per_leaf = min_per_leaf
+        # Each column is padded to 2k positions, with the id P * k of no row,
+        # so that every node's segment read as long as the longest stays inside.
+        w = 2 * k
+        self.column = (np.arange(P * (C + 1)) * w).reshape(P, C + 1)
+        self.columns = np.arange(C + 1)
+        # 0, 1, 2, ...: positions and node numbers, sliced to the length needed.
+        self.ahead = np.arange(max(w, P * self.S * C))
+        self.n_left_f = np.arange(1, k + 1, dtype=np.float64)
+        rows = np.empty((P, C + 1, k), dtype=np.intp)
+        rows[:, :C] = order
+        rows[:, C] = np.arange(k)
+        tree = np.arange(P)[:, None, None]
+        self.order = np.full((P, C + 1, w), P * k, dtype=np.intp)
+        self.order[:, :, :k] = rows + tree * k
+        self.vals = np.zeros((P, C + 1, w))
+        self.vals[:, :C, :k] = X[tree, rows[:, :C], np.arange(C)[:, None]]
+        self.res = np.zeros((P, C + 1, w))
+        self.res[:, :, :k] = r[tree, rows]
+        n = P * self.S
+        self.start = np.zeros(n, dtype=np.intp)
+        self.size = np.zeros(n, dtype=np.intp)
+        self.value = np.zeros(n)
+        self.gain = np.full(n, -np.inf)
+        self.col = np.zeros(n, dtype=np.intp)
+        self.thr = np.zeros(n)
+        self.n_left = np.zeros(n, dtype=np.intp)
+
+    # Gains of positions past a node's segment divide by zero; they are masked.
+    @np.errstate(all="ignore")
+    def grow(self) -> tuple:
+        """Grow every tree; returns them as :func:`_pack` packs them."""
+        P, S = self.P, self.S
+        trees = np.arange(P) * S
+        self.size[trees] = self.k
+        self.score(trees)
+        split_at = np.full((P, (S - 1) // 2), -1, dtype=np.intp)
+        for step in range(split_at.shape[1]):
+            at = self.gain.reshape(P, S).argmax(axis=1)
+            node = trees + at
+            live = self.gain[node] > -np.inf
+            if not live.all():
+                if not live.any():
+                    break
+                at, node = at[live], node[live]
+            split_at[live, step] = at
+            start, size, n_left = self.start[node], self.size[node], self.n_left[node]
+            self.partition(node, start, size, n_left)
+            kid = node - at + 2 * step + 1
+            self.start[kid], self.size[kid] = start, n_left
+            self.start[kid + 1], self.size[kid + 1] = start + n_left, size - n_left
+            self.gain[node] = -np.inf
+            self.score(np.concatenate([kid, kid + 1]))
+        return _pack(self, split_at)
+
+    def runs(self, node: np.ndarray, length: int, *arrays: np.ndarray) -> list:
+        """The first ``length`` positions of every column segment of each
+        node, from each of ``arrays`` (``order``, ``vals``, ``res``): (nodes,
+        C + 1, length) each, every row copied as one run of a strided window
+        view."""
+        at = ((node // self.S)[:, None], self.columns, self.start[node, None])
+        out = []
+        for a in arrays:
+            P, C1, w = a.shape
+            s0, s1, s2 = a.strides
+            window = np.ndarray((P, C1, w - length + 1, length), a.dtype, a, strides=(s0, s1, s2, s2))
+            out.append(window[at])
+        return out
+
+    def score(self, node: np.ndarray) -> None:
+        """Leaf value and best split of every node in ``node``, in one pass
+        over their segments padded to the longest.
+
+        The split minimizes the SSE over every column and midpoint between
+        distinct neighbouring values. A column's first best position wins;
+        across columns the lowest column wins unless a later one beats it by
+        more than 1e-12, and a split needs a finite gain above 1e-12.
+        """
+        C, N = self.C, len(node)
+        m = self.size[node]
+        L = int(m.max())
+        sr, sv = self.runs(node, L, self.res, self.vals)
+        # NumPy's own pairwise sum of each node's residuals in row order.
+        total = np.array([v[:n].sum() for v, n in zip(sr[:, C], m.tolist())])
+        self.value[node] = total / m
+        if L < 2:
+            return
+        mpl = self.min_per_leaf
+        ahead = self.ahead[: L - 1]
+        allowed = ahead < (m - max(mpl, 1))[:, None]
+        if mpl > 1:
+            allowed &= ahead >= mpl - 1
+        sv = sv[:, :C]
+        valid = sv[:, :, 1:] > sv[:, :, :-1]
+        valid &= allowed[:, None, :]
+        left_sum = np.cumsum(sr[:, :C, :-1], axis=2)
+        n_left = self.n_left_f[: L - 1]
+        gain = np.square(left_sum)
+        gain /= n_left
+        right = np.subtract(total[:, None, None], left_sum, out=left_sum)
+        right **= 2
+        right /= m[:, None, None] - n_left
+        gain += right
+        gain -= (total * total / m)[:, None, None]
+        np.copyto(gain, -np.inf, where=~valid)
+        pos = gain.argmax(axis=2)
+        best = gain.reshape(N * C, L - 1)[self.ahead[: N * C], pos.ravel()].reshape(N, C)
+        col = best.argmax(axis=1)
+        top = best[self.ahead[:N], col]
+        # The scan keeps the first column of top gain unless some other gain
+        # lies within 1e-12 (plus rounding) below it. Gains of at least 2**14
+        # absorb 1e-12, which is under half their ulp, so there the scan
+        # keeps the first column of top gain too; other nodes run the scan.
+        band = top - (2e-12 + 1e-15 * np.abs(top))
+        near = ((best < top[:, None]) & (best >= band[:, None])).any(axis=1)
+        near &= band < 2.0**14
+        for i in np.flatnonzero(near | np.isnan(top)):
+            g, c = -math.inf, 0
+            for j, v in enumerate(best[i].tolist()):
+                if v > g + 1e-12:
+                    g, c = v, j
+            col[i], top[i] = c, g
+        ok = np.flatnonzero(np.isfinite(top) & (top > 1e-12))
+        if not ok.size:
+            return
+        c = col[ok]
+        seq = sv[ok, c]
+        pos = pos[ok, c]
+        lo_v = seq[self.ahead[: ok.size], pos]
+        hi_v = seq[self.ahead[: ok.size], pos + 1]
+        thr = lo_v + (hi_v - lo_v) / 2.0
+        inside = self.ahead[:L] < m[ok, None]
+        goes = ((seq <= thr[:, None]) & inside).sum(axis=1)
+        # Guard against a midpoint that rounds onto the upper value.
+        whole = (goes == 0) | (goes == m[ok])
+        if whole.any():
+            goes[whole] = ((seq[whole] <= lo_v[whole, None]) & inside[whole]).sum(axis=1)
+        node = node[ok]
+        self.gain[node] = top[ok]
+        self.col[node] = c
+        self.thr[node] = thr
+        self.n_left[node] = goes
+
+    def partition(self, node, start, size, n_left) -> None:
+        """Stably partition every column's segment of each node in ``node``:
+        first the rows among the first ``n_left`` of column ``col``, then
+        the others. Positions past a segment are written back in place."""
+        L = int(size.max())
+        seg, vals, res = self.runs(node, L, self.order, self.vals, self.res)
+        lead = seg[self.ahead[: len(node)], self.col[node]]
+        goes_left = np.zeros(self.P * self.k + 1, dtype=bool)
+        goes_left[lead[self.ahead[:L] < n_left[:, None]]] = True
+        left = goes_left.take(seg)
+        rank = np.cumsum(left, axis=2, dtype=np.int32)  # left rows up to here
+        at = np.where(left, rank - 1, n_left[:, None, None] + self.ahead[:L] - rank)
+        at += self.column[node // self.S][:, :, None] + start[:, None, None]
+        self.order.reshape(-1)[at], self.vals.reshape(-1)[at], self.res.reshape(-1)[at] = seg, vals, res
 
 
-def _fit_tree_arrays(
-    X: np.ndarray, r: np.ndarray, max_leaves: int, min_per_leaf: int
-) -> Tree:
-    root = _BuildNode(np.arange(len(r)), float(r.mean()) if len(r) else 0.0)
-    _best_split(root, X, r, min_per_leaf)
-    leaves = [root]
-    while len(leaves) < max_leaves:
-        cand = max(
-            (lf for lf in leaves if lf.split_col >= 0),
-            key=lambda lf: lf.gain,
-            default=None,
-        )
-        if cand is None:
-            break
-        rows = cand.rows
-        left_rows = rows[cand.left_mask]
-        right_rows = rows[~cand.left_mask]
-        cand.left = _BuildNode(left_rows, float(r[left_rows].mean()))
-        cand.right = _BuildNode(right_rows, float(r[right_rows].mean()))
-        _best_split(cand.left, X, r, min_per_leaf)
-        _best_split(cand.right, X, r, min_per_leaf)
-        leaves.remove(cand)
-        leaves.extend((cand.left, cand.right))
-
-    # Flatten to pre-order packed arrays with column indices as feature slots.
-    child: list[int] = []
-    feat: list[int] = []
-    val: list[float] = []
-
-    def emit(n: _BuildNode) -> int:
-        idx = len(child)
-        child.append(0)
-        feat.append(0)
-        val.append(0.0)
-        if n.left is not None:
-            feat[idx] = n.split_col
-            val[idx] = n.threshold
-            emit(n.left)
-            right_at = emit(n.right)
-            child[idx] = right_at - idx
-        else:
-            val[idx] = n.value
-        return idx
-
-    emit(root)
-    return Tree(
-        child=np.array(child, dtype=np.uint8),
-        feature=np.array(feat, dtype=np.uint8),
-        value=np.array(val, dtype=np.float32),
-    )
+def _pack(g: _Grower, split_at: np.ndarray) -> tuple:
+    """``(starts, child, feature, value)`` of the grown trees in pre-order,
+    as :meth:`MartModel.packed` packs a model, with column numbers for
+    features; tree p split its slot ``split_at[p, s]`` at step s (-1: none)."""
+    P, S = g.P, g.S
+    first = np.arange(P) * S
+    left = np.zeros(P * S, dtype=np.intp)
+    size = np.ones(P * S, dtype=np.intp)  # subtree sizes
+    pos = np.zeros(P * S, dtype=np.intp)  # pre-order positions
+    splits = []  # (split nodes, their left children) of each step
+    for s in range(split_at.shape[1]):
+        live = np.flatnonzero(split_at[:, s] >= 0)
+        if live.size:
+            splits.append((first[live] + split_at[live, s], first[live] + 2 * s + 1))
+    for node, kid in reversed(splits):
+        left[node] = kid
+        size[node] = 1 + size[kid] + size[kid + 1]
+    for node, kid in splits:
+        pos[kid] = pos[node] + 1
+        pos[kid + 1] = pos[node] + 1 + size[kid]
+    n_nodes = size[first]
+    starts = np.zeros(P + 1, dtype=np.intp)
+    np.cumsum(n_nodes, out=starts[1:])
+    used = (np.arange(S) < n_nodes[:, None]).ravel()
+    at = (pos + np.repeat(starts[:-1], S))[used]
+    internal = left > 0
+    child = np.zeros(starts[-1], dtype=np.uint8)
+    feat = np.zeros(starts[-1], dtype=np.intp)
+    value = np.zeros(starts[-1], dtype=np.float32)
+    child[at] = np.where(internal, 1 + size[left], 0)[used]
+    feat[at] = np.where(internal, g.col, 0)[used]
+    value[at] = np.where(internal, g.thr, g.value)[used]
+    return starts, child, feat, value
 
 
 def _examples_to_arrays(
@@ -375,26 +487,62 @@ def _examples_to_arrays(
     return schema, X, y
 
 
-def fit_tree(
-    examples: Sequence[tuple[FeatureVector, float]],
-    max_leaves: int,
-    min_per_leaf: int = 1,
-) -> tuple[Tree, list[FeatureId]]:
-    """Fit one regression tree to residuals; returns the tree and its schema.
+def _boost(arrays: list[tuple], cfgs: list[TrainConfig]) -> list:
+    """Boost P problems ``(schema, X, y)`` of one row count and one config but
+    for ``rng_seed`` in lock step; returns each problem's ``(init, trees,
+    train_rmse)``."""
+    cfg = cfgs[0]
+    P, n = len(arrays), len(arrays[0][2])
+    C = max(1, max(X.shape[1] for _, X, _ in arrays))
+    XF = np.zeros((P, n, C))
+    codes = np.zeros((P, C), dtype=np.uint8)  # feature code of each column
+    for p, (schema, X, _) in enumerate(arrays):
+        XF[p, :, : X.shape[1]] = X
+        codes[p, : X.shape[1]] = [int(f) for f in schema]
+    Y = np.array([y for _, _, y in arrays])
+    # Every column sorted once, stably; a subsample's rows are ascending, so
+    # its stable order is this order less the rows left out.
+    ranked = np.argsort(XF, axis=1, kind="stable").transpose(0, 2, 1)
+    ranked_ids = ranked + (np.arange(P) * n)[:, None, None]  # rows of flat (P * n)
+    init = [np.float32(y.mean()) for _, _, y in arrays]
+    F = np.repeat(np.array(init, dtype=np.float64)[:, None], n, axis=1)
+    rngs = [np.random.default_rng(c.rng_seed) for c in cfgs]
+    k = max(1, int(round(cfg.subsample_fraction * n)))
+    every = np.arange(P * n)
+    trees: list[list[Tree]] = [[] for _ in range(P)]
+    rmse = np.empty((P, cfg.iterations))
+    first = np.arange(P)[:, None]
+    for it in range(cfg.iterations):
+        if k < n:
+            rows = np.array([np.sort(rng.choice(n, size=k, replace=False)) for rng in rngs])
+            local = np.full(P * n, -1)  # each sampled row's number in its subsample
+            local[(first * n + rows).ravel()] = np.tile(np.arange(k), P)
+            order = local.take(ranked_ids)
+            order = order[order >= 0].reshape(P, -1, k)
+        else:
+            rows = np.broadcast_to(np.arange(n), (P, n))
+            order = ranked
+        starts, child, feat, value = _Grower(
+            XF[first, rows], Y[first, rows] - F[first, rows], order,
+            cfg.max_leaves, cfg.min_examples_per_leaf,
+        ).grow()
+        leaves = _walk(child, feat, value, XF.reshape(P * n, C), every, np.repeat(starts[:-1], n))
+        F += cfg.learning_rate * value[leaves].astype(np.float64).reshape(P, n)
+        rmse[:, it] = np.sqrt(np.mean((Y - F) ** 2, axis=1))
+        tree_of = np.repeat(np.arange(P), np.diff(starts))
+        code = np.where(child != 0, codes[tree_of, feat], 0).astype(np.uint8)
+        for p in range(P):
+            lo, hi = starts[p], starts[p + 1]
+            trees[p].append(Tree(child=child[lo:hi], feature=code[lo:hi], value=value[lo:hi]))
+    return [(float(init[p]), trees[p], rmse[p].tolist()) for p in range(P)]
 
-    The tree's feature slots are indices into the returned schema.
-    """
-    schema, X, r = _examples_to_arrays(examples)
-    return _fit_tree_arrays(X, r, max_leaves, min_per_leaf), schema
 
+class Problem(NamedTuple):
+    """One training problem of :func:`train_family`."""
 
-def _columns_to_codes(tree: Tree, schema: list[FeatureId]) -> Tree:
-    codes = np.array([int(f) for f in schema], dtype=np.uint8)
-    feat = tree.feature.copy()
-    internal = tree.child != 0
-    feat[internal] = codes[tree.feature[internal]]
-    feat[~internal] = 0
-    return Tree(child=tree.child, feature=feat, value=tree.value)
+    examples: Sequence[tuple[FeatureVector, float]]
+    cfg: TrainConfig
+    target_transform: str = "identity"
 
 
 def train(
@@ -403,42 +551,38 @@ def train(
     target_transform: str = "identity",
 ) -> MartModel:
     """Stochastic gradient boosting of least-squares regression trees."""
-    cfg.validate()
-    schema, X, y = _examples_to_arrays(examples)
-    n = len(y)
-    rng = np.random.default_rng(cfg.rng_seed)
-    init = np.float32(y.mean())
-    F = np.full(n, float(init), dtype=np.float64)
-    k = max(1, int(round(cfg.subsample_fraction * n)))
-    trees: list[Tree] = []
-    rmse: list[float] = []
-    all_rows = np.arange(n)
-    roots = np.zeros(n, dtype=np.intp)
-    for _ in range(cfg.iterations):
-        if k < n:
-            rows = np.sort(rng.choice(n, size=k, replace=False))
-        else:
-            rows = np.arange(n)
-        tree = _fit_tree_arrays(
-            X[rows], y[rows] - F[rows], cfg.max_leaves, cfg.min_examples_per_leaf
-        )
-        leaves = _walk(tree.child, tree.feature, tree.value, X, all_rows, roots)
-        F += cfg.learning_rate * tree.value[leaves].astype(np.float64)
-        trees.append(_columns_to_codes(tree, schema))
-        rmse.append(float(np.sqrt(np.mean((y - F) ** 2))))
+    return train_family([Problem(examples, cfg, target_transform)])[0]
 
-    lows = np.min(X, axis=0).astype(np.float32)
-    highs = np.max(X, axis=0).astype(np.float32)
-    stats = {f: (float(lows[i]), float(highs[i])) for i, f in enumerate(schema)}
-    return MartModel(
-        init=float(init),
-        trees=trees,
-        learning_rate=float(np.float32(cfg.learning_rate)),
-        schema=schema,
-        feature_stats=stats,
-        target_transform=target_transform,
-        train_rmse=rmse,
-    )
+
+def train_family(problems: Sequence[Problem]) -> list[MartModel]:
+    """``[train(*problem) for problem in problems]``, bit for bit, boosted in
+    lock step: every iteration grows the problems' trees together. The
+    problems must share their row count and every setting but ``rng_seed``."""
+    arrays = []
+    for examples, cfg, _ in problems:
+        cfg.validate()
+        arrays.append(_examples_to_arrays(examples))
+    shapes = {
+        (len(y), dataclasses.astuple(dataclasses.replace(cfg, rng_seed=0)))
+        for (_, cfg, _), (_, _, y) in zip(problems, arrays)
+    }
+    if len(shapes) > 1:
+        raise TrainingError("family members differ in row count or training settings")
+    fitted = _boost(arrays, [problem.cfg for problem in problems])
+    models = []
+    for problem, (schema, X, _), (init, trees, rmse) in zip(problems, arrays, fitted):
+        lows = np.min(X, axis=0).astype(np.float32)
+        highs = np.max(X, axis=0).astype(np.float32)
+        models.append(MartModel(
+            init=init,
+            trees=trees,
+            learning_rate=float(np.float32(problem.cfg.learning_rate)),
+            schema=schema,
+            feature_stats={f: (float(lows[j]), float(highs[j])) for j, f in enumerate(schema)},
+            target_transform=problem.target_transform,
+            train_rmse=rmse,
+        ))
+    return models
 
 
 def dense_vector(fv: FeatureVector, schema: Sequence[FeatureId]) -> np.ndarray:

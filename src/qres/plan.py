@@ -239,6 +239,14 @@ def finite_float(value) -> float:
     return x
 
 
+def finite_int(value) -> int:
+    """``int(value)``, refusing integers beyond the float range, which
+    features convert to float."""
+    x = int(value)
+    float(x)  # OverflowError beyond the float range
+    return x
+
+
 def _object(value, path: str, what: str) -> dict:
     if not isinstance(value, dict):
         raise PlanError(f"{path}: {what} must be an object")
@@ -253,11 +261,11 @@ def _table_from_dict(doc: dict, path: str) -> TableMeta:
     try:
         return TableMeta(
             table_id=str(doc["table_id"]),
-            tuple_count=int(doc["tuple_count"]),
-            page_count=int(doc["page_count"]),
-            column_count=int(doc["column_count"]),
+            tuple_count=finite_int(doc["tuple_count"]),
+            page_count=finite_int(doc["page_count"]),
+            column_count=finite_int(doc["column_count"]),
             avg_row_bytes=finite_float(doc["avg_row_bytes"]),
-            index_depth=int(doc.get("index_depth", 0)),
+            index_depth=finite_int(doc.get("index_depth", 0)),
         )
     except _FIELD_ERRORS as exc:
         raise PlanError(f"{path}: malformed table metadata: {exc}") from None
@@ -293,15 +301,15 @@ def _node_from_dict(doc: dict, path: str, depth: int = 1) -> PlanNode:
             observed = {str(k): finite_float(v) for k, v in observed.items()}
         node = PlanNode(
             op=op,
-            true_out_cardinality=int(doc["card_true"]),
-            est_out_cardinality=int(doc["card_est"]),
+            true_out_cardinality=finite_int(doc["card_true"]),
+            est_out_cardinality=finite_int(doc["card_est"]),
             out_row_bytes=finite_float(doc.get("row_bytes", 0.0)),
             table=_table_from_dict(doc["table"], path) if doc.get("table") else None,
             est_io_cost=finite_float(doc.get("est_io_cost", 0.0)),
-            sort_columns=int(cols.get("sort_columns", 0)),
-            hash_columns=int(cols.get("hash_columns", 0)),
-            join_inner_columns=int(cols.get("join_inner_columns", 0)),
-            join_outer_columns=int(cols.get("join_outer_columns", 0)),
+            sort_columns=finite_int(cols.get("sort_columns", 0)),
+            hash_columns=finite_int(cols.get("hash_columns", 0)),
+            join_inner_columns=finite_int(cols.get("join_inner_columns", 0)),
+            join_outer_columns=finite_int(cols.get("join_outer_columns", 0)),
             hash_ops_per_tuple=finite_float(cols.get("hash_ops_per_tuple", 0.0)),
             observed=observed,
         )
@@ -398,10 +406,12 @@ def load_corpus(path: str) -> list[QueryPlan]:
 
 
 def save_corpus(plans: Iterable[QueryPlan], path: str) -> int:
-    count = 0
+    """Write a line-delimited plan corpus file; returns the plan count. Every
+    plan is encoded before the file is opened, so a plan that fails to
+    encode leaves an existing file as it was."""
+    lines = [plan_to_json(plan) for plan in plans]
     with open(path, "w", encoding="utf-8") as fh:
-        for plan in plans:
-            fh.write(plan_to_json(plan))
+        for line in lines:
+            fh.write(line)
             fh.write("\n")
-            count += 1
-    return count
+    return len(lines)

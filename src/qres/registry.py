@@ -17,6 +17,7 @@ import numpy as np
 
 from . import gbrt
 from .features import (
+    FEATURE_SPACE,
     NEVER_SCALE_IO,
     SCALE_CANDIDATES,
     FeatureBatch,
@@ -119,15 +120,13 @@ def _scale_factor(terms: Sequence[ScaleTerm], raw: dict[FeatureId, float]) -> fl
     return g
 
 
-def build_combined(
+def _combined_problem(
     examples: Sequence[tuple[FeatureVector, float]],
     terms: Sequence[ScaleTerm],
     cfg: TrainConfig,
-) -> CombinedModel:
-    """Train a combined model: per-unit targets, normalized features.
-
-    Every example must have positive values for all scale features.
-    """
+) -> gbrt.Problem:
+    """The per-unit problem of a combined model: normalized features and
+    targets divided by the scale factor."""
     if not examples:
         raise TrainingError("empty training set")
     transformed = [
@@ -137,7 +136,19 @@ def build_combined(
     label = "/".join(
         f"{t.kind.name}({','.join(f.name for f in t.features)})" for t in terms
     )
-    scaled = gbrt.train(transformed, cfg, target_transform=f"per-unit:{label}")
+    return gbrt.Problem(transformed, cfg, f"per-unit:{label}")
+
+
+def build_combined(
+    examples: Sequence[tuple[FeatureVector, float]],
+    terms: Sequence[ScaleTerm],
+    cfg: TrainConfig,
+) -> CombinedModel:
+    """Train a combined model: per-unit targets, normalized features.
+
+    Every example must have positive values for all scale features.
+    """
+    scaled = gbrt.train(*_combined_problem(examples, terms, cfg))
     return CombinedModel(terms=list(terms), scaled_model=scaled)
 
 
@@ -488,12 +499,11 @@ def _join_scale_pair(op: OperatorType) -> Optional[tuple[FeatureId, FeatureId]]:
     return None
 
 
-def _training_sse(model, examples) -> float:
-    sse = 0.0
-    for fv, y in examples:
-        err = estimate_with_model(model, fv) - y
-        sse += err * err
-    return sse
+def _training_sse(model, X: np.ndarray, op: OperatorType, y: np.ndarray) -> float:
+    """The model's SSE over its training rows, ``err * err`` added in row
+    order as one estimate at a time would."""
+    err = _estimate_rows(model, X, op) - y
+    return float(np.cumsum(err * err)[-1])
 
 
 def _model_cfg(cfg: TrainConfig, salt: int) -> TrainConfig:
@@ -515,16 +525,18 @@ def train_entry(
 ) -> RegistryEntry:
     """Train the model family for one operator/resource: the plain model plus
     one combined model per eligible scale feature (two-feature variant for
-    joins), then designate the minimum-training-error model as default."""
-    models: list = [gbrt.train(examples, _model_cfg(cfg, 0))]
-    y = [t for _, t in examples]
+    joins), all boosted in lock step, then designate the minimum-training-error
+    model as default."""
+    problems = [gbrt.Problem(examples, _model_cfg(cfg, 0))]
+    terms: list = [None]
     salt = 1
     for f in eligible_scale_features(op, resource, examples):
         obs = [([fv.values[f]], t) for fv, t in examples]
         try:
             form = select_form(SINGLE_FEATURE_CANDIDATES, [f], obs)
             term = ScaleTerm(kind=form.kind, features=(f,), beta=form.beta)
-            models.append(build_combined(examples, [term], _model_cfg(cfg, salt)))
+            problems.append(_combined_problem(examples, [term], _model_cfg(cfg, salt)))
+            terms.append([term])
         except (ScalingError, FeatureError, TrainingError):
             pass
         salt += 1
@@ -537,10 +549,19 @@ def train_entry(
             try:
                 form = select_form(TWO_FEATURE_CANDIDATES, (f1, f2), obs2)
                 term = ScaleTerm(kind=form.kind, features=form.features, beta=form.beta)
-                models.append(build_combined(examples, [term], _model_cfg(cfg, salt)))
+                problems.append(_combined_problem(examples, [term], _model_cfg(cfg, salt)))
+                terms.append([term])
             except (ScalingError, FeatureError, TrainingError):
                 pass
-    sses = [_training_sse(model, examples) for model in models]
+    models = [
+        mart if t is None else CombinedModel(terms=t, scaled_model=mart)
+        for t, mart in zip(terms, gbrt.train_family(problems))
+    ]
+    schema = sorted(examples[0][0].values)
+    X = np.zeros((len(examples), FEATURE_SPACE))
+    X[:, [int(f) for f in schema]] = [[fv.values[f] for f in schema] for fv, _ in examples]
+    y = np.array([t for _, t in examples])
+    sses = [_training_sse(model, X, op, y) for model in models]
     default_idx = min(range(len(models)), key=lambda i: (sses[i], i))
     return RegistryEntry(
         op=op,

@@ -251,6 +251,34 @@ def test_estimate_on_malformed_plan_field_is_data_error(workspace, tmp_path, cap
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_HUGE_CARD_SCAN = (
+    '{"query_id":"huge","root":{"op":"TableScan","card_true":%s,"card_est":10,'
+    '"observed":{"cpu_us":1.0,"logical_io":1.0},"table":{"table_id":"a","tuple_count":10,'
+    '"page_count":1,"column_count":2,"avg_row_bytes":10.0}}}\n' % ("9" * 401)
+)
+
+
+def test_estimate_on_cardinality_beyond_float_range_is_data_error(workspace, tmp_path, capsys):
+    _, _, _, model = workspace
+    plans = tmp_path / "huge.jsonl"
+    plans.write_text(_HUGE_CARD_SCAN)
+    assert main(["estimate", "--model", str(model), "--plans", str(plans)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too large to convert to float" in err
+
+
+def test_train_on_cardinality_beyond_float_range_is_data_error(workspace, tmp_path, capsys):
+    _, _, corpus, _ = workspace
+    plans = tmp_path / "huge.jsonl"
+    plans.write_text(corpus.read_text() + _HUGE_CARD_SCAN)
+    out = tmp_path / "model.bin"
+    code = main(["train", "--corpus", str(plans), "--out", str(out), "--iterations", "2"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too large to convert to float" in err
+    assert not out.exists()
+
+
 def test_estimate_and_eval_output_bytes_are_pinned(small_corpus, fast_cfg, tmp_path, capsys):
     # The batch estimation path keeps every output byte of the per-plan path
     # it replaced.

@@ -3,25 +3,43 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qres import gbrt
 from qres.features import FeatureId, FeatureVector
 from qres.gbrt import (
     TABLE_MAX_SPLITS,
     MartModel,
+    Problem,
     TrainConfig,
     TrainingError,
+    Tree,
     dense_vector,
-    fit_tree,
     predict,
     train,
+    train_family,
 )
 from qres.plan import OperatorType
+from qres.registry import _encode_mart
 
 F = FeatureId
+
+
+def fit_tree(examples, max_leaves: int, min_per_leaf: int = 1) -> tuple[Tree, list]:
+    """One regression tree fit by the training grower to the targets
+    themselves; its feature slots index the returned schema."""
+    schema, X, r = gbrt._examples_to_arrays(examples)
+    order = np.argsort(X.T, axis=1, kind="stable")
+    _, child, feat, value = gbrt._Grower(X[None], r[None], order[None], max_leaves, min_per_leaf).grow()
+    return Tree(child=child, feature=feat.astype(np.uint8), value=value), schema
+
+
+def n_leaves(tree: Tree) -> int:
+    return int(np.sum(tree.child == 0))
 
 
 def fv(**named) -> FeatureVector:
@@ -68,7 +86,7 @@ def test_single_split_matches_brute_force():
     xs = [1, 2, 3, 4, 10, 11, 12, 13]
     ys = [5, 5, 5, 5, 50, 50, 50, 50]
     tree, schema = fit_tree(make_examples(xs, ys), max_leaves=2, min_per_leaf=1)
-    assert tree.n_leaves == 2
+    assert n_leaves(tree) == 2
     assert _tree_sse(tree, schema, xs, ys) == pytest.approx(_oracle_best_sse(xs, ys), abs=1e-6)
     # Threshold must be the midpoint of the straddling pair: (4+10)/2 = 7.
     assert float(tree.value[0]) == pytest.approx(7.0)
@@ -105,8 +123,8 @@ def test_max_leaves_respected():
     ys = rng.uniform(0, 100, 200)
     for cap in (1, 2, 5, 10):
         tree, _ = fit_tree(make_examples(xs, ys), max_leaves=cap, min_per_leaf=1)
-        assert 1 <= tree.n_leaves <= cap
-        assert tree.n_nodes == 2 * tree.n_leaves - 1
+        assert 1 <= n_leaves(tree) <= cap
+        assert tree.n_nodes == 2 * n_leaves(tree) - 1
 
 
 def test_min_per_leaf_respected():
@@ -292,3 +310,234 @@ def test_missing_feature_at_predict_time():
     model = train(ex, TrainConfig(iterations=2))
     with pytest.raises(TrainingError, match="absent"):
         predict(model, fv(CIN1=1.0))
+
+
+# ---------------------------------------------------------------------------
+# Lock-step training against a per-node reference
+
+
+def _reference_tree(X, r, max_leaves: int, min_per_leaf: int):
+    """[DERIVED] Best-first growth one node at a time, each node's columns
+    sorted afresh and its residuals summed by ``ndarray.sum``: the split rules
+    the lock-step grower reproduces bit for bit. Returns ``(child, column,
+    value)`` in pre-order."""
+
+    def best_split(rows):
+        m = len(rows)
+        if m < 2 * min_per_leaf or m < 2:
+            return None
+        Xs, rs = X[rows], r[rows]
+        order = np.argsort(Xs, axis=0, kind="stable")
+        sv = np.take_along_axis(Xs, order, axis=0)
+        csum = np.cumsum(rs[order], axis=0)[:-1]
+        total = rs.sum()
+        n_left = np.arange(1, m, dtype=np.float64)[:, None]
+        gain = csum**2 / n_left + (total - csum) ** 2 / (m - n_left) - total * total / m
+        valid = sv[1:] > sv[:-1]
+        if min_per_leaf > 1:
+            valid[: min_per_leaf - 1] = False
+            valid[m - min_per_leaf :] = False
+        gain = np.where(valid, gain, -np.inf)
+        best, col, pos = -math.inf, -1, -1
+        for c in range(gain.shape[1]):
+            p = int(np.argmax(gain[:, c]))
+            if gain[p, c] > best + 1e-12:
+                best, col, pos = gain[p, c], c, p
+        if col < 0 or not np.isfinite(best) or best <= 1e-12:
+            return None
+        lo, hi = sv[pos, col], sv[pos + 1, col]
+        thr = float(lo + (hi - lo) / 2.0)
+        left = Xs[:, col] <= thr
+        if left.all() or not left.any():  # midpoint rounded onto the upper value
+            left = Xs[:, col] <= lo
+        return float(best), col, thr, rows[left], rows[~left]
+
+    def node(rows):
+        return {"rows": rows, "value": float(r[rows].mean()), "split": best_split(rows)}
+
+    root = node(np.arange(len(r)))
+    leaves = [root]
+    while len(leaves) < max_leaves:
+        cand = max((lf for lf in leaves if lf["split"]), key=lambda lf: lf["split"][0], default=None)
+        if cand is None:
+            break
+        _, _, _, left, right = cand["split"]
+        cand["kids"] = (node(left), node(right))
+        leaves.remove(cand)
+        leaves.extend(cand["kids"])
+    child, column, value = [], [], []
+
+    def emit(n):
+        at = len(child)
+        child.append(0)
+        column.append(0)
+        value.append(n["value"])
+        if "kids" in n:
+            column[at], value[at] = n["split"][1], n["split"][2]
+            emit(n["kids"][0])
+            child[at] = len(child) - at
+            emit(n["kids"][1])
+
+    emit(root)
+    return np.array(child), np.array(column), np.array(value, dtype=np.float32)
+
+
+def _reference_boost(examples, cfg: TrainConfig):
+    """[DERIVED] ``train``'s boosting loop over :func:`_reference_tree`;
+    returns each tree's ``(child, feature code, value)`` and the RMSE list."""
+    schema, X, y = gbrt._examples_to_arrays(examples)
+    codes = np.array([int(f) for f in schema])
+    n = len(y)
+    rng = np.random.default_rng(cfg.rng_seed)
+    Fx = np.full(n, float(np.float32(y.mean())))
+    k = max(1, int(round(cfg.subsample_fraction * n)))
+    trees, rmse = [], []
+    for _ in range(cfg.iterations):
+        rows = np.sort(rng.choice(n, size=k, replace=False)) if k < n else np.arange(n)
+        child, column, value = _reference_tree(
+            X[rows], y[rows] - Fx[rows], cfg.max_leaves, cfg.min_examples_per_leaf
+        )
+        step = np.empty(n)
+        for i in range(n):
+            j = 0
+            while child[j]:
+                j += 1 if X[i, column[j]] <= value[j] else child[j]
+            step[i] = value[j]
+        Fx += cfg.learning_rate * step
+        rmse.append(float(np.sqrt(np.mean((y - Fx) ** 2))))
+        trees.append((child, np.where(child > 0, codes[column], 0), value))
+    return trees, rmse
+
+
+_FEATURES = [F.COUT, F.SOUTAVG, F.SOUTTOT, F.CIN1, F.SINAVG1, F.SINTOT1, F.OUTPUTUSAGE]
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+def _family(n: int, cfg: TrainConfig, columns, kind: str = "uniform", seed: int = 0):
+    """Problems of ``n`` rows with ``columns[i]`` features each, one config
+    but for the seed. ``ties``: few distinct values, a duplicated and a
+    constant column; ``guard``: a column whose one split point has its
+    midpoint round onto the upper value."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for i, c in enumerate(columns):
+        X = rng.uniform(0, 100, (n, c))
+        y = X @ rng.uniform(0.5, 2.0, c) + rng.normal(0, 1, n)
+        if kind == "ties":
+            X = np.round(X / 25)
+            X[:, -1] = 3.0
+            if c > 2:
+                X[:, 1] = X[:, 0]
+            y = np.round(X @ np.arange(1, c + 1) * 4) / 4
+        elif kind == "guard":
+            X[:, 0] = np.where(rng.random(n) < 0.5, _BELOW_ONE, 1.0)
+            y = 50.0 * (X[:, 0] == 1.0) + X[:, 1:].sum(axis=1) / 100
+        examples = [
+            (
+                FeatureVector(
+                    op=OperatorType.Filter,
+                    values={_FEATURES[j]: float(X[t, j]) for j in range(c)},
+                ),
+                float(y[t]),
+            )
+            for t in range(n)
+        ]
+        problems.append(Problem(examples, dataclasses.replace(cfg, rng_seed=17 * i + 1)))
+    return problems
+
+
+FAMILY_CASES = {
+    "one leaf": (60, TrainConfig(iterations=4, max_leaves=1), (3, 3), "uniform"),
+    "ten leaves": (80, TrainConfig(iterations=6), (3, 2, 5), "uniform"),
+    "forty leaves": (160, TrainConfig(iterations=3, max_leaves=40), (4, 4), "uniform"),
+    "three per leaf": (70, TrainConfig(iterations=5, min_examples_per_leaf=3), (3, 3), "uniform"),
+    "full sample": (60, TrainConfig(iterations=5, subsample_fraction=1.0), (2, 4), "uniform"),
+    "ties": (90, TrainConfig(iterations=5, max_leaves=12), (4, 3, 2), "ties"),
+    "midpoint guard": (40, TrainConfig(iterations=3, subsample_fraction=1.0), (2, 3), "guard"),
+    "column counts": (70, TrainConfig(iterations=4), (1, 4, 7), "uniform"),
+    "600 rows": (600, TrainConfig(iterations=2, subsample_fraction=1.0), (3, 2), "uniform"),
+}
+
+
+def _model_bytes(model: MartModel) -> bytes:
+    out = bytearray()
+    _encode_mart(model, out)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("case", list(FAMILY_CASES))
+def test_train_family_equals_separate_training(case):
+    n, cfg, columns, kind = FAMILY_CASES[case]
+    problems = _family(n, cfg, columns, kind)
+    family = train_family(problems)
+    for problem, model in zip(problems, family):
+        alone = train(*problem)
+        assert _model_bytes(model) == _model_bytes(alone)
+        assert model.train_rmse == alone.train_rmse
+        assert model.target_transform == alone.target_transform
+        trees, rmse = _reference_boost(problem.examples, problem.cfg)
+        assert model.train_rmse == rmse
+        for tree, (child, feature, value) in zip(model.trees, trees):
+            assert tree.child.tolist() == child.tolist()
+            assert tree.feature.tolist() == feature.tolist()
+            assert tree.value.tobytes() == value.tobytes()
+
+
+def test_midpoint_guard_case_rounds_onto_the_upper_value():
+    # The "midpoint guard" family case only tests the guard if its split
+    # point's midpoint really is the upper value.
+    assert _BELOW_ONE + (1.0 - _BELOW_ONE) / 2.0 == 1.0
+
+
+def test_train_family_rejects_members_of_another_shape():
+    a = _family(50, TrainConfig(iterations=3), (2, 3))
+    other_rows = _family(30, TrainConfig(iterations=3), (3,), seed=1)
+    other_leaves = _family(50, TrainConfig(iterations=3, max_leaves=4), (3,), seed=1)
+    for odd in (other_rows[0], other_leaves[0]):
+        with pytest.raises(TrainingError, match="family members differ"):
+            train_family([a[0], odd, a[1]])
+
+
+def _assert_matches_reference(examples, max_leaves, min_per_leaf):
+    tree, _ = fit_tree(examples, max_leaves=max_leaves, min_per_leaf=min_per_leaf)
+    _, X, r = gbrt._examples_to_arrays(examples)
+    child, column, value = _reference_tree(X, r, max_leaves, min_per_leaf)
+    assert tree.child.tolist() == child.tolist()
+    assert tree.feature.tolist() == column.tolist()
+    assert tree.value.tobytes() == value.tobytes()
+    return tree
+
+
+def test_near_tied_columns_follow_the_scan():
+    # Both columns split rows {0, 1, 2} from {3, 4, 5}, but add the left
+    # residuals in opposite orders, so their gains differ in the last bit. A
+    # later column must beat an earlier one by more than 1e-12, so the scan
+    # keeps column 0 where a plain argmax would take column 1.
+    r = [0.9, 0.5, 0.3, -0.2, -0.2, -0.2]
+    up, down = [1.0, 2.0, 3.0, 10.0, 11.0, 12.0], [3.0, 2.0, 1.0, 10.0, 11.0, 12.0]
+    total = np.array(r).sum()
+
+    def gain(left_sum):
+        return left_sum**2 / 3 + (total - left_sum) ** 2 / 3 - total * total / 6
+
+    exercised = False
+    for first, second in ((up, down), (down, up)):
+        examples = [
+            (fv(COUT=a, SOUTAVG=b), y) for a, b, y in zip(first, second, r)
+        ]
+        tree = _assert_matches_reference(examples, max_leaves=2, min_per_leaf=1)
+        sums = [(r[0] + r[1]) + r[2], (r[2] + r[1]) + r[0]]
+        g0, g1 = (gain(s) for s in (sums if first is up else sums[::-1]))
+        assert float(tree.value[0]) == 6.5  # between rows 2 and 3 either way
+        if g0 < g1 <= g0 + 1e-12:
+            assert tree.feature[0] == 0  # the earlier column
+            exercised = True
+    assert exercised
+
+
+def test_equal_leaf_gains_split_the_first_made_leaf():
+    # Both children of the root have the same best gain (100.0 exactly); the
+    # third leaf comes from the left child, made first.
+    examples = make_examples(range(1, 9), [0, 0, 10, 10, 20, 20, 30, 30])
+    tree = _assert_matches_reference(examples, max_leaves=3, min_per_leaf=1)
+    assert tree.child.tolist() == [4, 2, 0, 0, 0]

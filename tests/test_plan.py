@@ -154,6 +154,15 @@ def test_json_depth_limit_is_shared_by_encoder_and_parser(tmp_path):
             save_corpus([plan], str(tmp_path / "deep.jsonl"))
 
 
+def test_failed_save_leaves_previous_file_unchanged(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus([sort_over_scan()], str(path))
+    before = path.read_bytes()
+    with pytest.raises(PlanError, match="nested too deeply"):
+        save_corpus([sort_over_scan(64), _filter_chain(MAX_PLAN_DEPTH + 45)], str(path))
+    assert path.read_bytes() == before
+
+
 def test_parse_rejects_unknown_operator():
     with pytest.raises(PlanError, match="operator"):
         parse_plan('{"root": {"op": "Sortt", "card_true": 1, "card_est": 1}}')
@@ -184,6 +193,14 @@ BAD_PLAN_LINES = {
     "NaN scale": ('{"root":{%s},"scale":NaN}' % _SCAN, "non-finite"),
     "1e999 cardinality": (
         '{"root":{%s}}' % _SCAN.replace('"card_true":10', '"card_true":1e999'), "infinity"
+    ),
+    "401-digit cardinality": (
+        '{"root":{%s}}' % _SCAN.replace('"card_true":10', '"card_true":' + "9" * 401),
+        "too large to convert to float",
+    ),
+    "401-digit tuple count": (
+        '{"root":{%s}}' % _SCAN.replace('"tuple_count":10', '"tuple_count":' + "9" * 401),
+        "too large to convert to float",
     ),
     "NaN table row bytes": (
         '{"root":{%s}}' % _SCAN.replace('"avg_row_bytes":10.0', '"avg_row_bytes":NaN'),
