@@ -4,12 +4,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
 from . import estimators, evalkit, registry as reg, scaling, synth
 from .features import FeatureId, featurize_many
-from .gbrt import TrainConfig
+from .gbrt import TrainConfig, TrainingError
 from .plan import PlanError, load_corpus, save_corpus
 from .registry import RegistryError, load_registry, save_registry, train_registry
 from .synth import SynthError
@@ -32,6 +33,13 @@ class UsageError(Exception):
     pass
 
 
+def seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, not {text}")
+    return int(text)
+
+
 def _resources(flag: str) -> list[str]:
     if flag == "both":
         return list(reg.RESOURCES)
@@ -50,16 +58,22 @@ def cmd_gen(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
+    cfg = TrainConfig(
         iterations=args.iterations,
         max_leaves=args.max_leaves,
         learning_rate=args.learning_rate,
         subsample_fraction=args.subsample,
         rng_seed=args.seed if args.seed is not None else 0,
     )
+    try:
+        cfg.validate()
+    except TrainingError as exc:
+        raise UsageError(str(exc)) from None
+    return cfg
 
 
 def cmd_train(args) -> int:
+    cfg = _train_config(args)
     plans = load_corpus(args.corpus)
     resources = _resources(args.resource)
     for resource in resources:
@@ -68,7 +82,7 @@ def cmd_train(args) -> int:
             raise RegistryError(
                 f"corpus lacks {resource!r} labels (first: {missing[0]})"
             )
-    registry = train_registry(plans, resources, _train_config(args), source=args.source)
+    registry = train_registry(plans, resources, cfg, source=args.source)
     save_registry(registry, args.out)
     print(f"trained {len(registry.entries)} operator/resource entries -> {args.out}")
     for (op, resource), entry in sorted(
@@ -137,14 +151,28 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _csv_number(row: dict, name: str, where: str) -> float:
+    """Cell ``name`` of a CSV row as a finite float; a missing column raises
+    ``KeyError``, any other cell that is not a finite number ScalingError."""
+    try:
+        value = float(row[name])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise scaling.ScalingError(f"{where}: {name} value {row[name]!r} is not a finite number")
+    return value
+
+
 def cmd_fit_scaling(args) -> int:
     feature_names = args.features.split(",")
     features = [FeatureId[name.strip()] for name in feature_names]
     observations = []
     with open(args.csv, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            xs = [float(row[f.name]) for f in features]
-            observations.append((xs, float(row[args.resource_column])))
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{args.csv} line {reader.line_num}"
+            xs = [_csv_number(row, f.name, where) for f in features]
+            observations.append((xs, _csv_number(row, args.resource_column, where)))
     if len(features) == 1:
         candidates = scaling.SINGLE_FEATURE_CANDIDATES
     else:
@@ -184,7 +212,7 @@ def _tree_to_dict(tree) -> dict:
     }
 
 
-def _mart_to_dict(model, with_trees: bool) -> dict:
+def _mart_to_dict(model, with_trees: bool, transform: str = "identity") -> dict:
     doc = {
         "init": model.init,
         "learning_rate": model.learning_rate,
@@ -193,7 +221,7 @@ def _mart_to_dict(model, with_trees: bool) -> dict:
             f.name: {"low": lo, "high": hi} for f, (lo, hi) in model.feature_stats.items()
         },
         "n_trees": len(model.trees),
-        "target_transform": model.target_transform,
+        "target_transform": transform,
     }
     if with_trees:
         doc["trees"] = [_tree_to_dict(t) for t in model.trees]
@@ -209,6 +237,9 @@ def cmd_inspect(args) -> int:
         models = []
         for model in entry.models:
             if isinstance(model, reg.CombinedModel):
+                label = "/".join(
+                    f"{t.kind.name}({','.join(f.name for f in t.features)})" for t in model.terms
+                )
                 models.append(
                     {
                         "kind": "combined",
@@ -220,7 +251,9 @@ def cmd_inspect(args) -> int:
                             }
                             for t in model.terms
                         ],
-                        "scaled_model": _mart_to_dict(model.scaled_model, args.trees),
+                        "scaled_model": _mart_to_dict(
+                            model.scaled_model, args.trees, f"per-unit:{label}"
+                        ),
                     }
                 )
             else:
@@ -244,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen")
     p.add_argument("--spec", required=True, help="corpus spec JSON file")
     p.add_argument("--out", required=True, help="output corpus path (line-delimited)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed, default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train")
@@ -274,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", choices=["true", "estimated"], default="true")
     p.add_argument("--baselines", action="store_true")
     p.add_argument("--train-corpus", default=None, help="training corpus for baselines")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed, default=None)
     p.add_argument("--out", default=None, help="report path prefix (.csv/.json)")
     p.set_defaults(func=cmd_eval)
 
@@ -300,7 +333,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PlanError, SynthError, RegistryError, scaling.ScalingError,
-            evalkit.EvalError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+            evalkit.EvalError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -43,9 +43,9 @@ def train_linear_estimator(
     """Per-operator OLS models with forward feature selection, summed per query."""
     by_op = collect_examples(train_corpus, resource, source)
     models: dict[OperatorType, LinearOpModel] = {
-        op: evalkit.fit_linear_baseline(examples, seed=seed)
-        for op, examples in by_op.items()
-        if len(examples) >= 2
+        op: evalkit.fit_linear_baseline(op, X, y, seed=seed)
+        for op, (X, y) in by_op.items()
+        if len(y) >= 2
     }
 
     def estimate(batch: FeatureBatch) -> list[float]:

@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .features import FeatureBatch, FeatureId, FeatureVector, featurize_many
+from .features import FeatureBatch, FeatureId, applicable_features, featurize_many
 from .plan import OperatorType, QueryPlan
 
 #: An estimator maps a featurized corpus to one total per plan, in plan order.
@@ -122,20 +122,20 @@ def _ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def fit_linear_baseline(
-    examples: Sequence[tuple[FeatureVector, float]], seed: int = 0
+    op: OperatorType, X: np.ndarray, y: np.ndarray, seed: int = 0
 ) -> LinearOpModel:
-    """OLS with intercept and greedy forward feature selection.
+    """OLS with intercept and greedy forward feature selection, on op's raw
+    rows ``X`` (code-indexed) and targets ``y``.
 
-    Selection minimizes SSE on a held-out fifth of the examples; a feature is
+    Selection minimizes SSE on a held-out fifth of the rows; a feature is
     added only on strict improvement, so exact duplicates of an already
     selected feature are never added (the lowest code wins ties). The final
-    coefficients are refit on all examples.
+    coefficients are refit on all rows.
     """
-    if len(examples) < 2:
+    if len(y) < 2:
         raise EvalError("need at least 2 examples")
-    features = sorted(f for f in examples[0][0].values if f is not FeatureId.OUTPUTUSAGE)
-    Xall = np.array([[fv.values[f] for f in features] for fv, _ in examples])
-    yall = np.array([t for _, t in examples], dtype=np.float64)
+    features = [f for f in applicable_features(op) if f is not FeatureId.OUTPUTUSAGE]
+    Xall, yall = X[:, features], y
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(yall))
     n_val = max(1, len(yall) // 5)

@@ -89,7 +89,6 @@ class MartModel:
     learning_rate: float
     schema: list[FeatureId]
     feature_stats: dict[FeatureId, tuple[float, float]]
-    target_transform: str = "identity"
     train_rmse: list[float] = field(default_factory=list, repr=False)
     _layout: Optional["_Layout"] = field(
         default=None, init=False, repr=False, compare=False
@@ -487,26 +486,25 @@ def _examples_to_arrays(
     return schema, X, y
 
 
-def _boost(arrays: list[tuple], cfgs: list[TrainConfig]) -> list:
-    """Boost P problems ``(schema, X, y)`` of one row count and one config but
-    for ``rng_seed`` in lock step; returns each problem's ``(init, trees,
-    train_rmse)``."""
-    cfg = cfgs[0]
-    P, n = len(arrays), len(arrays[0][2])
-    C = max(1, max(X.shape[1] for _, X, _ in arrays))
+def _boost(problems: Sequence[Problem]) -> list:
+    """Boost P problems of one row count and one config but for ``rng_seed``
+    in lock step; returns each problem's ``(init, trees, train_rmse)``."""
+    cfg = problems[0].cfg
+    P, n = len(problems), len(problems[0].y)
+    C = max(1, max(X.shape[1] for _, X, _, _ in problems))
     XF = np.zeros((P, n, C))
     codes = np.zeros((P, C), dtype=np.uint8)  # feature code of each column
-    for p, (schema, X, _) in enumerate(arrays):
+    for p, (schema, X, _, _) in enumerate(problems):
         XF[p, :, : X.shape[1]] = X
         codes[p, : X.shape[1]] = [int(f) for f in schema]
-    Y = np.array([y for _, _, y in arrays])
+    Y = np.array([y for _, _, y, _ in problems])
     # Every column sorted once, stably; a subsample's rows are ascending, so
     # its stable order is this order less the rows left out.
     ranked = np.argsort(XF, axis=1, kind="stable").transpose(0, 2, 1)
     ranked_ids = ranked + (np.arange(P) * n)[:, None, None]  # rows of flat (P * n)
-    init = [np.float32(y.mean()) for _, _, y in arrays]
+    init = [np.float32(y.mean()) for _, _, y, _ in problems]
     F = np.repeat(np.array(init, dtype=np.float64)[:, None], n, axis=1)
-    rngs = [np.random.default_rng(c.rng_seed) for c in cfgs]
+    rngs = [np.random.default_rng(p.cfg.rng_seed) for p in problems]
     k = max(1, int(round(cfg.subsample_fraction * n)))
     every = np.arange(P * n)
     trees: list[list[Tree]] = [[] for _ in range(P)]
@@ -538,48 +536,42 @@ def _boost(arrays: list[tuple], cfgs: list[TrainConfig]) -> list:
 
 
 class Problem(NamedTuple):
-    """One training problem of :func:`train_family`."""
+    """One training problem of :func:`train_family`: row i of ``X`` holds
+    the values of ``schema``'s features, in schema order, for target ``y[i]``."""
 
-    examples: Sequence[tuple[FeatureVector, float]]
+    schema: list[FeatureId]
+    X: np.ndarray
+    y: np.ndarray
     cfg: TrainConfig
-    target_transform: str = "identity"
 
 
-def train(
-    examples: Sequence[tuple[FeatureVector, float]],
-    cfg: TrainConfig,
-    target_transform: str = "identity",
-) -> MartModel:
+def train(examples: Sequence[tuple[FeatureVector, float]], cfg: TrainConfig) -> MartModel:
     """Stochastic gradient boosting of least-squares regression trees."""
-    return train_family([Problem(examples, cfg, target_transform)])[0]
+    return train_family([Problem(*_examples_to_arrays(examples), cfg)])[0]
 
 
 def train_family(problems: Sequence[Problem]) -> list[MartModel]:
-    """``[train(*problem) for problem in problems]``, bit for bit, boosted in
-    lock step: every iteration grows the problems' trees together. The
-    problems must share their row count and every setting but ``rng_seed``."""
-    arrays = []
-    for examples, cfg, _ in problems:
-        cfg.validate()
-        arrays.append(_examples_to_arrays(examples))
+    """One model per problem, bit for bit the model of training it alone,
+    boosted in lock step: every iteration grows the problems' trees together.
+    The problems must share their row count and every setting but ``rng_seed``."""
+    for problem in problems:
+        problem.cfg.validate()
     shapes = {
         (len(y), dataclasses.astuple(dataclasses.replace(cfg, rng_seed=0)))
-        for (_, cfg, _), (_, _, y) in zip(problems, arrays)
+        for _, _, y, cfg in problems
     }
     if len(shapes) > 1:
         raise TrainingError("family members differ in row count or training settings")
-    fitted = _boost(arrays, [problem.cfg for problem in problems])
     models = []
-    for problem, (schema, X, _), (init, trees, rmse) in zip(problems, arrays, fitted):
+    for (schema, X, _, cfg), (init, trees, rmse) in zip(problems, _boost(problems)):
         lows = np.min(X, axis=0).astype(np.float32)
         highs = np.max(X, axis=0).astype(np.float32)
         models.append(MartModel(
             init=init,
             trees=trees,
-            learning_rate=float(np.float32(problem.cfg.learning_rate)),
+            learning_rate=float(np.float32(cfg.learning_rate)),
             schema=schema,
             feature_stats={f: (float(lows[j]), float(highs[j])) for j, f in enumerate(schema)},
-            target_transform=problem.target_transform,
             train_rmse=rmse,
         ))
     return models

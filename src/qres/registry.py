@@ -17,7 +17,6 @@ import numpy as np
 
 from . import gbrt
 from .features import (
-    FEATURE_SPACE,
     NEVER_SCALE_IO,
     SCALE_CANDIDATES,
     FeatureBatch,
@@ -120,36 +119,21 @@ def _scale_factor(terms: Sequence[ScaleTerm], raw: dict[FeatureId, float]) -> fl
     return g
 
 
+def _scale_factors(terms: Sequence[ScaleTerm], X: np.ndarray) -> list[float]:
+    """:func:`_scale_factor` of every row of ``X``, an op's raw rows."""
+    ids = [f for t in terms for f in t.features]
+    return [_scale_factor(terms, dict(zip(ids, row))) for row in X[:, ids].tolist()]
+
+
 def _combined_problem(
-    examples: Sequence[tuple[FeatureVector, float]],
-    terms: Sequence[ScaleTerm],
-    cfg: TrainConfig,
+    op: OperatorType, X: np.ndarray, y: np.ndarray, terms: Sequence[ScaleTerm], cfg: TrainConfig
 ) -> gbrt.Problem:
-    """The per-unit problem of a combined model: normalized features and
-    targets divided by the scale factor."""
-    if not examples:
-        raise TrainingError("empty training set")
-    transformed = [
-        (transform_for_scaling(fv, terms), y / _scale_factor(terms, fv.values))
-        for fv, y in examples
-    ]
-    label = "/".join(
-        f"{t.kind.name}({','.join(f.name for f in t.features)})" for t in terms
-    )
-    return gbrt.Problem(transformed, cfg, f"per-unit:{label}")
-
-
-def build_combined(
-    examples: Sequence[tuple[FeatureVector, float]],
-    terms: Sequence[ScaleTerm],
-    cfg: TrainConfig,
-) -> CombinedModel:
-    """Train a combined model: per-unit targets, normalized features.
-
-    Every example must have positive values for all scale features.
-    """
-    scaled = gbrt.train(*_combined_problem(examples, terms, cfg))
-    return CombinedModel(terms=list(terms), scaled_model=scaled)
+    """The per-unit problem of a combined model on op's raw rows ``X``:
+    normalized features and targets divided by the scale factor."""
+    g = np.array(_scale_factors(terms, X))
+    X, _, kept = _normalize_rows(X, op, [f for t in terms for f in t.features])
+    schema = sorted(kept)
+    return gbrt.Problem(schema, X[:, schema], y / g, cfg)
 
 
 def estimate_with_model(model, fv: FeatureVector) -> float:
@@ -223,8 +207,11 @@ class ModelRegistry:
             ) from None
 
 
-def _n_scale_features(model) -> int:
-    return len(model.scale_feature_ids) if isinstance(model, CombinedModel) else 0
+def _parts(model) -> tuple[MartModel, list[FeatureId]]:
+    """A model's ensemble and the features that normalize its input."""
+    if isinstance(model, CombinedModel):
+        return model.scaled_model, model.scale_feature_ids
+    return model, []
 
 
 def select_model(
@@ -247,7 +234,7 @@ def select_model(
     for idx, model in enumerate(entry.models):
         ratios = sorted(model_out_ratios(model, fv), reverse=True)
         padded = tuple(ratios[1:]) + (0.0,)
-        key = (ratios[0], _n_scale_features(model), padded, idx)
+        key = (ratios[0], len(_parts(model)[1]), padded, idx)
         if best_key is None or key < best_key:
             best_key = key
             best = (model, idx)
@@ -338,19 +325,17 @@ def operator_estimates(
     return out
 
 
-def _normalize_rows(X: np.ndarray, op: OperatorType, model) -> tuple:
+def _normalize_rows(X: np.ndarray, op: OperatorType, scale_ids: Sequence[FeatureId]) -> tuple:
     """:func:`transform_for_scaling` of every row of ``X`` (op's raw rows)
-    for ``model``, with the same divisions in the same order. Returns
-    ``(rows, degenerate, mart, absent)``: the rows that cannot be normalized,
-    the model's ensemble, and the features of its schema the rows lack."""
+    by the scale features ``scale_ids``, with the same divisions in the same
+    order. Returns ``(rows, degenerate, kept)``: the rows that cannot be
+    normalized, and the features the normalized rows keep."""
     degenerate = np.zeros(len(X), dtype=bool)
     kept = set(applicable_features(op))
-    mart = model
-    if isinstance(model, CombinedModel):
-        mart = model.scaled_model
+    if scale_ids:
         raw, X = X, X.copy()
         with np.errstate(divide="ignore", invalid="ignore"):
-            for fid in model.scale_feature_ids:
+            for fid in scale_ids:
                 if fid not in kept:
                     degenerate[:] = True
                     continue
@@ -360,13 +345,14 @@ def _normalize_rows(X: np.ndarray, op: OperatorType, model) -> tuple:
                     if dep in kept:
                         X[:, dep] = X[:, dep] / v
                 kept.discard(fid)
-    return X, degenerate, mart, [f for f in mart.schema if f not in kept]
+    return X, degenerate, kept
 
 
 def _out_ratio_rows(X: np.ndarray, op: OperatorType, model) -> tuple:
     """:func:`model_out_ratios` of every row of ``X``: a (rows, features)
     matrix of ratios, and a mask of the rows whose ratios are ``[inf]``."""
-    X, degenerate, mart, absent = _normalize_rows(X, op, model)
+    mart, scale_ids = _parts(model)
+    X, degenerate, kept = _normalize_rows(X, op, scale_ids)
     columns = []
     for f in mart.schema:
         if f is FeatureId.OUTPUTUSAGE:
@@ -379,7 +365,7 @@ def _out_ratio_rows(X: np.ndarray, op: OperatorType, model) -> tuple:
             excursion = np.maximum(low - v, 0.0) + np.maximum(v - high, 0.0)
             columns.append(excursion / (high - low))
     ratios = np.column_stack(columns or [np.zeros(len(X))])
-    return ratios, degenerate | bool(absent)
+    return ratios, degenerate | any(f not in kept for f in mart.schema)
 
 
 def _selection_keys(X: np.ndarray, op: OperatorType, model) -> np.ndarray:
@@ -393,7 +379,7 @@ def _selection_keys(X: np.ndarray, op: OperatorType, model) -> np.ndarray:
     desc = np.sort(ratios, axis=1)[:, ::-1]
     keys = np.empty((len(X), n + 2))
     keys[:, 0] = desc[:, 0]
-    keys[:, 1] = _n_scale_features(model)
+    keys[:, 1] = len(_parts(model)[1])
     keys[:, 2 : n + 1] = desc[:, 1:]
     keys[:, n + 1] = 0.0
     keys[inf_rows, 0] = math.inf
@@ -439,11 +425,10 @@ def _select_rows(registry: ModelRegistry, entry: RegistryEntry, X: np.ndarray) -
 def _estimate_rows(model, X: np.ndarray, op: OperatorType) -> np.ndarray:
     """:func:`estimate_with_model` of every row of ``X``; each row's scale
     factor comes from :func:`_scale_factor` itself."""
-    g = None
-    if isinstance(model, CombinedModel):
-        ids = model.scale_feature_ids
-        g = [_scale_factor(model.terms, dict(zip(ids, row))) for row in X[:, ids].tolist()]
-    X, _, mart, absent = _normalize_rows(X, op, model)
+    mart, scale_ids = _parts(model)
+    g = _scale_factors(model.terms, X) if scale_ids else None
+    X, _, kept = _normalize_rows(X, op, scale_ids)
+    absent = [f for f in mart.schema if f not in kept]
     if absent:
         raise gbrt.TrainingError(f"feature {absent[0].name} absent from input vector")
     value = mart.layout().predict_rows(X)
@@ -461,32 +446,34 @@ def _estimate_rows(model, X: np.ndarray, op: OperatorType) -> np.ndarray:
 
 def collect_examples(
     plans: Sequence[QueryPlan], resource: str, source: str = "true"
-) -> dict[OperatorType, list[tuple[FeatureVector, float]]]:
-    """Featurize every labeled operator instance, grouped by operator type."""
-    by_op: dict[OperatorType, list[tuple[FeatureVector, float]]] = {}
-    for plan in plans:
-        for node, fv in featurize(plan.root, source):
+) -> dict[OperatorType, tuple[np.ndarray, np.ndarray]]:
+    """Every labeled operator instance, featurized in one pass and grouped by
+    operator type: ``{op: (X, y)}``, X the raw rows of
+    :attr:`FeatureBatch.raw` and y their labels."""
+    batch = featurize_many(plans, source)
+    labels = []
+    for plan, lo, hi in zip(plans, batch.bounds, batch.bounds[1:]):
+        for node in batch.nodes[lo:hi]:
             if node.observed is None or resource not in node.observed:
                 raise RegistryError(
                     f"plan {plan.query_id}: node lacks observed {resource!r} label"
                 )
-            by_op.setdefault(node.op, []).append((fv, node.observed[resource]))
-    return by_op
+            labels.append(node.observed[resource])
+    y = np.array(labels, dtype=np.float64)
+    return {op: (X, y[batch.at[op]]) for op, X in batch.raw.items()}
 
 
-def eligible_scale_features(
-    op: OperatorType, resource: str, examples: Sequence[tuple[FeatureVector, float]]
-) -> list[FeatureId]:
+def eligible_scale_features(op: OperatorType, resource: str, X: np.ndarray) -> list[FeatureId]:
     """Features usable as scaling candidates: data-size-driven counts that are
-    positive everywhere and varying across the training set."""
+    positive everywhere and varying across op's raw rows ``X``."""
     out = []
     for f in applicable_features(op):
         if f not in SCALE_CANDIDATES:
             continue
         if resource == "logical_io" and f in NEVER_SCALE_IO:
             continue
-        vals = [fv.values[f] for fv, _ in examples]
-        if min(vals) > 0 and max(vals) > min(vals):
+        low, high = X[:, f].min(), X[:, f].max()
+        if low > 0 and high > low:
             out.append(f)
     return out
 
@@ -518,49 +505,33 @@ def _model_cfg(cfg: TrainConfig, salt: int) -> TrainConfig:
 
 
 def train_entry(
-    op: OperatorType,
-    resource: str,
-    examples: Sequence[tuple[FeatureVector, float]],
-    cfg: TrainConfig,
+    op: OperatorType, resource: str, X: np.ndarray, y: np.ndarray, cfg: TrainConfig
 ) -> RegistryEntry:
-    """Train the model family for one operator/resource: the plain model plus
-    one combined model per eligible scale feature (two-feature variant for
-    joins), all boosted in lock step, then designate the minimum-training-error
-    model as default."""
-    problems = [gbrt.Problem(examples, _model_cfg(cfg, 0))]
+    """Train the model family for one operator/resource on op's raw rows
+    ``X`` and targets ``y``: the plain model plus one combined model per
+    eligible scale feature (two-feature variant for joins), all boosted in
+    lock step, then designate the minimum-training-error model as default."""
+    schema = list(applicable_features(op))
+    problems = [gbrt.Problem(schema, X[:, schema], y, _model_cfg(cfg, 0))]
     terms: list = [None]
-    salt = 1
-    for f in eligible_scale_features(op, resource, examples):
-        obs = [([fv.values[f]], t) for fv, t in examples]
+    eligible = eligible_scale_features(op, resource, X)
+    fits = [(SINGLE_FEATURE_CANDIDATES, [f]) for f in eligible]
+    pair = _join_scale_pair(op)
+    if pair is not None and set(pair) <= set(eligible):
+        fits.append((TWO_FEATURE_CANDIDATES, list(pair)))
+    targets = y.tolist()
+    for salt, (candidates, features) in enumerate(fits, 1):
         try:
-            form = select_form(SINGLE_FEATURE_CANDIDATES, [f], obs)
-            term = ScaleTerm(kind=form.kind, features=(f,), beta=form.beta)
-            problems.append(_combined_problem(examples, [term], _model_cfg(cfg, salt)))
+            form = select_form(candidates, features, list(zip(X[:, features].tolist(), targets)))
+            term = ScaleTerm(kind=form.kind, features=form.features, beta=form.beta)
+            problems.append(_combined_problem(op, X, y, [term], _model_cfg(cfg, salt)))
             terms.append([term])
         except (ScalingError, FeatureError, TrainingError):
             pass
-        salt += 1
-    pair = _join_scale_pair(op)
-    if pair is not None:
-        f1, f2 = pair
-        eligible = set(eligible_scale_features(op, resource, examples))
-        if f1 in eligible and f2 in eligible:
-            obs2 = [([fv.values[f1], fv.values[f2]], t) for fv, t in examples]
-            try:
-                form = select_form(TWO_FEATURE_CANDIDATES, (f1, f2), obs2)
-                term = ScaleTerm(kind=form.kind, features=form.features, beta=form.beta)
-                problems.append(_combined_problem(examples, [term], _model_cfg(cfg, salt)))
-                terms.append([term])
-            except (ScalingError, FeatureError, TrainingError):
-                pass
     models = [
         mart if t is None else CombinedModel(terms=t, scaled_model=mart)
         for t, mart in zip(terms, gbrt.train_family(problems))
     ]
-    schema = sorted(examples[0][0].values)
-    X = np.zeros((len(examples), FEATURE_SPACE))
-    X[:, [int(f) for f in schema]] = [[fv.values[f] for f in schema] for fv, _ in examples]
-    y = np.array([t for _, t in examples])
     sses = [_training_sse(model, X, op, y) for model in models]
     default_idx = min(range(len(models)), key=lambda i: (sses[i], i))
     return RegistryEntry(
@@ -568,7 +539,7 @@ def train_entry(
         resource=resource,
         models=models,
         default_idx=default_idx,
-        train_rmse=(sses[default_idx] / len(examples)) ** 0.5,
+        train_rmse=(sses[default_idx] / len(y)) ** 0.5,
     )
 
 
@@ -584,9 +555,7 @@ def train_registry(
             raise RegistryError(f"unknown resource {resource!r}")
         by_op = collect_examples(plans, resource, source)
         for op in sorted(by_op):
-            registry.entries[(op, resource)] = train_entry(
-                op, resource, by_op[op], cfg
-            )
+            registry.entries[(op, resource)] = train_entry(op, resource, *by_op[op], cfg)
     return registry
 
 
@@ -813,11 +782,6 @@ def deserialize(data: bytes) -> ModelRegistry:
                 terms = [_decode_term(r, op) for _ in range(r.u8())]
                 scale = {f for t in terms for f in t.features}
                 schema = tuple(f for f in features if f not in scale)
-                label = "/".join(
-                    f"{t.kind.name}({','.join(f.name for f in t.features)})"
-                    for t in terms
-                )
-                mart.target_transform = f"per-unit:{label}"
                 models.append(CombinedModel(terms=terms, scaled_model=mart))
             else:
                 raise RegistryError(f"unknown model kind byte {kind}")

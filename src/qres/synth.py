@@ -59,6 +59,8 @@ class CorpusSpec:
             raise SynthError("empty scale list")
         if self.query_count < 0:
             raise SynthError("negative query count")
+        if self.rng_seed < 0:
+            raise SynthError(f"negative rng_seed {self.rng_seed}")
         if self.noise_sigma < 0 or self.card_sigma < 0:
             raise SynthError("negative noise level")
         if self.card_bias <= 0:

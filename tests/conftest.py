@@ -1,16 +1,19 @@
 """Shared fixtures: small plans, corpora, and trained registries."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from qres.features import FeatureId
+from qres import gbrt
+from qres.features import FEATURE_SPACE, FeatureId, featurize
 from qres.gbrt import TrainConfig
 from qres.plan import OperatorType, PlanNode, QueryPlan, TableMeta
 from qres.registry import (
+    CombinedModel,
     ModelRegistry,
     RegistryEntry,
     ScaleTerm,
-    build_combined,
+    _combined_problem,
     collect_examples,
 )
 from qres.scaling import FormKind
@@ -63,13 +66,39 @@ def seek_plan(tuples: int) -> QueryPlan:
     return plan
 
 
+def as_rows(examples) -> tuple[np.ndarray, np.ndarray]:
+    """``(FeatureVector, y)`` examples as the rows training reads: one
+    code-indexed row per vector, 0 where a feature is absent, and the targets."""
+    X = np.zeros((len(examples), FEATURE_SPACE))
+    for row, (fv, _) in zip(X, examples):
+        for f, v in fv.values.items():
+            row[int(f)] = v
+    return X, np.array([y for _, y in examples], dtype=np.float64)
+
+
+def build_combined(op, X, y, terms, cfg) -> CombinedModel:
+    """One combined model, trained on op's raw rows ``X`` and targets ``y`` as
+    ``registry.train_entry`` trains the combined models of a family."""
+    scaled = gbrt.train_family([_combined_problem(op, X, y, terms, cfg)])[0]
+    return CombinedModel(terms=list(terms), scaled_model=scaled)
+
+
+def labeled_vectors(plans, resource: str, op: OperatorType) -> list:
+    """``(FeatureVector, label)`` of every ``op`` operator of ``plans``, by
+    :func:`featurize`, plan by plan in pre-order."""
+    return [
+        (fv, node.observed[resource])
+        for plan in plans for node, fv in featurize(plan.root) if node.op is op
+    ]
+
+
 def scaled_seek_registry(corpus, kind=FormKind.Power, beta=3.0) -> ModelRegistry:
     """An IndexSeek/cpu_us entry whose only model scales by one TSIZE term,
     ``TSIZE ** 3`` by default."""
     op = OperatorType.IndexSeek
-    examples = collect_examples(corpus, "cpu_us")[op]
+    X, y = collect_examples(corpus, "cpu_us")[op]
     term = ScaleTerm(kind=kind, features=(FeatureId.TSIZE,), beta=beta)
-    model = build_combined(examples, [term], TrainConfig(iterations=5, rng_seed=0))
+    model = build_combined(op, X, y, [term], TrainConfig(iterations=5, rng_seed=0))
     return ModelRegistry({(op, "cpu_us"): RegistryEntry(op, "cpu_us", [model])})
 
 

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import as_rows, build_combined
 from qres import estimators, evalkit
 from qres.evalkit import EvalPair, fit_opt_baseline, l1_err, ratio_buckets, ratio_err
 from qres.features import FeatureId, FeatureVector, featurize_many
@@ -23,7 +24,6 @@ from qres.plan import OperatorType
 from qres.registry import (
     CombinedModel,
     ScaleTerm,
-    build_combined,
     deserialize,
     encoded_tree_size,
     estimate_with_model,
@@ -231,7 +231,9 @@ def test_a4_combined_model_exactness():
     cins = rng.uniform(10, 1000, 80)
     examples = [(fv(float(c)), alpha * float(c)) for c in cins]
     term = ScaleTerm(kind=FormKind.Linear, features=(F.CIN1,))
-    model = build_combined(examples, [term], TrainConfig(iterations=100, rng_seed=0))
+    model = build_combined(
+        OperatorType.Filter, *as_rows(examples), [term], TrainConfig(iterations=100, rng_seed=0)
+    )
     probe_cin = 100.0 * float(cins.max())
     got = estimate_with_model(model, fv(probe_cin))
     want = alpha * probe_cin

@@ -145,8 +145,10 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_train_report_prints_default_models_training_rmse(workspace, tmp_path, capsys):
+    from conftest import labeled_vectors
+
     from qres.plan import load_corpus
-    from qres.registry import collect_examples, estimate_with_model, load_registry
+    from qres.registry import estimate_with_model, load_registry
 
     _, _, corpus, _ = workspace
     model = tmp_path / "model.bin"
@@ -165,7 +167,7 @@ def test_train_report_prints_default_models_training_rmse(workspace, tmp_path, c
             if op.name == op_name and res == resource
         )
         assert default == f"default=#{entry.default_idx}"
-        examples = collect_examples(plans, resource)[entry.op]
+        examples = labeled_vectors(plans, resource, entry.op)
         default_model = entry.models[entry.default_idx]
         sse = sum((estimate_with_model(default_model, fv) - y) ** 2 for fv, y in examples)
         assert rmse_field == f"train_rmse={(sse / len(examples)) ** 0.5:.3f}"
@@ -315,6 +317,26 @@ def test_estimate_and_eval_output_bytes_are_pinned(small_corpus, fast_cfg, tmp_p
     }
 
 
+def test_inspect_output_bytes_are_pinned(small_corpus, fast_cfg, tmp_path, capsys):
+    # Each model's target transform is derived from its scale terms, not
+    # stored, and prints as it did when it was stored.
+    import hashlib
+
+    from qres.registry import save_registry, train_registry
+
+    model = tmp_path / "model.bin"
+    save_registry(train_registry(small_corpus, ["cpu_us", "logical_io"], fast_cfg), str(model))
+    capsys.readouterr()
+    digests = []
+    for extra in ([], ["--trees"]):
+        assert main(["inspect", "--model", str(model), *extra]) == EXIT_OK
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == [
+        "f28e03a182f64840edd28f9d610b4643ad441d773ddda81aab533703ae8b5a19",
+        "931efb5665c674bc29280a9abdb056f385f748878a0844fe7467cfcb3b66cbc1",
+    ]
+
+
 @pytest.mark.parametrize("field,value", [
     ("scales", "[NaN]"), ("scales", "[Infinity]"), ("noise_sigma", "-Infinity"),
     ("query_count", "NaN"), ("card_bias", "NaN"),
@@ -339,3 +361,61 @@ def test_estimate_with_overflowing_scale_factor_is_data_error(small_corpus, tmp_
     code = main(["estimate", "--model", str(model), "--plans", str(plans)])
     assert code == EXIT_DATA
     assert "overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--iterations", "0"), ("--max-leaves", "0"), ("--max-leaves", "500"),
+    ("--learning-rate", "0"), ("--learning-rate", "nan"),
+    ("--subsample", "0"), ("--subsample", "nan"),
+])
+def test_train_with_out_of_range_setting_is_usage_error(workspace, tmp_path, capsys, flag, value):
+    _, _, corpus, _ = workspace
+    out = tmp_path / "model.bin"
+    assert main(["train", "--corpus", str(corpus), "--out", str(out), flag, value]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "eval"])
+def test_negative_seed_flag_is_usage_error(workspace, tmp_path, capsys, command):
+    _, spec, corpus, model = workspace
+    argv = {
+        "gen": ["gen", "--spec", str(spec), "--out", str(tmp_path / "c.jsonl")],
+        "eval": [
+            "eval", "--model", str(model), "--corpus", str(corpus),
+            "--baselines", "--train-corpus", str(corpus),
+        ],
+    }[command]
+    assert main([*argv, "--seed", "-1"]) == EXIT_USAGE
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_gen_on_negative_spec_seed_is_data_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, "rng_seed": -1}))
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "c.jsonl")]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: negative rng_seed")
+
+
+@pytest.mark.parametrize("row,problem", [
+    pytest.param("abc,5.0", "CIN1 value 'abc'", id="text"),
+    pytest.param("400", "resource value None", id="short-row"),
+    pytest.param("nan,5.0", "CIN1 value 'nan'", id="nan"),
+    pytest.param("400,inf", "resource value 'inf'", id="inf"),
+])
+def test_fit_scaling_on_bad_cell_is_data_error(tmp_path, capsys, row, problem):
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_text(f"CIN1,resource\n100,1.0\n200,2.1\n{row}\n800,7.9\n")
+    assert main(["fit-scaling", "--csv", str(csv_path), "--features", "CIN1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"error: {csv_path} line 4: {problem} is not a finite number\n"
+
+
+@pytest.mark.parametrize("flag", ["--model", "--out"])
+def test_estimate_with_directory_path_is_data_error(workspace, tmp_path, capsys, flag):
+    _, _, corpus, model = workspace
+    paths = {"--model": str(model), "--plans": str(corpus), "--out": str(tmp_path / "e.json")}
+    paths[flag] = str(tmp_path)
+    argv = ["estimate"] + [part for item in paths.items() for part in item]
+    assert main(argv) == EXIT_DATA
+    assert "Is a directory" in capsys.readouterr().err

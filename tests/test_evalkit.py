@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import as_rows
 from qres.evalkit import (
     EvalError,
     EvalPair,
@@ -119,12 +120,16 @@ def _linear_examples(n=100, seed=0):
     return out
 
 
+def _fit(examples, seed):
+    return fit_linear_baseline(OperatorType.Filter, *as_rows(examples), seed=seed)
+
+
 def _predict(model, fv) -> float:
     return float(model.predict_rows(dense_vector(fv, list(fv.values))[None, :])[0])
 
 
 def test_linear_baseline_recovers_exact_relation():
-    model = fit_linear_baseline(_linear_examples(), seed=0)
+    model = _fit(_linear_examples(), seed=0)
     fv, y = _linear_examples(n=1, seed=99)[0]
     assert _predict(model, fv) == pytest.approx(y, rel=1e-6)
     # Greedy selection should not need more than a couple of features for an
@@ -133,27 +138,27 @@ def test_linear_baseline_recovers_exact_relation():
 
 
 def test_linear_baseline_excludes_categorical():
-    model = fit_linear_baseline(_linear_examples(), seed=0)
+    model = _fit(_linear_examples(), seed=0)
     assert F.OUTPUTUSAGE not in model.schema
 
 
 def test_linear_baseline_intercept_only_on_constant_target():
     ex = [(fv, 42.0) for fv, _ in _linear_examples(n=30)]
-    model = fit_linear_baseline(ex, seed=0)
+    model = _fit(ex, seed=0)
     fv, _ = ex[0]
     assert _predict(model, fv) == pytest.approx(42.0, rel=1e-9)
 
 
 def test_linear_baseline_deterministic():
-    m1 = fit_linear_baseline(_linear_examples(), seed=7)
-    m2 = fit_linear_baseline(_linear_examples(), seed=7)
+    m1 = _fit(_linear_examples(), seed=7)
+    m2 = _fit(_linear_examples(), seed=7)
     assert m1.schema == m2.schema
     assert np.array_equal(m1.coefficients, m2.coefficients)
 
 
 def test_linear_baseline_needs_two_examples():
     with pytest.raises(EvalError):
-        fit_linear_baseline(_linear_examples(n=1), seed=0)
+        _fit(_linear_examples(n=1), seed=0)
 
 
 def test_report_and_csv_shape():

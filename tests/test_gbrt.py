@@ -414,12 +414,12 @@ _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 def _family(n: int, cfg: TrainConfig, columns, kind: str = "uniform", seed: int = 0):
-    """Problems of ``n`` rows with ``columns[i]`` features each, one config
-    but for the seed. ``ties``: few distinct values, a duplicated and a
-    constant column; ``guard``: a column whose one split point has its
-    midpoint round onto the upper value."""
+    """Members ``(examples, cfg)`` of ``n`` rows with ``columns[i]`` features
+    each, one config but for the seed. ``ties``: few distinct values, a
+    duplicated and a constant column; ``guard``: a column whose one split
+    point has its midpoint round onto the upper value."""
     rng = np.random.default_rng(seed)
-    problems = []
+    members = []
     for i, c in enumerate(columns):
         X = rng.uniform(0, 100, (n, c))
         y = X @ rng.uniform(0.5, 2.0, c) + rng.normal(0, 1, n)
@@ -442,8 +442,12 @@ def _family(n: int, cfg: TrainConfig, columns, kind: str = "uniform", seed: int 
             )
             for t in range(n)
         ]
-        problems.append(Problem(examples, dataclasses.replace(cfg, rng_seed=17 * i + 1)))
-    return problems
+        members.append((examples, dataclasses.replace(cfg, rng_seed=17 * i + 1)))
+    return members
+
+
+def _problems(members) -> list[Problem]:
+    return [Problem(*gbrt._examples_to_arrays(examples), cfg) for examples, cfg in members]
 
 
 FAMILY_CASES = {
@@ -468,14 +472,13 @@ def _model_bytes(model: MartModel) -> bytes:
 @pytest.mark.parametrize("case", list(FAMILY_CASES))
 def test_train_family_equals_separate_training(case):
     n, cfg, columns, kind = FAMILY_CASES[case]
-    problems = _family(n, cfg, columns, kind)
-    family = train_family(problems)
-    for problem, model in zip(problems, family):
-        alone = train(*problem)
+    members = _family(n, cfg, columns, kind)
+    family = train_family(_problems(members))
+    for (examples, member_cfg), model in zip(members, family):
+        alone = train(examples, member_cfg)
         assert _model_bytes(model) == _model_bytes(alone)
         assert model.train_rmse == alone.train_rmse
-        assert model.target_transform == alone.target_transform
-        trees, rmse = _reference_boost(problem.examples, problem.cfg)
+        trees, rmse = _reference_boost(examples, member_cfg)
         assert model.train_rmse == rmse
         for tree, (child, feature, value) in zip(model.trees, trees):
             assert tree.child.tolist() == child.tolist()
@@ -495,7 +498,7 @@ def test_train_family_rejects_members_of_another_shape():
     other_leaves = _family(50, TrainConfig(iterations=3, max_leaves=4), (3,), seed=1)
     for odd in (other_rows[0], other_leaves[0]):
         with pytest.raises(TrainingError, match="family members differ"):
-            train_family([a[0], odd, a[1]])
+            train_family(_problems([a[0], odd, a[1]]))
 
 
 def _assert_matches_reference(examples, max_leaves, min_per_leaf):

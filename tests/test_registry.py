@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_table, scan_node, sort_over_scan
+from conftest import (
+    as_rows,
+    build_combined,
+    labeled_vectors,
+    make_table,
+    scan_node,
+    sort_over_scan,
+)
 from qres.features import (
+    FEATURE_SPACE,
     FeatureError,
     FeatureId,
     FeatureVector,
@@ -24,7 +32,6 @@ from qres.registry import (
     RegistryEntry,
     RegistryError,
     ScaleTerm,
-    build_combined,
     collect_examples,
     deserialize,
     eligible_scale_features,
@@ -130,7 +137,8 @@ def test_combined_model_extrapolates_homogeneous_target():
     # is exact arbitrarily far outside the training range.
     ex = _linear_examples(alpha=3.0)
     term = ScaleTerm(kind=FormKind.Linear, features=(F.CIN1,))
-    model = build_combined(ex, [term], TrainConfig(iterations=30, rng_seed=0))
+    cfg = TrainConfig(iterations=30, rng_seed=0)
+    model = build_combined(OperatorType.Filter, *as_rows(ex), [term], cfg)
     probe = filter_fv(cin=1_000_000.0)
     assert estimate_with_model(model, probe) == pytest.approx(3.0 * 1_000_000.0, rel=1e-5)
 
@@ -153,14 +161,16 @@ def test_model_out_ratios_plain_and_combined():
     assert max(model_out_ratios(plain, outside)) > 0.0
     # A CIN1-scaled combined model sees scale-free ratios: still in range.
     term = ScaleTerm(kind=FormKind.Linear, features=(F.CIN1,))
-    comb = build_combined(ex, [term], TrainConfig(iterations=5, rng_seed=0))
+    cfg = TrainConfig(iterations=5, rng_seed=0)
+    comb = build_combined(OperatorType.Filter, *as_rows(ex), [term], cfg)
     assert max(model_out_ratios(comb, outside)) == 0.0
 
 
 def test_model_out_ratios_unnormalizable_is_infinite():
     ex = _linear_examples()
     term = ScaleTerm(kind=FormKind.Linear, features=(F.CIN1,))
-    comb = build_combined(ex, [term], TrainConfig(iterations=3, rng_seed=0))
+    cfg = TrainConfig(iterations=3, rng_seed=0)
+    comb = build_combined(OperatorType.Filter, *as_rows(ex), [term], cfg)
     bad = filter_fv(cin=100.0)
     bad.values[F.CIN1] = 0.0
     assert model_out_ratios(comb, bad) == [math.inf]
@@ -176,7 +186,7 @@ def _mini_registry(ex, cfg=None):
     from qres.registry import train_entry
 
     registry.entries[(OperatorType.Filter, "cpu_us")] = train_entry(
-        OperatorType.Filter, "cpu_us", ex, cfg
+        OperatorType.Filter, "cpu_us", *as_rows(ex), cfg
     )
     return registry
 
@@ -211,11 +221,15 @@ def test_selection_missing_entry_raises():
 
 def test_eligible_scale_features_require_positive_and_varying():
     ex = _linear_examples()
-    feats = eligible_scale_features(OperatorType.Filter, "cpu_us", ex)
+    feats = eligible_scale_features(OperatorType.Filter, "cpu_us", as_rows(ex)[0])
     assert F.CIN1 in feats and F.COUT in feats
     assert F.OUTPUTUSAGE not in feats  # categorical
     # SOUTAVG is constant across these examples: not eligible.
     assert F.SOUTAVG not in feats
+    # One zero count rules its feature out.
+    zero = ex + [(filter_fv(cin=0.0, cout=5.0), 0.0)]
+    feats = eligible_scale_features(OperatorType.Filter, "cpu_us", as_rows(zero)[0])
+    assert F.CIN1 not in feats and F.SINTOT1 not in feats and F.COUT in feats
 
 
 def test_eligible_scale_features_io_excludes_cpu_only():
@@ -225,8 +239,9 @@ def test_eligible_scale_features_io_excludes_cpu_only():
     for p in plans:
         fv = extract_features(p.root, NO_PARENT)
         ex.append((fv, 1.0))
-    cpu = eligible_scale_features(OperatorType.Sort, "cpu_us", ex)
-    io = eligible_scale_features(OperatorType.Sort, "logical_io", ex)
+    X, _ = as_rows(ex)
+    cpu = eligible_scale_features(OperatorType.Sort, "cpu_us", X)
+    io = eligible_scale_features(OperatorType.Sort, "logical_io", X)
     assert F.MINCOMP in cpu
     # CSORTCOL varies here but stays bounded on larger databases, so it is
     # never a scaling candidate; MINCOMP is additionally excluded for I/O.
@@ -288,6 +303,41 @@ def test_collect_examples_requires_labels():
     plan = sort_over_scan()
     with pytest.raises(RegistryError, match="lacks observed"):
         collect_examples([plan], "cpu_us")
+
+
+def test_collect_examples_rows_are_the_feature_vectors(trained):
+    _, corpus = trained
+    for resource in ("cpu_us", "logical_io"):
+        by_op = collect_examples(corpus, resource)
+        assert set(by_op) == {n.op for p in corpus for n in p.nodes()}
+        for op, (X, y) in by_op.items():
+            want_X, want_y = as_rows(labeled_vectors(corpus, resource, op))
+            assert X.tobytes() == want_X.tobytes()
+            assert y.tobytes() == want_y.tobytes()
+
+
+def test_combined_problem_rows_are_the_transformed_vectors(trained):
+    # Training normalizes rows as transform_for_scaling normalizes one
+    # vector, and divides each target by the vector's own scale factor.
+    from qres.registry import _combined_problem
+
+    _, corpus = trained
+    cfg = TrainConfig(iterations=1)
+    terms = [
+        (OperatorType.Sort, [ScaleTerm(FormKind.NLogN, (F.CIN1,))]),
+        (OperatorType.TableScan, [ScaleTerm(FormKind.Power, (F.TSIZE,), 1.5)]),
+        (OperatorType.HashJoin, [ScaleTerm(FormKind.FLogSecond, (F.CIN2, F.CIN1))]),
+    ]
+    for op, term in terms:
+        examples = labeled_vectors(corpus, "cpu_us", op)
+        X, y = collect_examples(corpus, "cpu_us")[op]
+        problem = _combined_problem(op, X, y, term, cfg)
+        vectors = [transform_for_scaling(fv, term) for fv, _ in examples]
+        assert problem.schema == sorted(vectors[0].values)
+        want = [[v.values[f] for f in problem.schema] for v in vectors]
+        assert problem.X.tolist() == want
+        g = [math.prod(t.unit_value(fv.values) for t in term) for fv, _ in examples]
+        assert problem.y.tolist() == [t / s for (_, t), s in zip(examples, g)]
 
 
 def test_train_registry_rejects_unknown_resource(trained):
@@ -571,7 +621,7 @@ def test_single_bit_flips_raise_registry_error_or_estimate(flip_case):
 def test_train_rmse_is_default_models_training_error(trained):
     registry, corpus = trained
     for (op, resource), entry in registry.entries.items():
-        examples = collect_examples(corpus, resource)[op]
+        examples = labeled_vectors(corpus, resource, op)
         default = entry.models[entry.default_idx]
         sse = sum((estimate_with_model(default, fv) - y) ** 2 for fv, y in examples)
         assert entry.train_rmse == pytest.approx((sse / len(examples)) ** 0.5, rel=1e-12)
@@ -593,6 +643,31 @@ def test_fixed_corpus_bytes_and_estimates_are_pinned(small_corpus, fast_cfg, tmp
     assert hashlib.sha256(serialize(registry)).hexdigest() == (
         "506f2bf351544d23bb276c10ceacb624f55d60f3863c53097dd1ac7a1facb93e"
     )
+    # The default pick and its training RMSE are not stored in the file.
+    entries = [
+        (op.name, resource, e.default_idx, e.train_rmse)
+        for (op, resource), e in sorted(
+            registry.entries.items(), key=lambda kv: (int(kv[0][0]), kv[0][1])
+        )
+    ]
+    assert entries == [
+        ("TableScan", "cpu_us", 4, 1933.1631949722994),
+        ("TableScan", "logical_io", 1, 22.74872835145542),
+        ("IndexSeek", "cpu_us", 1, 44.465063609910565),
+        ("IndexSeek", "logical_io", 5, 0.12369235600871868),
+        ("Filter", "cpu_us", 3, 470.60895530924114),
+        ("Filter", "logical_io", 0, 0.0),
+        ("Sort", "cpu_us", 3, 34768.764022849056),
+        ("Sort", "logical_io", 0, 0.0),
+        ("HashAggregate", "cpu_us", 1, 1060.0929036663904),
+        ("HashAggregate", "logical_io", 0, 0.0),
+        ("HashJoin", "cpu_us", 0, 673.6297294998791),
+        ("HashJoin", "logical_io", 0, 0.0),
+        ("MergeJoin", "cpu_us", 8, 7871.584386708162),
+        ("MergeJoin", "logical_io", 0, 0.0),
+        ("NestedLoopJoin", "cpu_us", 8, 770.8736004899745),
+        ("NestedLoopJoin", "logical_io", 0, 0.0),
+    ]
     totals = {
         resource: [estimate_query(registry, p, resource).total for p in small_corpus[:8]]
         for resource in ("cpu_us", "logical_io")
@@ -642,8 +717,9 @@ def test_deep_plan_is_walked_without_recursion():
     pipes = decompose_pipelines(plan)
     assert [len(p.nodes) for p in pipes] == [depth + 1]
     by_op = collect_examples([plan], "cpu_us")
-    assert len(by_op[OperatorType.Filter]) == depth
-    assert len(by_op[OperatorType.TableScan]) == 1
+    assert by_op[OperatorType.Filter][0].shape == (depth, FEATURE_SPACE)
+    assert by_op[OperatorType.Filter][1].tolist() == [2_500.0] * depth
+    assert by_op[OperatorType.TableScan][1].tolist() == [8_000.0]
     for resource in resources:
         est = estimate_query(registry, plan, resource)
         assert len(est.per_operator) == depth + 1
@@ -759,8 +835,8 @@ def test_estimator_views_equal_per_plan_sums(batch_case):
     batch = featurize_many(plans)
     for resource in ("cpu_us", "logical_io"):
         linear = {
-            op: fit_linear_baseline(ex, seed=0)
-            for op, ex in collect_examples(in_range, resource).items()
+            op: fit_linear_baseline(op, X, y, seed=0)
+            for op, (X, y) in collect_examples(in_range, resource).items()
         }
         mart_want, linear_want = [], []
         for plan in plans:

@@ -53,6 +53,8 @@ def test_spec_validation():
         base_spec(scales=[]).validate()
     with pytest.raises(SynthError, match="bias"):
         base_spec(card_bias=0.0).validate()
+    with pytest.raises(SynthError, match="negative rng_seed"):
+        base_spec(rng_seed=-1).validate()
 
 
 def test_spec_from_json_round_trip():
