@@ -75,6 +75,8 @@ def _train_config(args) -> TrainConfig:
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     plans = load_corpus(args.corpus)
+    if not plans:
+        raise RegistryError("empty training corpus")
     resources = _resources(args.resource)
     for resource in resources:
         missing = [p.query_id for p in plans if not p.has_labels(resource)]

@@ -11,7 +11,10 @@ and ``S_walk`` are NumPy's pairwise sums, in tree order, of ``lr * leaf`` over
 the trees evaluated by table and by walk respectively. Trees with at most
 :data:`TABLE_MAX_SPLITS` internal nodes are evaluated QuickScorer-style
 (Lucchese et al., SIGIR 2015): all split comparisons of a tree at once, their
-bit pattern used as an index into a per-tree table of leaf numbers. Larger
+bit pattern used as an index into a per-tree table of leaf numbers. The
+tables are filled QuickScorer's way too, without a walk: a split that sends
+the input right rules out the leaves of its left subtree, and a code's leaf is
+the lowest leaf of a bitmask that no split of the code ruled out. Larger
 trees are walked in lock step, one level of every tree per NumPy step;
 training applies each new tree to all of its rows with the same walk.
 
@@ -121,6 +124,17 @@ class MartModel:
 #: ``2**TABLE_MAX_SPLITS`` one-byte leaf numbers; larger trees are walked.
 TABLE_MAX_SPLITS = 9
 
+#: Leaf bitmasks of table trees: bit l stands for a tree's leaf l, so a mask
+#: holds the ``TABLE_MAX_SPLITS + 1`` leaves of the largest table tree.
+_MASK = np.uint16
+if TABLE_MAX_SPLITS + 1 > np.iinfo(_MASK).bits:
+    raise ImportError("leaf bitmasks must hold TABLE_MAX_SPLITS + 1 leaves")
+_ALL_LEAVES = (1 << (TABLE_MAX_SPLITS + 1)) - 1
+#: ``_LOWEST_BIT[m]``: the index of the lowest set bit of a nonzero mask m.
+_LOWEST_BIT = np.array(
+    [0] + [(m & -m).bit_length() - 1 for m in range(1, _ALL_LEAVES + 1)], dtype=np.uint8
+)
+
 #: Most split comparisons (rows x splits x trees) or walk cursors (rows x
 #: walked trees) one chunk of :meth:`_Layout.predict_rows` holds at once.
 CHUNK_ELEMENTS = 1 << 18
@@ -149,9 +163,10 @@ class _Layout:
     Table trees (model order): column t of ``feat`` and ``thr`` (k, n) holds
     tree t's split features and thresholds in pre-order, padded with feature
     0. Bit j of a tree's code is set when its split j sends the input left, and
-    ``leaf[leaf_base[t] + code]`` is the number of the leaf that code reaches;
-    ``value[value_base[t] + leaf]`` is ``lr * leaf value`` in float64. Walked
-    trees keep the node arrays of :meth:`MartModel.packed`.
+    ``leaf[leaf_base[t] + code]`` is the number of the leaf that code reaches,
+    filled from leaf bitmasks; ``value[value_base[t] + leaf]`` is ``lr * leaf
+    value`` in float64. Walked trees keep the node arrays of
+    :meth:`MartModel.packed`.
     """
 
     def __init__(self, model: MartModel):
@@ -184,17 +199,22 @@ class _Layout:
         )
         self.value = value.ravel()
         self.value_base = np.arange(n_tab) * (k + 1)
-        # Fill the tables by walking each tree once per code, the code's bit j
-        # standing in for split j: row c of ``goes_right`` is 1.0 where bit j
-        # of c is clear, and the walk sends 1.0 right of a 0.5 threshold.
-        codes = np.arange(1 << k)
-        goes_right = (((codes[:, None] >> np.arange(k)) & 1) == 0).astype(np.float64)
-        reached = _walk(
-            child, split_rank, np.full(len(child), 0.5), goes_right,
-            np.tile(codes, n_tab), np.repeat(firsts[tab], len(codes)),
-        )
-        self.leaf = leaf_rank[reached].astype(np.uint8)
-        self.leaf_base = np.arange(n_tab) * len(codes)
+        # Fill the tables from leaf bitmasks. A split that sends the input
+        # right rules out the leaves of its left subtree, pre-order leaf ranks
+        # leaf_rank[i + 1] up to leaf_rank[i + child[i]]; a code's exit leaf
+        # is the lowest leaf of its mask that no split ruled out.
+        at = np.flatnonzero(splits)
+        lo, hi = leaf_rank[at + 1], leaf_rank[at + child[at]]
+        keep = np.full((n_tab, k), _ALL_LEAVES, dtype=_MASK)
+        keep[row[splits], split_rank[splits]] = _ALL_LEAVES & ~((1 << hi) - (1 << lo))
+        # Build the masks of all 2**k codes by doubling, one split at a time:
+        # codes without bit j (split j sends the input right) take its keep
+        # mask, codes with it do not.
+        alive = np.full((n_tab, 1), _ALL_LEAVES, dtype=_MASK)
+        for j in range(k):
+            alive = np.concatenate([alive & keep[:, j, None], alive], axis=1)
+        self.leaf = _LOWEST_BIT.take(alive.ravel())
+        self.leaf_base = np.arange(n_tab) << k
 
         self.walk_starts = firsts[~tab]
         self.child = child

@@ -588,10 +588,6 @@ def _encode_mart(model: MartModel, out: bytearray) -> None:
         _encode_tree(tree, out)
 
 
-def encoded_tree_size(n_nodes: int) -> int:
-    return 1 + 6 * n_nodes
-
-
 def serialize(registry: ModelRegistry) -> bytes:
     out = bytearray(MAGIC)
     out.append(FORMAT_VERSION)

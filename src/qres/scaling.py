@@ -88,10 +88,6 @@ class ScalingForm:
     beta: float = 1.0
 
 
-def eval_form(form: ScalingForm, values: Sequence[float]) -> float:
-    return form.alpha * basis(form.kind, values, form.beta)
-
-
 def _fit_alpha(b: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     denom = float(np.dot(b, b))
     if denom == 0.0:

@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .features import FeatureId, extract_features, featurize, lg
+from .features import FeatureId, featurize, lg
 from .plan import OperatorType, PlanNode, QueryPlan, TableMeta, finite_float, preorder
 
 F = FeatureId
@@ -57,6 +57,13 @@ class CorpusSpec:
             raise SynthError("empty table catalog")
         if not self.scales:
             raise SynthError("empty scale list")
+        if not all(s > 0 for s in self.scales):
+            raise SynthError(f"scales must be positive: {self.scales}")
+        for t in self.tables:
+            if not (t.base_tuples > 0 and t.row_bytes > 0 and t.columns > 0):
+                raise SynthError(
+                    f"table {t.table_id}: base_tuples, row_bytes and columns must be positive"
+                )
         if self.query_count < 0:
             raise SynthError("negative query count")
         if self.rng_seed < 0:
@@ -365,14 +372,6 @@ def _assign_labels(root: PlanNode, oracle: OracleSpec, rng) -> None:
             node.observed[resource] = value
 
 
-def oracle_label(
-    oracle: OracleSpec, node: PlanNode, parent_op: int, resource: str
-) -> float:
-    """Noiseless oracle value of one node (true-cardinality features)."""
-    fv = extract_features(node, parent_op, source="true")
-    return oracle.cost(node.op, resource, fv.values)
-
-
 def generate_corpus(
     spec: CorpusSpec, oracle: Optional[OracleSpec] = None
 ) -> list[QueryPlan]:
@@ -404,15 +403,3 @@ def generate_corpus(
         plan.validate()
         plans.append(plan)
     return plans
-
-
-def split_by_scale(
-    corpus: Sequence[QueryPlan], threshold: float
-) -> tuple[list[QueryPlan], list[QueryPlan]]:
-    """Disjoint cover: (plans with scale <= threshold, plans above it)."""
-    small, large = [], []
-    for plan in corpus:
-        if plan.scale is None:
-            raise SynthError(f"plan {plan.query_id} records no scale factor")
-        (small if plan.scale <= threshold else large).append(plan)
-    return small, large

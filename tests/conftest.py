@@ -14,10 +14,11 @@ from qres.registry import (
     RegistryEntry,
     ScaleTerm,
     _combined_problem,
+    _encode_tree,
     collect_examples,
 )
 from qres.scaling import FormKind
-from qres.synth import CorpusSpec, TableSpec, generate_corpus
+from qres.synth import CorpusSpec, SynthError, TableSpec, generate_corpus
 
 
 def make_table(tuples: int = 10_000, row_bytes: float = 100.0, columns: int = 8,
@@ -100,6 +101,23 @@ def scaled_seek_registry(corpus, kind=FormKind.Power, beta=3.0) -> ModelRegistry
     term = ScaleTerm(kind=kind, features=(FeatureId.TSIZE,), beta=beta)
     model = build_combined(op, X, y, [term], TrainConfig(iterations=5, rng_seed=0))
     return ModelRegistry({(op, "cpu_us"): RegistryEntry(op, "cpu_us", [model])})
+
+
+def split_by_scale(corpus, threshold: float) -> tuple[list[QueryPlan], list[QueryPlan]]:
+    """Disjoint cover: (plans with scale <= threshold, plans above it)."""
+    small, large = [], []
+    for plan in corpus:
+        if plan.scale is None:
+            raise SynthError(f"plan {plan.query_id} records no scale factor")
+        (small if plan.scale <= threshold else large).append(plan)
+    return small, large
+
+
+def encoded_tree_size(tree: gbrt.Tree) -> int:
+    """Bytes the model file spends on one tree, by the model encoder."""
+    out = bytearray()
+    _encode_tree(tree, out)
+    return len(out)
 
 
 @pytest.fixture(scope="session")

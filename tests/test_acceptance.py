@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import as_rows, build_combined
+from conftest import as_rows, build_combined, encoded_tree_size, split_by_scale
 from qres import estimators, evalkit
 from qres.evalkit import EvalPair, fit_opt_baseline, l1_err, ratio_buckets, ratio_err
 from qres.features import FeatureId, FeatureVector, featurize_many
@@ -25,7 +25,6 @@ from qres.registry import (
     CombinedModel,
     ScaleTerm,
     deserialize,
-    encoded_tree_size,
     estimate_with_model,
     out_ratio,
     serialize,
@@ -38,7 +37,6 @@ from qres.synth import (
     TableSpec,
     default_tables,
     generate_corpus,
-    split_by_scale,
 )
 
 F = FeatureId
@@ -306,7 +304,7 @@ def test_a6_encoding_budget():
         for a, b in zip(rng.uniform(1, 1000, 300), rng.uniform(10, 200, 300))
     ]
     model = train(examples, TrainConfig(iterations=1000, max_leaves=10, rng_seed=0))
-    sizes = [encoded_tree_size(t.n_nodes) for t in model.trees]
+    sizes = [encoded_tree_size(t) for t in model.trees]
     per_tree_ok = all(s <= 130 for s in sizes)
     payload = sum(sizes)
     payload_ok = payload <= 130_000

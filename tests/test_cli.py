@@ -397,6 +397,37 @@ def test_gen_on_negative_spec_seed_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: negative rng_seed")
 
 
+@pytest.mark.parametrize("change,message", [
+    pytest.param({"scales": [1, -1]}, "scales must be positive", id="negative-scale"),
+    pytest.param({"scales": [0]}, "scales must be positive", id="zero-scale"),
+    *[
+        pytest.param(
+            {"tables": [{**SPEC["tables"][0], field: value}]},
+            "table a: base_tuples, row_bytes and columns must be positive",
+            id=f"{field}-{value}",
+        )
+        for field, value in [("base_tuples", -5), ("base_tuples", 0), ("row_bytes", 0), ("columns", 0)]
+    ],
+])
+def test_gen_on_non_positive_spec_size_is_data_error(tmp_path, capsys, change, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, **change}))
+    out = tmp_path / "c.jsonl"
+    assert main(["gen", "--spec", str(spec), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_train_on_empty_corpus_is_data_error(tmp_path, capsys):
+    spec, corpus = tmp_path / "spec.json", tmp_path / "empty.jsonl"
+    spec.write_text(json.dumps({**SPEC, "query_count": 0}))
+    assert main(["gen", "--spec", str(spec), "--out", str(corpus)]) == EXIT_OK
+    model = tmp_path / "m.bin"
+    assert main(["train", "--corpus", str(corpus), "--out", str(model)]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: empty training corpus\n"
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("row,problem", [
     pytest.param("abc,5.0", "CIN1 value 'abc'", id="text"),
     pytest.param("400", "resource value None", id="short-row"),

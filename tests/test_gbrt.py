@@ -24,7 +24,7 @@ from qres.gbrt import (
     train_family,
 )
 from qres.plan import OperatorType
-from qres.registry import _encode_mart
+from qres.registry import _encode_mart, _parts, train_registry
 
 F = FeatureId
 
@@ -270,6 +270,103 @@ def test_predict_matches_manual_walk_large_trees():
         for probe in probes:
             want = _manual_walk(model, dense_vector(probe, model.schema))
             assert predict(model, probe) == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Leaf tables against a walk over every code
+
+
+def _walked_leaf_tables(model: MartModel) -> np.ndarray:
+    """[DERIVED] Reference for ``_Layout.leaf``: every table tree walked once
+    per code, the code's bit j standing in for the tree's split j. Row c of
+    ``goes_right`` is 1.0 where bit j of c is clear, and the walk sends 1.0
+    right of a 0.5 threshold."""
+    starts, child, _, _ = model.packed()
+    firsts = starts[:-1]
+    tree_of = np.repeat(np.arange(len(firsts)), np.diff(starts))
+    internal = child != 0
+    before = np.cumsum(internal) - internal
+    split_rank = before - before[firsts][tree_of]
+    leaf_rank = np.arange(len(child)) - firsts[tree_of] - split_rank
+    n_splits = np.bincount(tree_of, weights=internal, minlength=len(firsts))
+    tab = n_splits <= TABLE_MAX_SPLITS
+    k = int(n_splits[tab].max(initial=0))
+    codes = np.arange(1 << k)
+    goes_right = (((codes[:, None] >> np.arange(k)) & 1) == 0).astype(np.float64)
+    reached = gbrt._walk(
+        child, split_rank, np.full(len(child), 0.5), goes_right,
+        np.tile(codes, int(tab.sum())), np.repeat(firsts[tab], len(codes)),
+    )
+    return leaf_rank[reached].astype(np.uint8)
+
+
+def _assert_leaf_tables_match_walk(model: MartModel) -> None:
+    leaf = model.layout().leaf
+    assert leaf.dtype == np.uint8
+    assert np.array_equal(leaf, _walked_leaf_tables(model))
+
+
+def _random_tree(rng, n_splits: int) -> Tree:
+    """A random pre-order tree of ``n_splits`` splits."""
+    child, feature = [], []
+
+    def grow(n: int) -> int:  # appends a subtree of n splits; returns its size
+        at = len(child)
+        child.append(0)
+        feature.append(0)
+        if n == 0:
+            return 1
+        n_left = int(rng.integers(n))
+        size_left = grow(n_left)
+        child[at] = 1 + size_left
+        feature[at] = int(rng.integers(1, 4))
+        return 1 + size_left + grow(n - 1 - n_left)
+
+    grow(n_splits)
+    return Tree(
+        child=np.array(child, dtype=np.uint8),
+        feature=np.array(feature, dtype=np.uint8),
+        value=rng.normal(size=len(child)).astype(np.float32),
+    )
+
+
+def test_leaf_tables_match_walk_on_registry_models(small_corpus, fast_cfg):
+    registry = train_registry(small_corpus, ["cpu_us", "logical_io"], fast_cfg)
+    models = [_parts(m)[0] for e in registry.entries.values() for m in e.models]
+    assert len(models) > 50
+    for model in models:
+        _assert_leaf_tables_match_walk(model)
+
+
+@pytest.mark.parametrize("max_leaves", [1, 4, 40, "mixed"])
+def test_leaf_tables_match_walk_on_trained_models(max_leaves):
+    ex = _examples_2d(n=200, seed=9)
+    if max_leaves == "mixed":
+        big = train(ex, TrainConfig(iterations=20, max_leaves=40, rng_seed=0))
+        small = train(ex, TrainConfig(iterations=20, rng_seed=1))
+        model = dataclasses.replace(
+            big, trees=[t for pair in zip(big.trees, small.trees) for t in pair]
+        )
+    else:
+        model = train(ex, TrainConfig(iterations=20, max_leaves=max_leaves, rng_seed=0))
+    assert model.trees
+    _assert_leaf_tables_match_walk(model)
+    if max_leaves == 40:
+        assert model.layout().feat.shape[1] < len(model.trees)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_leaf_tables_match_walk_on_random_trees(seed):
+    rng = np.random.default_rng(seed)
+    sizes = list(range(1, TABLE_MAX_SPLITS + 1)) + rng.integers(0, 12, size=30).tolist()
+    trees = [_random_tree(rng, int(n)) for n in rng.permutation(sizes)]
+    model = MartModel(
+        init=0.0, trees=trees, learning_rate=0.1,
+        schema=[F(1), F(2), F(3)], feature_stats={},
+    )
+    _assert_leaf_tables_match_walk(model)
+    # Every table tree has a table of 2**TABLE_MAX_SPLITS codes.
+    assert model.layout().feat.shape[0] == TABLE_MAX_SPLITS
 
 
 def test_feature_stats_are_training_ranges():

