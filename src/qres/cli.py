@@ -77,14 +77,7 @@ def cmd_train(args) -> int:
     plans = load_corpus(args.corpus)
     if not plans:
         raise RegistryError("empty training corpus")
-    resources = _resources(args.resource)
-    for resource in resources:
-        missing = [p.query_id for p in plans if not p.has_labels(resource)]
-        if missing:
-            raise RegistryError(
-                f"corpus lacks {resource!r} labels (first: {missing[0]})"
-            )
-    registry = train_registry(plans, resources, cfg, source=args.source)
+    registry = train_registry(plans, _resources(args.resource), cfg, source=args.source)
     save_registry(registry, args.out)
     print(f"trained {len(registry.entries)} operator/resource entries -> {args.out}")
     for (op, resource), entry in sorted(

@@ -67,14 +67,8 @@ def train_opt_estimator(
     """Optimizer cost estimate times a per-operator least-squares adjustment."""
     samples: dict[OperatorType, list[tuple[float, float]]] = {}
     for plan in train_corpus:
-        for node in plan.root.walk():
-            if node.observed is None or resource not in node.observed:
-                raise reg.RegistryError(
-                    f"plan {plan.query_id}: node lacks observed {resource!r} label"
-                )
-            samples.setdefault(node.op, []).append(
-                (node.est_io_cost, node.observed[resource])
-            )
+        for node, label in zip(plan.root.walk(), plan.labels(resource)):
+            samples.setdefault(node.op, []).append((node.est_io_cost, label))
     alphas = evalkit.fit_opt_baseline(samples)
 
     def estimate(batch: FeatureBatch) -> list[float]:

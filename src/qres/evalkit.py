@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .features import FeatureBatch, FeatureId, applicable_features, featurize_many
-from .plan import OperatorType, QueryPlan
+from .plan import OperatorType, QueryPlan, ordered_sum
 
 #: An estimator maps a featurized corpus to one total per plan, in plan order.
 EstimatorFn = Callable[[FeatureBatch], Sequence[float]]
@@ -24,8 +24,6 @@ class EvalError(ValueError):
 class EvalPair:
     estimate: float
     true_usage: float
-    query_id: str = ""
-    resource: str = ""
 
 
 @dataclass
@@ -37,15 +35,12 @@ class EvalReport:
     n: int
     excluded: int
 
-    def row(self) -> list[float]:
-        return [self.l1_err, self.frac_le_15, self.frac_mid, self.frac_gt_2]
-
 
 def l1_err(pairs: Sequence[EvalPair]) -> float:
     """Mean relative error, normalized by the estimate."""
     if not pairs:
         raise EvalError("no pairs")
-    return sum(abs(p.estimate - p.true_usage) / p.estimate for p in pairs) / len(pairs)
+    return ordered_sum(abs(p.estimate - p.true_usage) / p.estimate for p in pairs) / len(pairs)
 
 
 def ratio_err(pair: EvalPair) -> float:
@@ -92,10 +87,10 @@ def fit_opt_baseline(
     for op, samples in samples_by_op.items():
         if not samples:
             raise EvalError(f"no samples for {op.name}")
-        sxx = sum(x * x for x, _ in samples)
+        sxx = ordered_sum(x * x for x, _ in samples)
         if sxx == 0.0:
             raise EvalError(f"all-zero optimizer estimates for {op.name}")
-        sxy = sum(x * y for x, y in samples)
+        sxy = ordered_sum(x * y for x, y in samples)
         out[op] = sxy / sxx
     return out
 
@@ -197,11 +192,11 @@ def compare(
     for name, estimator in estimators.items():
         pairs = []
         excluded = 0
-        for plan, true_usage, estimate in zip(corpus, truths, estimator(batch)):
+        for true_usage, estimate in zip(truths, estimator(batch)):
             if estimate <= 0.0 or true_usage <= 0.0:
                 excluded += 1
                 continue
-            pairs.append(EvalPair(estimate, true_usage, plan.query_id, resource))
+            pairs.append(EvalPair(estimate, true_usage))
         if not pairs:
             raise EvalError(f"estimator {name!r}: no evaluable pairs")
         reports[name] = make_report(pairs, excluded)

@@ -10,7 +10,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .plan import JOIN_OPS, LEAF_OPS, NO_PARENT, OperatorType, PlanNode, QueryPlan, preorder
+from .plan import JOIN_OPS, LEAF_OPS, NO_PARENT, OperatorType, PlanError, PlanNode, QueryPlan
+from .plan import ordered_sum, preorder
 
 
 class FeatureError(ValueError):
@@ -174,6 +175,8 @@ def extract_features(
 
     ``source`` selects true vs optimizer-estimated cardinalities for every
     tuple-count-derived feature; table-level counts (TSIZE, PAGES) are exact.
+    A value that is not finite (a product that overflows a float) raises
+    :class:`PlanError`.
     """
     if source not in ("true", "estimated"):
         raise FeatureError(f"unknown cardinality source {source!r}")
@@ -225,6 +228,9 @@ def extract_features(
         v[F.SSEKTABLE] = float(inner) if inner is not None else cins[1]
 
     assert tuple(sorted(v)) == applicable_features(op)
+    if not all(map(math.isfinite, v.values())):
+        f = next(f for f, x in v.items() if not math.isfinite(x))
+        raise PlanError(f"{op.name} operator: feature {f.name} is not finite ({v[f]})")
     return FeatureVector(op=op, values=v, cardinality_source=source)
 
 
@@ -252,13 +258,7 @@ class FeatureBatch:
 
     def plan_sums(self, values: Sequence[float]) -> list[float]:
         """Each plan's sum of its operators' ``values``, added in pre-order."""
-        sums = []
-        for lo, hi in zip(self.bounds, self.bounds[1:]):
-            total = 0.0
-            for v in values[lo:hi]:
-                total += v
-            sums.append(total)
-        return sums
+        return [ordered_sum(values[lo:hi]) for lo, hi in zip(self.bounds, self.bounds[1:])]
 
 
 def featurize_many(plans: Sequence[QueryPlan], source: str = "true") -> FeatureBatch:
@@ -269,13 +269,16 @@ def featurize_many(plans: Sequence[QueryPlan], source: str = "true") -> FeatureB
     rows: dict[OperatorType, array] = {}
     at: dict[OperatorType, list[int]] = {}
     for plan in plans:
-        for node, fv in featurize(plan.root, source):
-            op, values = node.op, fv.values
-            if op not in rows:
-                rows[op], at[op] = array("d"), []
-            rows[op].extend([values[f] for f in applicable_features(op)])
-            at[op].append(len(nodes))
-            nodes.append(node)
+        try:
+            for node, fv in featurize(plan.root, source):
+                op, values = node.op, fv.values
+                if op not in rows:
+                    rows[op], at[op] = array("d"), []
+                rows[op].extend([values[f] for f in applicable_features(op)])
+                at[op].append(len(nodes))
+                nodes.append(node)
+        except PlanError as exc:
+            raise PlanError(f"plan {plan.query_id}: {exc}") from None
         bounds.append(len(nodes))
     raw = {}
     for op, flat in rows.items():

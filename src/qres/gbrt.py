@@ -63,13 +63,16 @@ class Tree:
         return len(self.child)
 
 
+#: Fewest training rows a split leaves on either side.
+MIN_EXAMPLES_PER_LEAF = 2
+
+
 @dataclass
 class TrainConfig:
     iterations: int = 1000
     max_leaves: int = 10
     learning_rate: float = 0.1
     subsample_fraction: float = 0.5
-    min_examples_per_leaf: int = 2
     rng_seed: int = 0
 
     def validate(self) -> None:
@@ -275,6 +278,7 @@ class _Grower:
     """One least-squares regression tree per problem, grown in lock step.
 
     Tree p fits the residuals ``r[p]`` (k,) on the rows of ``X[p]`` (k, C),
+    a split leaving at least ``min_per_leaf`` (>= 1) rows on either side,
     row i of tree p having the id ``p * k + i``; ``order[p, c]`` lists the
     rows by column c's values, stably. Each column's order is kept as
     ``order`` (row ids), ``vals`` (the column's values) and ``res`` (the
@@ -384,9 +388,7 @@ class _Grower:
             return
         mpl = self.min_per_leaf
         ahead = self.ahead[: L - 1]
-        allowed = ahead < (m - max(mpl, 1))[:, None]
-        if mpl > 1:
-            allowed &= ahead >= mpl - 1
+        allowed = (ahead < (m - mpl)[:, None]) & (ahead >= mpl - 1)
         sv = sv[:, :C]
         valid = sv[:, :, 1:] > sv[:, :, :-1]
         valid &= allowed[:, None, :]
@@ -542,7 +544,7 @@ def _boost(problems: Sequence[Problem]) -> list:
             order = ranked
         starts, child, feat, value = _Grower(
             XF[first, rows], Y[first, rows] - F[first, rows], order,
-            cfg.max_leaves, cfg.min_examples_per_leaf,
+            cfg.max_leaves, MIN_EXAMPLES_PER_LEAF,
         ).grow()
         leaves = _walk(child, feat, value, XF.reshape(P * n, C), every, np.repeat(starts[:-1], n))
         F += cfg.learning_rate * value[leaves].astype(np.float64).reshape(P, n)

@@ -142,6 +142,16 @@ def preorder(root: PlanNode, mirrored: bool = False) -> Iterator[tuple[PlanNode,
                 stack.append((child, op))
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """The sum of ``values`` added left to right in float64. Python 3.12's
+    ``sum()`` compensates float rounding, so it would change estimates and
+    reports with the interpreter version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass
 class QueryPlan:
     query_id: str
@@ -155,21 +165,20 @@ class QueryPlan:
     def nodes(self) -> list[PlanNode]:
         return list(self.root.walk())
 
-    def observed_total(self, resource: str) -> float:
-        total = 0.0
+    def labels(self, resource: str) -> list[float]:
+        """Every node's observed ``resource`` label, in pre-order; a node
+        without one raises :class:`PlanError`."""
+        labels = []
         for node in self.root.walk():
             if node.observed is None or resource not in node.observed:
                 raise PlanError(
                     f"plan {self.query_id}: missing observed label for {resource!r}"
                 )
-            total += node.observed[resource]
-        return total
+            labels.append(node.observed[resource])
+        return labels
 
-    def has_labels(self, resource: str) -> bool:
-        return all(
-            node.observed is not None and resource in node.observed
-            for node in self.root.walk()
-        )
+    def observed_total(self, resource: str) -> float:
+        return ordered_sum(self.labels(resource))
 
 
 @dataclass

@@ -8,6 +8,7 @@ through a compact binary format (magic "QRES").
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from .features import (
     featurize_many,
 )
 from .gbrt import MartModel, TrainConfig, Tree, TrainingError
-from .plan import JOIN_OPS, OperatorType, QueryPlan, decompose_pipelines
+from .plan import JOIN_OPS, OperatorType, QueryPlan, decompose_pipelines, ordered_sum
 from .scaling import (
     POWER_EXPONENT_GRID,
     SINGLE_FEATURE_CANDIDATES,
@@ -47,6 +48,9 @@ _RESOURCE_NAME = {v: k for k, v in _RESOURCE_CODE.items()}
 
 MAGIC = b"QRES"
 FORMAT_VERSION = 1
+
+#: Model files store feature ranges, thresholds and leaf values as float32.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class RegistryError(ValueError):
@@ -269,10 +273,10 @@ def _query_estimate(
 ) -> QueryEstimate:
     """The plan's estimate from its operators' values, keyed by node id."""
     per_pipeline = [
-        sum(estimates[id(n)] for n in p.nodes) for p in decompose_pipelines(plan)
+        ordered_sum(estimates[id(n)] for n in p.nodes) for p in decompose_pipelines(plan)
     ]
     return QueryEstimate(
-        total=sum(per_pipeline), per_pipeline=per_pipeline, per_operator=per_operator
+        total=ordered_sum(per_pipeline), per_pipeline=per_pipeline, per_operator=per_operator
     )
 
 
@@ -316,7 +320,7 @@ def operator_estimates(
         if plain:
             pick = np.zeros(len(X), dtype=np.intp)
         else:
-            pick = _select_rows(registry, entry, X)
+            pick = _select_rows(entry, X)
         values = np.empty(len(X))
         for idx in np.unique(pick):
             rows = np.flatnonzero(pick == idx)
@@ -393,11 +397,11 @@ def _pad_keys(keys: np.ndarray, width: int) -> np.ndarray:
     return np.pad(keys, ((0, 0), (0, width - keys.shape[1])), constant_values=-math.inf)
 
 
-def _select_rows(registry: ModelRegistry, entry: RegistryEntry, X: np.ndarray) -> np.ndarray:
+def _select_rows(entry: RegistryEntry, X: np.ndarray) -> np.ndarray:
     """:func:`select_model`'s pick for every row of ``X``: the default model
     where its ratios are all 0, else the model of the least key, ties going
-    to the lower index. Ratios are never NaN on finite rows; rows with a
-    non-finite feature are passed to :func:`select_model` itself."""
+    to the lower index. Featurization keeps every row finite, so no ratio is
+    NaN and the keys order as :func:`select_model`'s tuples do."""
     op = entry.op
     pick = np.full(len(X), entry.default_idx, dtype=np.intp)
     ratios, inf_rows = _out_ratio_rows(X, op, entry.models[entry.default_idx])
@@ -415,10 +419,6 @@ def _select_rows(registry: ModelRegistry, entry: RegistryEntry, X: np.ndarray) -
             better = differ.any(axis=1) & (keys[rows, first] < best[rows, first])
             best[better] = keys[better]
             pick[out[better]] = idx
-    for i in np.flatnonzero(~np.isfinite(X).all(axis=1)):
-        values = {f: float(X[i, f]) for f in applicable_features(op)}
-        fv = FeatureVector(op=op, values=values)
-        pick[i] = select_model(registry, op, entry.resource, fv)[1]
     return pick
 
 
@@ -447,19 +447,11 @@ def _estimate_rows(model, X: np.ndarray, op: OperatorType) -> np.ndarray:
 def collect_examples(
     plans: Sequence[QueryPlan], resource: str, source: str = "true"
 ) -> dict[OperatorType, tuple[np.ndarray, np.ndarray]]:
-    """Every labeled operator instance, featurized in one pass and grouped by
+    """Every operator instance, featurized in one pass and grouped by
     operator type: ``{op: (X, y)}``, X the raw rows of
-    :attr:`FeatureBatch.raw` and y their labels."""
+    :attr:`FeatureBatch.raw` and y their labels by :meth:`QueryPlan.labels`."""
+    y = np.array([v for plan in plans for v in plan.labels(resource)], dtype=np.float64)
     batch = featurize_many(plans, source)
-    labels = []
-    for plan, lo, hi in zip(plans, batch.bounds, batch.bounds[1:]):
-        for node in batch.nodes[lo:hi]:
-            if node.observed is None or resource not in node.observed:
-                raise RegistryError(
-                    f"plan {plan.query_id}: node lacks observed {resource!r} label"
-                )
-            labels.append(node.observed[resource])
-    y = np.array(labels, dtype=np.float64)
     return {op: (X, y[batch.at[op]]) for op, X in batch.raw.items()}
 
 
@@ -494,14 +486,7 @@ def _training_sse(model, X: np.ndarray, op: OperatorType, y: np.ndarray) -> floa
 
 
 def _model_cfg(cfg: TrainConfig, salt: int) -> TrainConfig:
-    return TrainConfig(
-        iterations=cfg.iterations,
-        max_leaves=cfg.max_leaves,
-        learning_rate=cfg.learning_rate,
-        subsample_fraction=cfg.subsample_fraction,
-        min_examples_per_leaf=cfg.min_examples_per_leaf,
-        rng_seed=(cfg.rng_seed * 1000003 + salt) % (2**31),
-    )
+    return dataclasses.replace(cfg, rng_seed=(cfg.rng_seed * 1000003 + salt) % (2**31))
 
 
 def train_entry(
@@ -549,11 +534,20 @@ def train_registry(
     cfg: TrainConfig,
     source: str = "true",
 ) -> ModelRegistry:
-    registry = ModelRegistry()
+    """One entry per operator type and resource. The rows of every resource
+    are collected and checked before any model is trained."""
+    rows = {}
     for resource in resources:
         if resource not in RESOURCES:
             raise RegistryError(f"unknown resource {resource!r}")
-        by_op = collect_examples(plans, resource, source)
+        rows[resource] = collect_examples(plans, resource, source)
+        for op, (X, y) in rows[resource].items():
+            if max(np.abs(X).max(), np.abs(y).max()) > _FLOAT32_MAX:
+                raise RegistryError(
+                    f"{op.name} {resource} training data beyond the float32 range of model files"
+                )
+    registry = ModelRegistry()
+    for resource, by_op in rows.items():
         for op in sorted(by_op):
             registry.entries[(op, resource)] = train_entry(op, resource, *by_op[op], cfg)
     return registry

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -148,16 +148,6 @@ def default_oracles() -> dict[tuple[OperatorType, str], OracleFn]:
         (OperatorType.IndexSeek, "logical_io"): lambda v: v[F.INDEXDEPTH] + math.ceil(v[F.COUT] / tpp),
     }
     return o
-
-
-@dataclass
-class OracleSpec:
-    costs: dict[tuple[OperatorType, str], OracleFn] = field(default_factory=default_oracles)
-    noise_sigma: float = 0.0
-
-    def cost(self, op: OperatorType, resource: str, features: dict[FeatureId, float]) -> float:
-        fn = self.costs.get((op, resource))
-        return float(fn(features)) if fn is not None else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -361,28 +351,30 @@ def _assign_optimizer_cost(root: PlanNode) -> None:
         node.est_io_cost = max(node.est_io_cost, 1e-6)
 
 
-def _assign_labels(root: PlanNode, oracle: OracleSpec, rng) -> None:
+def _assign_labels(
+    root: PlanNode, oracles: dict[tuple[OperatorType, str], OracleFn], noise_sigma: float, rng
+) -> None:
+    """Label every node by its :func:`default_oracles` cost (0 where none is
+    defined) times lognormal noise."""
     # The draw order is part of the corpus: pre-order, children left to right.
     for node, fv in featurize(root, source="true"):
         node.observed = {}
         for resource in ("cpu_us", "logical_io"):
-            value = oracle.cost(node.op, resource, fv.values)
-            if oracle.noise_sigma > 0:
-                value *= math.exp(rng.normal(0.0, oracle.noise_sigma))
+            fn = oracles.get((node.op, resource))
+            value = float(fn(fv.values)) if fn is not None else 0.0
+            if noise_sigma > 0:
+                value *= math.exp(rng.normal(0.0, noise_sigma))
             node.observed[resource] = value
 
 
-def generate_corpus(
-    spec: CorpusSpec, oracle: Optional[OracleSpec] = None
-) -> list[QueryPlan]:
+def generate_corpus(spec: CorpusSpec) -> list[QueryPlan]:
     """Deterministically generate a labeled plan corpus from a spec.
 
     Per-query RNG streams are spawned from the corpus seed, so generation is
     order-independent and reproducible.
     """
     spec.validate()
-    if oracle is None:
-        oracle = OracleSpec(noise_sigma=spec.noise_sigma)
+    oracles = default_oracles()
     names = sorted(k for k, w in spec.templates.items() if w > 0)
     weights = np.array([spec.templates[k] for k in names], dtype=np.float64)
     weights /= weights.sum()
@@ -396,7 +388,7 @@ def generate_corpus(
         root = _TEMPLATES[template](rng, tables)
         _assign_estimates(root, rng, spec.card_bias, spec.card_sigma)
         _assign_optimizer_cost(root)
-        _assign_labels(root, oracle, rng)
+        _assign_labels(root, oracles, spec.noise_sigma, rng)
         plan = QueryPlan(
             query_id=f"q{qidx:05d}", root=root, scale=scale, template=template
         )

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qres.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from qres.plan import plan_to_json
@@ -450,3 +452,159 @@ def test_estimate_with_directory_path_is_data_error(workspace, tmp_path, capsys,
     argv = ["estimate"] + [part for item in paths.items() for part in item]
     assert main(argv) == EXIT_DATA
     assert "Is a directory" in capsys.readouterr().err
+
+
+def _changed_corpus(corpus, path, section: str, key: str, value) -> str:
+    """The corpus file ``corpus`` with ``root[section][key]`` of its first
+    HashJoin plan set to ``value``, written to ``path``."""
+    docs = [json.loads(line) for line in corpus.read_text().splitlines()]
+    next(d["root"] for d in docs if d["root"]["op"] == "HashJoin")[section][key] = value
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["estimate", "eval", "train"])
+def test_plan_whose_feature_overflows_is_data_error(workspace, tmp_path, capsys, command):
+    # 1e307 hash operations per tuple is a finite JSON number, but times the
+    # build side's cardinality it is past the largest float.
+    _, _, corpus, model = workspace
+    plans = _changed_corpus(corpus, tmp_path / "plans.jsonl", "cols", "hash_ops_per_tuple", 1e307)
+    out = tmp_path / "out"
+    argv = {
+        "estimate": ["estimate", "--model", str(model), "--plans", plans, "--resource", "io",
+                     "--out", str(out)],
+        "eval": ["eval", "--model", str(model), "--corpus", plans, "--resource", "io",
+                 "--out", str(out)],
+        "train": ["train", "--corpus", plans, "--out", str(out), "--iterations", "2"],
+    }[command]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: plan q\d+: HashJoin operator: feature HASHOPTOT is not finite \(inf\)\n", err
+    )
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("section,key", [
+    pytest.param("cols", "hash_ops_per_tuple", id="feature"),
+    pytest.param("observed", "cpu_us", id="label"),
+])
+def test_train_on_data_beyond_float32_range_is_data_error(
+    workspace, tmp_path, capsys, section, key
+):
+    # 1e39 fits a float64 but not the float32 numbers of a model file.
+    _, _, corpus, _ = workspace
+    plans = _changed_corpus(corpus, tmp_path / "plans.jsonl", section, key, 1e39)
+    out = tmp_path / "model.bin"
+    assert main(["train", "--corpus", plans, "--out", str(out), "--iterations", "2"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == "error: HashJoin cpu_us training data beyond the float32 range of model files\n"
+    assert not out.exists()
+
+
+def test_train_on_corpus_lacking_a_resource_fails_before_training(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    from qres import registry
+    from qres.gbrt import TrainConfig
+    from qres.plan import PlanError, load_corpus
+
+    _, _, corpus, _ = workspace
+    docs = [json.loads(line) for line in corpus.read_text().splitlines()]
+    for doc in docs:
+        stack = [doc["root"]]
+        while stack:
+            node = stack.pop()
+            del node["observed"]["logical_io"]
+            stack.extend(node.get("children", []))
+    plans = tmp_path / "cpu-only.jsonl"
+    plans.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    trained = []
+    monkeypatch.setattr(registry, "train_entry", lambda *args: trained.append(args[:2]))
+    out = tmp_path / "model.bin"
+    argv = ["train", "--corpus", str(plans), "--out", str(out), "--resource", "both"]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == "error: plan q00000: missing observed label for 'logical_io'\n"
+    assert not out.exists()
+    with pytest.raises(PlanError, match="missing observed label for 'logical_io'"):
+        registry.train_registry(load_corpus(str(plans)), ["cpu_us", "logical_io"], TrainConfig())
+    assert trained == []
+
+
+#: Values of other types; each draw builds a new list or object, so that a
+#: later mutation cannot reach a value shared with another field.
+_SWAPPED = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.builds(list), st.builds(dict),
+    st.builds(lambda: [1.0]), st.builds(lambda: {"a": 1}),
+)
+#: Integers and floats from 1e295 to 1e307: finite, but a product of two
+#: plan fields of this size, or of one and a cardinality, overflows a float.
+_HUGE = st.integers(0, 12).flatmap(lambda d: st.sampled_from([10 ** (307 - d), 10.0 ** (307 - d)]))
+
+
+def _fields(doc, out):
+    """``(object, key)`` of every field of every JSON object in ``doc``."""
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            out.append((doc, key))
+            _fields(doc[key], out)
+    elif isinstance(doc, list):
+        for value in doc:
+            _fields(value, out)
+    return out
+
+
+@st.composite
+def _mutated_plans(draw, docs):
+    """A valid plan document with one to three fields deleted, given a value
+    of another type, or, for a number, given a huge finite number."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(docs))))
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["huge", "swap", "delete"]))
+        fields = [
+            (target, key) for target, key in _fields(doc, [])
+            if how != "huge" or type(target[key]) in (int, float)
+        ]
+        if not fields:
+            continue
+        target, key = draw(st.sampled_from(fields))
+        if how == "delete":
+            del target[key]
+        else:
+            target[key] = draw(_SWAPPED if how == "swap" else _HUGE)
+    return doc
+
+
+def test_estimate_on_mutated_plans_never_fails_internally(workspace):
+    # Bad plan input ends in exit 0, 1 or 2, never in an internal error, and
+    # a plan estimated with exit 0 has finite features and a finite estimate.
+    import contextlib
+    import io
+    import math
+
+    from qres.features import featurize
+    from qres.plan import load_corpus
+
+    root, _, corpus, model = workspace
+    docs = [json.loads(line) for line in corpus.read_text().splitlines()[:6]]
+    plans, out = root / "mutated.jsonl", root / "mutated-est.json"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        _mutated_plans(docs), st.sampled_from(["cpu", "io"]), st.sampled_from(["true", "estimated"])
+    )
+    def check(doc, resource, source):
+        plans.write_text(json.dumps(doc) + "\n")
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(["estimate", "--model", str(model), "--plans", str(plans),
+                         "--resource", resource, "--source", source, "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == EXIT_OK:
+            for plan in load_corpus(str(plans)):
+                values = [v for _, fv in featurize(plan.root, source) for v in fv.values.values()]
+                assert all(map(math.isfinite, values))
+            assert all(math.isfinite(e["total"]) for e in json.loads(out.read_text()))
+
+    check()

@@ -492,7 +492,7 @@ def _reference_boost(examples, cfg: TrainConfig):
     for _ in range(cfg.iterations):
         rows = np.sort(rng.choice(n, size=k, replace=False)) if k < n else np.arange(n)
         child, column, value = _reference_tree(
-            X[rows], y[rows] - Fx[rows], cfg.max_leaves, cfg.min_examples_per_leaf
+            X[rows], y[rows] - Fx[rows], cfg.max_leaves, gbrt.MIN_EXAMPLES_PER_LEAF
         )
         step = np.empty(n)
         for i in range(n):
@@ -551,7 +551,6 @@ FAMILY_CASES = {
     "one leaf": (60, TrainConfig(iterations=4, max_leaves=1), (3, 3), "uniform"),
     "ten leaves": (80, TrainConfig(iterations=6), (3, 2, 5), "uniform"),
     "forty leaves": (160, TrainConfig(iterations=3, max_leaves=40), (4, 4), "uniform"),
-    "three per leaf": (70, TrainConfig(iterations=5, min_examples_per_leaf=3), (3, 3), "uniform"),
     "full sample": (60, TrainConfig(iterations=5, subsample_fraction=1.0), (2, 4), "uniform"),
     "ties": (90, TrainConfig(iterations=5, max_leaves=12), (4, 3, 2), "ties"),
     "midpoint guard": (40, TrainConfig(iterations=3, subsample_fraction=1.0), (2, 3), "guard"),

@@ -218,12 +218,15 @@ def test_one_line_plan_file_with_bad_field_is_plan_error(tmp_path, case):
         load_corpus(str(path))
 
 
-def test_observed_total_and_has_labels():
+def test_observed_total_and_labels():
     plan = sort_over_scan()
-    assert not plan.has_labels("cpu_us")
+    for read in (plan.labels, plan.observed_total):
+        with pytest.raises(PlanError, match="plan sort-scan: missing observed label for 'cpu_us'"):
+            read("cpu_us")
+    for value, node in enumerate(plan.nodes(), 1):
+        node.observed = {"cpu_us": float(value)}
+    assert plan.labels("cpu_us") == [1.0, 2.0]
+    assert plan.observed_total("cpu_us") == 3.0
+    plan.root.children[0].observed = {"logical_io": 1.0}
     with pytest.raises(PlanError, match="missing observed"):
-        plan.observed_total("cpu_us")
-    for node in plan.nodes():
-        node.observed = {"cpu_us": 2.0}
-    assert plan.has_labels("cpu_us")
-    assert plan.observed_total("cpu_us") == 4.0
+        plan.labels("cpu_us")

@@ -26,7 +26,7 @@ from qres.features import (
     featurize_many,
 )
 from qres.gbrt import TrainConfig, Tree
-from qres.plan import NO_PARENT, OperatorType, PlanNode, QueryPlan
+from qres.plan import NO_PARENT, OperatorType, PlanError, PlanNode, QueryPlan
 from qres.registry import (
     CombinedModel,
     ModelRegistry,
@@ -301,7 +301,7 @@ def test_estimate_query_totals_consistent(trained):
 
 def test_collect_examples_requires_labels():
     plan = sort_over_scan()
-    with pytest.raises(RegistryError, match="lacks observed"):
+    with pytest.raises(PlanError, match="plan sort-scan: missing observed label"):
         collect_examples([plan], "cpu_us")
 
 
@@ -888,8 +888,10 @@ def test_overflowing_scale_factor_or_estimate_is_scaling_error(small_corpus):
 
 
 def test_estimate_many_with_non_finite_features(batch_case):
-    # A NaN or huge row width makes features NaN or inf, and normalizing inf
-    # by inf gives NaN ratios; the batch path leaves such rows to select_model.
+    # A NaN or huge row width makes a feature NaN or inf (a row width times
+    # a cardinality past the largest float). Featurization rejects such a
+    # plan with PlanError on both paths; plans whose features stay finite
+    # are estimated alike.
     import copy
 
     from qres.scaling import ScalingError
@@ -901,12 +903,21 @@ def test_estimate_many_with_non_finite_features(batch_case):
         nodes[i % len(nodes)].out_row_bytes = (math.nan, 1e307)[i % 2]
 
     def non_finite(plan):
-        values = [v for _, fv in featurize(plan.root) for v in fv.values.values()]
-        return not all(map(math.isfinite, values))
+        return not all(
+            math.isfinite(n.out_row_bytes * n.true_out_cardinality) for n in plan.root.walk()
+        )
 
+    bad = [p for p in plans if non_finite(p)]
+    good = [p for p in plans if not non_finite(p)]
+    assert len(bad) > len(plans) // 2 and good
     for resource in ("cpu_us", "logical_io"):
+        for plan in bad:
+            with pytest.raises(PlanError, match="feature .* is not finite"):
+                estimate_query(registry, plan, resource)
+            with pytest.raises(PlanError, match="feature .* is not finite"):
+                estimate_many(registry, [in_range[0], plan], resource)
         kept = []
-        for plan in plans:
+        for plan in good:
             try:
                 estimate_query(registry, plan, resource)
             except ScalingError:
@@ -914,5 +925,4 @@ def test_estimate_many_with_non_finite_features(batch_case):
                     estimate_many(registry, [plan], resource)
             else:
                 kept.append(plan)
-        assert sum(map(non_finite, kept)) >= len(plans) // 2
         _same_as_single(registry, kept, resource)

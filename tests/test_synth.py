@@ -13,7 +13,6 @@ from qres.synth import (
     INDEX_FANOUT,
     PAGE_BYTES,
     CorpusSpec,
-    OracleSpec,
     SynthError,
     TableSpec,
     _table_meta,
@@ -26,10 +25,12 @@ from qres.synth import (
 F = FeatureId
 
 
-def oracle_label(oracle: OracleSpec, node, parent_op: int, resource: str) -> float:
-    """Noiseless oracle value of one node (true-cardinality features)."""
+def oracle_label(node, parent_op: int, resource: str) -> float:
+    """Noiseless oracle value of one node (true-cardinality features), 0
+    where :func:`default_oracles` defines no cost."""
     fv = extract_features(node, parent_op, source="true")
-    return oracle.cost(node.op, resource, fv.values)
+    fn = default_oracles().get((node.op, resource))
+    return float(fn(fv.values)) if fn is not None else 0.0
 
 
 def base_spec(**over) -> CorpusSpec:
@@ -120,19 +121,18 @@ def test_plans_valid_and_labeled():
         plan.validate()
         assert plan.scale in (1.0, 2.0)
         assert plan.template in base_spec().templates
-        assert plan.has_labels("cpu_us") and plan.has_labels("logical_io")
+        assert len(plan.labels("cpu_us")) == len(plan.labels("logical_io")) == len(plan.nodes())
         assert plan.query_id.startswith("q")
 
 
 def test_noiseless_labels_match_oracle():
     corpus = generate_corpus(base_spec(noise_sigma=0.0))
-    oracle = OracleSpec()
     for plan in corpus:
         stack = [(plan.root, NO_PARENT)]
         while stack:
             node, parent = stack.pop()
             for resource in ("cpu_us", "logical_io"):
-                want = oracle_label(oracle, node, parent, resource)
+                want = oracle_label(node, parent, resource)
                 assert node.observed[resource] == pytest.approx(want)
             stack.extend((c, int(node.op)) for c in node.children)
 
@@ -160,8 +160,11 @@ def test_oracle_shapes_distinct():
 
 
 def test_unmapped_oracle_costs_zero():
-    oracle = OracleSpec()
-    assert oracle.cost(OperatorType.Filter, "logical_io", {}) == 0.0
+    assert (OperatorType.Filter, "logical_io") not in default_oracles()
+    corpus = generate_corpus(base_spec(noise_sigma=0.2, templates={"filter_scan": 1.0}))
+    for plan in corpus:
+        assert plan.root.op is OperatorType.Filter
+        assert plan.root.observed["logical_io"] == 0.0
 
 
 def test_cardinality_error_spares_full_scans():
@@ -190,10 +193,9 @@ def test_label_noise_is_multiplicative_lognormal():
     spec = base_spec(noise_sigma=0.2, query_count=200,
                      templates={"scan": 1.0})
     corpus = generate_corpus(spec)
-    oracle = OracleSpec()
     ratios = []
     for plan in corpus:
-        want = oracle_label(oracle, plan.root, NO_PARENT, "cpu_us")
+        want = oracle_label(plan.root, NO_PARENT, "cpu_us")
         ratios.append(plan.root.observed["cpu_us"] / want)
     logs = np.log(ratios)
     assert abs(float(np.mean(logs))) < 0.06
