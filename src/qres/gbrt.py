@@ -21,6 +21,9 @@ training applies each new tree to all of its rows with the same walk.
 Training boosts a family of independent problems (:func:`train_family`) in
 lock step: every iteration grows one tree per problem, and each best-first
 step scores the new leaves of all trees in one padded pass (:class:`_Grower`).
+Problems need to share only their row count and their settings but the seed,
+so ``registry.train_registry`` boosts the models of every operator and
+resource with one row count as one family, whatever their feature counts.
 Each column is sorted once per family, filtered to each tree's subsample, and
 carried down to a node's children by a stable partition, in the spirit of the
 attribute lists of SLIQ (Mehta et al., EDBT 1996) and SPRINT (Shafer et al.,

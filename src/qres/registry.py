@@ -133,11 +133,18 @@ def _combined_problem(
     op: OperatorType, X: np.ndarray, y: np.ndarray, terms: Sequence[ScaleTerm], cfg: TrainConfig
 ) -> gbrt.Problem:
     """The per-unit problem of a combined model on op's raw rows ``X``:
-    normalized features and targets divided by the scale factor."""
+    normalized features and targets divided by the scale factor. A scale
+    factor, feature or target beyond the float32 range of model files raises
+    :class:`TrainingError`."""
     g = np.array(_scale_factors(terms, X))
     X, _, kept = _normalize_rows(X, op, [f for t in terms for f in t.features])
     schema = sorted(kept)
-    return gbrt.Problem(schema, X[:, schema], y / g, cfg)
+    X = X[:, schema]
+    with np.errstate(all="ignore"):
+        y = y / g
+    if not all((np.abs(a) <= _FLOAT32_MAX).all() for a in (g, X, y)):
+        raise TrainingError("per-unit training data beyond the float32 range of model files")
+    return gbrt.Problem(schema, X, y, cfg)
 
 
 def estimate_with_model(model, fv: FeatureVector) -> float:
@@ -489,13 +496,14 @@ def _model_cfg(cfg: TrainConfig, salt: int) -> TrainConfig:
     return dataclasses.replace(cfg, rng_seed=(cfg.rng_seed * 1000003 + salt) % (2**31))
 
 
-def train_entry(
+def _entry_problems(
     op: OperatorType, resource: str, X: np.ndarray, y: np.ndarray, cfg: TrainConfig
-) -> RegistryEntry:
-    """Train the model family for one operator/resource on op's raw rows
-    ``X`` and targets ``y``: the plain model plus one combined model per
-    eligible scale feature (two-feature variant for joins), all boosted in
-    lock step, then designate the minimum-training-error model as default."""
+) -> tuple[list, list[gbrt.Problem]]:
+    """The training problems of one operator/resource family on op's raw
+    rows ``X`` and targets ``y``, with each one's scale terms (None for the
+    plain model): the plain problem plus one combined problem per eligible
+    scale feature (two-feature variant for joins). A candidate whose form fit
+    fails, or whose per-unit problem leaves float32, is left out."""
     schema = list(applicable_features(op))
     problems = [gbrt.Problem(schema, X[:, schema], y, _model_cfg(cfg, 0))]
     terms: list = [None]
@@ -513,9 +521,17 @@ def train_entry(
             terms.append([term])
         except (ScalingError, FeatureError, TrainingError):
             pass
+    return terms, problems
+
+
+def _build_entry(
+    op: OperatorType, resource: str, X: np.ndarray, y: np.ndarray, terms: list, marts: list
+) -> RegistryEntry:
+    """The entry of the ensembles ``marts`` trained on the problems of
+    :func:`_entry_problems`, with the minimum-training-error model as default."""
     models = [
         mart if t is None else CombinedModel(terms=t, scaled_model=mart)
-        for t, mart in zip(terms, gbrt.train_family(problems))
+        for t, mart in zip(terms, marts)
     ]
     sses = [_training_sse(model, X, op, y) for model in models]
     default_idx = min(range(len(models)), key=lambda i: (sses[i], i))
@@ -528,14 +544,26 @@ def train_entry(
     )
 
 
+def train_entry(
+    op: OperatorType, resource: str, X: np.ndarray, y: np.ndarray, cfg: TrainConfig
+) -> RegistryEntry:
+    """Train the model family for one operator/resource on op's raw rows
+    ``X`` and targets ``y``, all models boosted in lock step."""
+    terms, problems = _entry_problems(op, resource, X, y, cfg)
+    return _build_entry(op, resource, X, y, terms, gbrt.train_family(problems))
+
+
 def train_registry(
     plans: Sequence[QueryPlan],
     resources: Sequence[str],
     cfg: TrainConfig,
     source: str = "true",
 ) -> ModelRegistry:
-    """One entry per operator type and resource. The rows of every resource
-    are collected and checked before any model is trained."""
+    """One entry per operator type and resource, each as :func:`train_entry`
+    trains it. The rows of every resource are collected and checked before
+    any model is trained. The problems of all entries differ only in their
+    seeds, so every problem of one row count, across operators and
+    resources, is boosted in one lock-step :func:`gbrt.train_family` call."""
     rows = {}
     for resource in resources:
         if resource not in RESOURCES:
@@ -546,27 +574,27 @@ def train_registry(
                 raise RegistryError(
                     f"{op.name} {resource} training data beyond the float32 range of model files"
                 )
-    registry = ModelRegistry()
+    pending = []
+    by_rows: dict[int, list[gbrt.Problem]] = {}
     for resource, by_op in rows.items():
         for op in sorted(by_op):
-            registry.entries[(op, resource)] = train_entry(op, resource, *by_op[op], cfg)
+            X, y = by_op[op]
+            terms, problems = _entry_problems(op, resource, X, y, cfg)
+            pending.append((op, resource, X, y, terms))
+            by_rows.setdefault(len(y), []).extend(problems)
+    trained = {n: iter(gbrt.train_family(problems)) for n, problems in by_rows.items()}
+    registry = ModelRegistry()
+    for op, resource, X, y, terms in pending:
+        marts = [next(trained[len(y)]) for _ in terms]
+        registry.entries[(op, resource)] = _build_entry(op, resource, X, y, terms, marts)
     return registry
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
-
-def _encode_tree(tree: Tree, out: bytearray) -> None:
-    n = tree.n_nodes
-    if n > 255:
-        raise RegistryError("tree too large for one-byte node count")
-    out.append(n)
-    vals = np.asarray(tree.value, dtype="<f4").tobytes()
-    for i in range(n):
-        out.append(int(tree.child[i]))
-        out.append(int(tree.feature[i]))
-        out += vals[4 * i : 4 * i + 4]
+#: One stored tree node: right-child offset, feature code, value.
+_NODE = np.dtype([("child", "u1"), ("feature", "u1"), ("value", "<f4")])
 
 
 def _encode_mart(model: MartModel, out: bytearray) -> None:
@@ -578,8 +606,14 @@ def _encode_mart(model: MartModel, out: bytearray) -> None:
         low, high = model.feature_stats[f]
         out += struct.pack("<ff", np.float32(low), np.float32(high))
     out += struct.pack("<H", len(model.trees))
-    for tree in model.trees:
-        _encode_tree(tree, out)
+    # Every node of every tree in one write, each tree led by its node count.
+    starts, child, feat, val = model.packed()
+    sizes = np.diff(starts)
+    if (sizes > 255).any():
+        raise RegistryError("tree too large for one-byte node count")
+    nodes = np.empty(len(child), dtype=_NODE)
+    nodes["child"], nodes["feature"], nodes["value"] = child, feat, val
+    out += np.insert(nodes.view(np.uint8), starts[:-1] * _NODE.itemsize, sizes).tobytes()
 
 
 def serialize(registry: ModelRegistry) -> bytes:
@@ -630,9 +664,6 @@ class _Reader:
     def f32(self) -> float:
         return float(np.frombuffer(self.take(4), dtype="<f4")[0])
 
-
-#: One stored tree node: right-child offset, feature code, value.
-_NODE = np.dtype([("child", "u1"), ("feature", "u1"), ("value", "<f4")])
 
 #: Members of each stored enum by code; a code with no member is corrupt.
 _MEMBERS = {cls: {int(m): m for m in cls} for cls in (OperatorType, FeatureId, FormKind)}

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .features import FeatureId, featurize, lg
-from .plan import OperatorType, PlanNode, QueryPlan, TableMeta, finite_float, preorder
+from .plan import OperatorType, PlanNode, QueryPlan, TableMeta, finite_float, finite_int, preorder
 
 F = FeatureId
 
@@ -94,9 +94,9 @@ def spec_from_json(text: str) -> CorpusSpec:
             tables=[
                 TableSpec(
                     table_id=str(t["table_id"]),
-                    base_tuples=int(t["base_tuples"]),
+                    base_tuples=finite_int(t["base_tuples"]),
                     row_bytes=finite_float(t["row_bytes"]),
-                    columns=int(t["columns"]),
+                    columns=finite_int(t["columns"]),
                 )
                 for t in doc["tables"]
             ],
@@ -155,6 +155,8 @@ def default_oracles() -> dict[tuple[OperatorType, str], OracleFn]:
 
 
 def _table_meta(t: TableSpec, scale: float) -> TableMeta:
+    if not math.isfinite(t.base_tuples * scale * t.row_bytes):
+        raise SynthError(f"table {t.table_id} at scale {scale:g}: tuple or page count overflows")
     tuples = max(1, int(round(t.base_tuples * scale)))
     pages = max(1, math.ceil(tuples * t.row_bytes / PAGE_BYTES))
     depth = max(1, math.ceil(math.log(max(tuples, 2)) / math.log(INDEX_FANOUT)))
@@ -318,16 +320,25 @@ SORT_SCAN_TEMPLATES = frozenset({"scan", "filter_scan", "sort_scan", "sort_filte
 _EXACT_CARD_OPS = frozenset({OperatorType.TableScan, OperatorType.IndexScan})
 
 
+def _lognormal(rng, sigma: float) -> float:
+    """One lognormal noise factor ``exp(N(0, sigma))``."""
+    try:
+        return math.exp(rng.normal(0.0, sigma))
+    except OverflowError:
+        raise SynthError(f"noise level {sigma:g} overflows a float") from None
+
+
 def _assign_estimates(root: PlanNode, rng, bias: float, sigma: float) -> None:
     # The draw order is part of the corpus: post-order, children left to right.
     for node, _ in reversed(list(preorder(root, mirrored=True))):
         if node.op in _EXACT_CARD_OPS:
             node.est_out_cardinality = node.true_out_cardinality
         else:
-            noise = math.exp(rng.normal(0.0, sigma)) if sigma > 0 else 1.0
-            node.est_out_cardinality = max(
-                1, math.ceil(node.true_out_cardinality * bias * noise)
-            )
+            noise = _lognormal(rng, sigma) if sigma > 0 else 1.0
+            est = node.true_out_cardinality * bias * noise
+            if not math.isfinite(est):
+                raise SynthError(f"{node.op.name} cardinality estimate overflows a float")
+            node.est_out_cardinality = max(1, math.ceil(est))
 
 
 def _assign_optimizer_cost(root: PlanNode) -> None:
@@ -363,7 +374,9 @@ def _assign_labels(
             fn = oracles.get((node.op, resource))
             value = float(fn(fv.values)) if fn is not None else 0.0
             if noise_sigma > 0:
-                value *= math.exp(rng.normal(0.0, noise_sigma))
+                value *= _lognormal(rng, noise_sigma)
+            if not math.isfinite(value):
+                raise SynthError(f"{node.op.name} {resource} label overflows a float")
             node.observed[resource] = value
 
 

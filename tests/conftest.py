@@ -12,9 +12,9 @@ from qres.registry import (
     CombinedModel,
     ModelRegistry,
     RegistryEntry,
+    RegistryError,
     ScaleTerm,
     _combined_problem,
-    _encode_tree,
     collect_examples,
 )
 from qres.scaling import FormKind
@@ -113,10 +113,24 @@ def split_by_scale(corpus, threshold: float) -> tuple[list[QueryPlan], list[Quer
     return small, large
 
 
+def encode_tree(tree: gbrt.Tree, out: bytearray) -> None:
+    """The model file's bytes for one tree, node by node: the reference for
+    the bulk tree write of ``registry._encode_mart``."""
+    n = tree.n_nodes
+    if n > 255:
+        raise RegistryError("tree too large for one-byte node count")
+    out.append(n)
+    vals = np.asarray(tree.value, dtype="<f4").tobytes()
+    for i in range(n):
+        out.append(int(tree.child[i]))
+        out.append(int(tree.feature[i]))
+        out += vals[4 * i : 4 * i + 4]
+
+
 def encoded_tree_size(tree: gbrt.Tree) -> int:
-    """Bytes the model file spends on one tree, by the model encoder."""
+    """Bytes the model file spends on one tree."""
     out = bytearray()
-    _encode_tree(tree, out)
+    encode_tree(tree, out)
     return len(out)
 
 

@@ -420,6 +420,25 @@ def test_gen_on_non_positive_spec_size_is_data_error(tmp_path, capsys, change, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("change,message", [
+    pytest.param({"scales": [1e305]}, "table a at scale 1e+305: tuple or page count overflows",
+                 id="scale"),
+    pytest.param({"noise_sigma": 1e6}, "noise level 1e+06 overflows a float", id="label-noise"),
+    pytest.param({"card_sigma": 1e6}, "noise level 1e+06 overflows a float", id="card-noise"),
+    pytest.param({"card_bias": 1e305}, "HashJoin cardinality estimate overflows a float",
+                 id="card-bias"),
+    pytest.param({"tables": [{**SPEC["tables"][0], "base_tuples": 10**309}]},
+                 "malformed corpus spec: int too large", id="base-tuples"),
+])
+def test_gen_on_overflowing_spec_is_data_error(tmp_path, capsys, change, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, "templates": {"hash_join": 1.0}, **change}))
+    out = tmp_path / "c.jsonl"
+    assert main(["gen", "--spec", str(spec), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_train_on_empty_corpus_is_data_error(tmp_path, capsys):
     spec, corpus = tmp_path / "spec.json", tmp_path / "empty.jsonl"
     spec.write_text(json.dumps({**SPEC, "query_count": 0}))
@@ -485,6 +504,42 @@ def test_plan_whose_feature_overflows_is_data_error(workspace, tmp_path, capsys,
     assert not list(tmp_path.glob("out*"))
 
 
+def test_train_drops_a_scale_candidate_whose_per_unit_rows_leave_float32(tmp_path, capsys):
+    # A HashAggregate hashing 1e-40 times per tuple has a tiny but positive
+    # HASHOPTOT: its raw rows fit float32, but divided by it they do not.
+    import math
+
+    from qres.features import FeatureId
+    from qres.plan import OperatorType
+    from qres.registry import load_registry
+
+    spec, corpus = tmp_path / "spec.json", tmp_path / "corpus.jsonl"
+    spec.write_text(json.dumps({
+        **SPEC, "templates": {"hash_agg": 1.0, "hash_join": 1.0, "scan": 1.0}, "query_count": 40,
+    }))
+    assert main(["gen", "--spec", str(spec), "--out", str(corpus)]) == EXIT_OK
+    docs = [json.loads(line) for line in corpus.read_text().splitlines()]
+    next(d["root"] for d in docs if d["root"]["op"] == "HashAggregate")["cols"]["hash_ops_per_tuple"] = 1e-40
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text("".join(json.dumps(d) + "\n" for d in docs))
+
+    def hashoptot_models(corpus_path):
+        model = tmp_path / "model.bin"
+        assert main(["train", "--corpus", str(corpus_path), "--out", str(model),
+                     "--iterations", "5"]) == EXIT_OK
+        for resource in ("cpu", "io"):
+            out = tmp_path / "est.json"
+            assert main(["estimate", "--model", str(model), "--plans", str(plans),
+                         "--resource", resource, "--out", str(out)]) == EXIT_OK
+            assert all(math.isfinite(e["total"]) for e in json.loads(out.read_text()))
+        entry = load_registry(str(model)).entry(OperatorType.HashAggregate, "cpu_us")
+        return [m for m in entry.models if FeatureId.HASHOPTOT in getattr(m, "scale_feature_ids", [])]
+
+    assert hashoptot_models(corpus)
+    assert not hashoptot_models(plans)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("section,key", [
     pytest.param("cols", "hash_ops_per_tuple", id="feature"),
     pytest.param("observed", "cpu_us", id="label"),
@@ -505,7 +560,7 @@ def test_train_on_data_beyond_float32_range_is_data_error(
 def test_train_on_corpus_lacking_a_resource_fails_before_training(
     workspace, tmp_path, capsys, monkeypatch
 ):
-    from qres import registry
+    from qres import gbrt, registry
     from qres.gbrt import TrainConfig
     from qres.plan import PlanError, load_corpus
 
@@ -520,7 +575,7 @@ def test_train_on_corpus_lacking_a_resource_fails_before_training(
     plans = tmp_path / "cpu-only.jsonl"
     plans.write_text("".join(json.dumps(d) + "\n" for d in docs))
     trained = []
-    monkeypatch.setattr(registry, "train_entry", lambda *args: trained.append(args[:2]))
+    monkeypatch.setattr(gbrt, "train_family", trained.append)
     out = tmp_path / "model.bin"
     argv = ["train", "--corpus", str(plans), "--out", str(out), "--resource", "both"]
     assert main(argv) == EXIT_DATA
@@ -530,6 +585,55 @@ def test_train_on_corpus_lacking_a_resource_fails_before_training(
     with pytest.raises(PlanError, match="missing observed label for 'logical_io'"):
         registry.train_registry(load_corpus(str(plans)), ["cpu_us", "logical_io"], TrainConfig())
     assert trained == []
+
+
+#: Spec numbers, seven in eight of a usual size; the others are non-positive,
+#: any finite float, huge finite numbers or an integer past the float range.
+_SPEC_NUMBER = st.integers(0, 7).flatmap(lambda i: st.one_of(
+    st.integers(-2, 0), st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 12).flatmap(lambda d: st.sampled_from([10 ** (307 - d), 10.0 ** (307 - d)])),
+    st.just(10 ** 309),
+) if i == 0 else st.one_of(st.integers(1, 50_000), st.floats(0.001, 100.0)))
+
+
+@st.composite
+def _corpus_specs(draw):
+    """A corpus spec document: SPEC with its template weights, tables, scales
+    and noise settings redrawn, and at most three queries."""
+    names = ["scan", "sort_scan", "seek", "hash_agg", "hash_join", "merge_join", "nested_loop"]
+    tables = st.fixed_dictionaries({
+        "table_id": st.sampled_from(["a", "b"]),
+        "base_tuples": _SPEC_NUMBER,
+        "row_bytes": _SPEC_NUMBER,
+        "columns": _SPEC_NUMBER,
+    })
+    return {
+        "templates": draw(st.dictionaries(st.sampled_from(names), _SPEC_NUMBER, min_size=1, max_size=3)),
+        "tables": draw(st.lists(tables, min_size=1, max_size=2)),
+        "scales": draw(st.lists(_SPEC_NUMBER, min_size=1, max_size=3)),
+        "query_count": draw(st.integers(0, 3)),
+        "rng_seed": draw(st.integers(-1, 2**64)),
+        **{key: draw(_SPEC_NUMBER) for key in ("noise_sigma", "card_sigma", "card_bias")},
+    }
+
+
+def test_gen_on_drawn_specs_never_fails_internally(tmp_path):
+    # Any corpus spec ends in exit 0, 1 or 2, never in an internal error.
+    import contextlib
+    import io
+
+    spec, out = tmp_path / "spec.json", tmp_path / "c.jsonl"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_corpus_specs())
+    def check(doc):
+        spec.write_text(json.dumps(doc))
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["gen", "--spec", str(spec), "--out", str(out)])
+        assert code in (0, 1, 2)
+
+    check()
 
 
 #: Values of other types; each draw builds a new list or object, so that a

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     as_rows,
     build_combined,
+    encode_tree,
     encoded_tree_size,
     labeled_vectors,
     make_table,
@@ -25,7 +27,7 @@ from qres.features import (
     featurize,
     featurize_many,
 )
-from qres.gbrt import TrainConfig, Tree
+from qres.gbrt import MartModel, TrainConfig, Tree
 from qres.plan import NO_PARENT, OperatorType, PlanError, PlanNode, QueryPlan
 from qres.registry import (
     CombinedModel,
@@ -340,6 +342,24 @@ def test_combined_problem_rows_are_the_transformed_vectors(trained):
         assert problem.y.tolist() == [t / s for (_, t), s in zip(examples, g)]
 
 
+@pytest.mark.parametrize("kind,beta,cin,cout", [
+    pytest.param(FormKind.Power, 3.0, 1e13, None, id="scale-factor"),  # g = 1e39
+    pytest.param(FormKind.Power, 3.0, 1e-14, None, id="target"),  # g = 1e-42
+    pytest.param(FormKind.Log, 1.0, 1e-40, 1.0, id="feature"),  # g = 1, COUT / CIN1 = 1e40
+])
+def test_combined_problem_beyond_float32_is_training_error(kind, beta, cin, cout):
+    from qres.gbrt import TrainingError
+    from qres.registry import _combined_problem
+
+    vectors = [filter_fv(cin=c) for c in (100.0, 200.0, 400.0)]
+    term = [ScaleTerm(kind, (F.CIN1,), beta)]
+    X, y = as_rows([(fv, 5.0) for fv in vectors])
+    _combined_problem(OperatorType.Filter, X, y, term, TrainConfig())
+    X, y = as_rows([(fv, 5.0) for fv in vectors + [filter_fv(cin=cin, cout=cout)]])
+    with pytest.raises(TrainingError, match="per-unit training data beyond the float32 range"):
+        _combined_problem(OperatorType.Filter, X, y, term, TrainConfig())
+
+
 def test_train_registry_rejects_unknown_resource(trained):
     _, corpus = trained
     with pytest.raises(RegistryError, match="unknown resource"):
@@ -375,6 +395,59 @@ def test_tree_encoding_size():
     )
     assert encoded_tree_size(tree) == 115
     assert encoded_tree_size(tree) <= 130
+
+
+def _node_by_node_trees(model) -> bytes:
+    out = bytearray(struct.pack("<H", len(model.trees)))
+    for tree in model.trees:
+        encode_tree(tree, out)
+    return bytes(out)
+
+
+def _tree(n_splits: int) -> Tree:
+    """A chain of ``n_splits`` splits, each with a leaf on its left."""
+    return Tree(
+        child=np.array([2, 0] * n_splits + [0], dtype=np.uint8),
+        feature=np.array([3, 0] * n_splits + [0], dtype=np.uint8),
+        value=np.linspace(-1.0, 1.0, 2 * n_splits + 1, dtype=np.float32),
+    )
+
+
+@pytest.mark.parametrize("max_leaves", [1, 40])
+def test_bulk_tree_write_equals_node_by_node(small_corpus, max_leaves):
+    from qres.registry import _encode_mart
+
+    cfg = TrainConfig(iterations=6, max_leaves=max_leaves, rng_seed=2)
+    registry = train_registry(small_corpus, ["cpu_us"], cfg)
+    marts = [m.scaled_model if isinstance(m, CombinedModel) else m
+             for e in registry.entries.values() for m in e.models]
+    sizes = {t.n_nodes for m in marts for t in m.trees}
+    if max_leaves == 1:
+        assert sizes == {1}
+    else:
+        assert max(sizes) > 19
+    # Trees of 1, 19, 1 and 255 nodes, and a model of no trees.
+    hand = MartModel(0.0, [_tree(0), _tree(9), _tree(0), _tree(127)], 0.1, [F.CIN1],
+                     {F.CIN1: (0.0, 1.0)})
+    empty = MartModel(0.0, [], 0.1, [F.CIN1], {F.CIN1: (0.0, 1.0)})
+    for mart in marts + [hand, empty]:
+        out = bytearray()
+        _encode_mart(mart, out)
+        trees = _node_by_node_trees(mart)
+        assert bytes(out[len(out) - len(trees):]) == trees
+        assert len(out) - len(trees) == 9 + 9 * len(mart.schema)
+
+
+def test_tree_of_256_nodes_is_too_large_to_encode():
+    from qres.registry import _encode_mart
+
+    node = np.zeros(256, dtype=np.uint8)
+    big = MartModel(0.0, [_tree(1), Tree(node, node, node.astype(np.float32))], 0.1, [F.CIN1],
+                    {F.CIN1: (0.0, 1.0)})
+    with pytest.raises(RegistryError, match="tree too large"):
+        _encode_mart(big, bytearray())
+    with pytest.raises(RegistryError, match="tree too large"):
+        encode_tree(big.trees[1], bytearray())
 
 
 def test_deserialize_rejects_bad_magic():
@@ -630,6 +703,53 @@ def test_train_rmse_is_default_models_training_error(trained):
         default = entry.models[entry.default_idx]
         sse = sum((estimate_with_model(default, fv) - y) ** 2 for fv, y in examples)
         assert entry.train_rmse == pytest.approx((sse / len(examples)) ** 0.5, rel=1e-12)
+
+
+def test_grouped_training_equals_entry_by_entry_training(fast_cfg, monkeypatch):
+    # 20 plans of each template: operators share row counts, so one boost
+    # trains the families of several operators, of different schema widths.
+    import zlib
+
+    from qres import gbrt
+    from qres.features import applicable_features
+    from qres.registry import train_entry
+    from qres.synth import CorpusSpec, default_tables, generate_corpus
+
+    corpus = [
+        plan
+        for template in ("filter_scan", "hash_agg", "hash_join", "merge_join", "nested_loop",
+                         "scan", "seek", "sort_filter_scan", "sort_scan")
+        for plan in generate_corpus(CorpusSpec(
+            templates={template: 1.0}, tables=default_tables(), scales=[1.0, 2.0, 3.0, 4.0],
+            query_count=20, rng_seed=zlib.crc32(template.encode()), noise_sigma=0.05, card_sigma=0.1,
+        ))
+    ]
+    resources = ["cpu_us", "logical_io"]
+    rows = {r: collect_examples(corpus, r) for r in resources}
+    widths: dict[int, set] = {}
+    for by_op in rows.values():
+        for op, (_, y) in by_op.items():
+            widths.setdefault(len(y), set()).add(len(applicable_features(op)))
+    assert any(len(w) > 1 for w in widths.values())
+
+    calls = []
+    train_family = gbrt.train_family
+
+    def counted(problems):
+        calls.append(len(problems))
+        return train_family(problems)
+
+    monkeypatch.setattr(gbrt, "train_family", counted)
+    grouped = train_registry(corpus, resources, fast_cfg)
+    monkeypatch.undo()
+    assert len(calls) == len(widths)  # one boost per row count
+
+    alone = ModelRegistry({
+        (op, r): train_entry(op, r, X, y, fast_cfg) for r in resources for op, (X, y) in rows[r].items()
+    })
+    assert serialize(grouped) == serialize(alone)
+    picks = {k: (e.default_idx, e.train_rmse) for k, e in alone.entries.items()}
+    assert {k: (e.default_idx, e.train_rmse) for k, e in grouped.entries.items()} == picks
 
 
 def test_fixed_corpus_bytes_and_estimates_are_pinned(small_corpus, fast_cfg, tmp_path):
