@@ -88,14 +88,12 @@ class PlanNode:
     def validate(self, path: str = "root") -> None:
         """Check every node of the subtree; errors name the offending node's
         path from this node, e.g. ``root.children[0]``."""
-        # Child paths are pushed in the order the walk pushes the children,
-        # so each pop yields the path of the node just visited.
-        paths = [path]
+        paths = {id(self): path}
         for node, _ in preorder(self):
-            node_path = paths.pop()
+            node_path = paths[id(node)]
             node._validate_one(node_path)
-            for i in reversed(range(len(node.children))):
-                paths.append(f"{node_path}.children[{i}]")
+            for i, child in enumerate(node.children):
+                paths[id(child)] = f"{node_path}.children[{i}]"
 
     def _validate_one(self, path: str) -> None:
         arity = operator_arity(self.op)
@@ -193,46 +191,29 @@ class Pipeline:
     boundary: Optional[PlanNode] = None
 
 
-def _blocking_child_edges(node: PlanNode) -> list[int]:
-    """Child indices whose edge to this node is a pipeline boundary."""
-    if node.op in BLOCKING_OPS:
-        return [0]
-    if node.op is OperatorType.HashJoin:
-        return [0]  # build side
-    return []
-
-
 def decompose_pipelines(plan: QueryPlan) -> list[Pipeline]:
-    """Partition the plan's nodes into pipelines separated by blocking edges.
-
-    Ordering is deterministic: pipelines below a blocking boundary are listed
-    by pre-order position of the boundary operator; the root pipeline is last.
-    """
-    preorder_index = {id(n): i for i, n in enumerate(plan.root.walk())}
-    pending: list[tuple[PlanNode, Optional[PlanNode]]] = [(plan.root, None)]
+    """Partition the plan's nodes into pipelines, cut below every Sort and
+    HashAggregate and above every HashJoin's build side (child 0). The root
+    pipeline is listed last, the others by pre-order position of their
+    boundary; each lists its nodes level by level, left to right."""
+    root = Pipeline(nodes=[])
     pipelines: list[Pipeline] = []
-
-    while pending:
-        start, boundary = pending.pop(0)
-        members: list[PlanNode] = []
-        stack = [start]
-        while stack:
-            node = stack.pop(0)
-            members.append(node)
-            blocked = _blocking_child_edges(node)
-            for i, child in enumerate(node.children):
-                if i in blocked:
-                    pending.append((child, node))
-                else:
-                    stack.append(child)
-        pipelines.append(Pipeline(nodes=members, boundary=boundary))
-
-    def sort_key(p: Pipeline) -> tuple[int, int]:
-        if p.boundary is None:
-            return (1, 0)
-        return (0, preorder_index[id(p.boundary)])
-
-    pipelines.sort(key=sort_key)
+    # Each node's pipeline and its depth in it, set by the node's parent.
+    place = {id(plan.root): (root, 0)}
+    for node, _ in preorder(plan.root):
+        pipeline, depth = place[id(node)]
+        pipeline.nodes.append(node)
+        cut = node.op in BLOCKING_OPS or node.op is OperatorType.HashJoin
+        for i, child in enumerate(node.children):
+            if cut and i == 0:
+                pipelines.append(Pipeline(nodes=[], boundary=node))
+                place[id(child)] = (pipelines[-1], 0)
+            else:
+                place[id(child)] = (pipeline, depth + 1)
+    pipelines.append(root)
+    # A stable sort of pre-order by depth is level order on a tree.
+    for pipeline in pipelines:
+        pipeline.nodes.sort(key=lambda n: place[id(n)][1])
     return pipelines
 
 

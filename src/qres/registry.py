@@ -30,7 +30,7 @@ from .features import (
     featurize_many,
 )
 from .gbrt import MartModel, TrainConfig, Tree, TrainingError
-from .plan import JOIN_OPS, OperatorType, QueryPlan, decompose_pipelines, ordered_sum
+from .plan import JOIN_OPS, OperatorType, PlanNode, QueryPlan, decompose_pipelines, ordered_sum
 from .scaling import (
     POWER_EXPONENT_GRID,
     SINGLE_FEATURE_CANDIDATES,
@@ -265,26 +265,25 @@ def estimate_query(
 ) -> QueryEstimate:
     """Operator, pipeline, and query-level estimates; the total is the exact
     sum of the pipeline subtotals."""
-    estimates: dict[int, float] = {}
-    per_operator: list[tuple[str, float]] = []
+    nodes, values = [], []
     for node, fv in featurize(plan.root, source):
         model, _ = select_model(registry, node.op, resource, fv)
-        value = estimate_with_model(model, fv)
-        estimates[id(node)] = value
-        per_operator.append((node.op.name, value))
-    return _query_estimate(plan, estimates, per_operator)
+        nodes.append(node)
+        values.append(estimate_with_model(model, fv))
+    return _query_estimate(plan, nodes, values)
 
 
 def _query_estimate(
-    plan: QueryPlan, estimates: dict[int, float], per_operator: list[tuple[str, float]]
+    plan: QueryPlan, nodes: Sequence[PlanNode], values: Sequence[float]
 ) -> QueryEstimate:
-    """The plan's estimate from its operators' values, keyed by node id."""
+    """The plan's estimate from the ``values`` of its operators ``nodes``, in
+    pre-order."""
+    value_of = {id(n): v for n, v in zip(nodes, values)}
     per_pipeline = [
-        ordered_sum(estimates[id(n)] for n in p.nodes) for p in decompose_pipelines(plan)
+        ordered_sum(value_of[id(n)] for n in p.nodes) for p in decompose_pipelines(plan)
     ]
-    return QueryEstimate(
-        total=ordered_sum(per_pipeline), per_pipeline=per_pipeline, per_operator=per_operator
-    )
+    per_operator = [(n.op.name, v) for n, v in zip(nodes, values)]
+    return QueryEstimate(ordered_sum(per_pipeline), per_pipeline, per_operator)
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +306,7 @@ def estimate_batch(
     values = operator_estimates(registry, batch, resource).tolist()
     b = batch.bounds
     for i, plan in enumerate(batch.plans):
-        nodes, vals = batch.nodes[b[i] : b[i + 1]], values[b[i] : b[i + 1]]
-        yield _query_estimate(
-            plan,
-            {id(n): v for n, v in zip(nodes, vals)},
-            [(n.op.name, v) for n, v in zip(nodes, vals)],
-        )
+        yield _query_estimate(plan, batch.nodes[b[i] : b[i + 1]], values[b[i] : b[i + 1]])
 
 
 def operator_estimates(

@@ -89,12 +89,17 @@ class ScalingForm:
 
 
 def _fit_alpha(b: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    denom = float(np.dot(b, b))
-    if denom == 0.0:
-        raise ScalingError("degenerate observations: all-zero basis")
-    alpha = float(np.dot(b, y)) / denom
-    resid = y - alpha * b
-    return alpha, float(np.dot(resid, resid))
+    """``(alpha, SSE)``; a sum that overflows a float raises :class:`ScalingError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = float(np.dot(b, b))
+        if denom == 0.0:
+            raise ScalingError("degenerate observations: all-zero basis")
+        alpha = float(np.dot(b, y)) / denom
+        resid = y - alpha * b
+        sse = float(np.dot(resid, resid))
+    if not (math.isfinite(denom) and math.isfinite(alpha) and math.isfinite(sse)):
+        raise ScalingError("fit overflows: observations too large for a float")
+    return alpha, sse
 
 
 def fit_form(

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .features import FeatureId, featurize, lg
-from .plan import OperatorType, PlanNode, QueryPlan, TableMeta, finite_float, finite_int, preorder
+from .plan import OperatorType, PlanNode, QueryPlan, TableMeta, finite_float, finite_int, ordered_sum, preorder
 
 F = FeatureId
 
@@ -354,7 +354,7 @@ def _assign_optimizer_cost(root: PlanNode) -> None:
             else:
                 node.est_io_cost = node.table.page_count + 0.001 * node.table.tuple_count
         else:
-            cin = sum(float(c.est_out_cardinality) for c in node.children)
+            cin = ordered_sum(float(c.est_out_cardinality) for c in node.children)
             if op is OperatorType.Sort:
                 node.est_io_cost = 0.002 * cin * lg(cin)
             else:

@@ -463,6 +463,75 @@ def test_fit_scaling_on_bad_cell_is_data_error(tmp_path, capsys, row, problem):
     assert err == f"error: {csv_path} line 4: {problem} is not a finite number\n"
 
 
+@pytest.mark.parametrize("features,rows", [
+    pytest.param("CIN1", ["1e60,1e260", "2e60,3e260"], id="alpha-overflows"),
+    pytest.param("CIN1,CIN2", ["1e155,2,1", "2e155,3,2", "3e155,4,3"], id="denominator-overflows"),
+])
+def test_fit_scaling_on_overflowing_fit_is_data_error(tmp_path, capsys, features, rows):
+    # The sum of b*y (first case) or of b*b (second) overflows a float.
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_text("\n".join([features + ",resource"] + rows) + "\n")
+    assert main(["fit-scaling", "--csv", str(csv_path), "--features", features]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: fit overflows: observations too large for a float\n"
+
+
+#: A number from 1e-300 to 9e299.
+_MAGNITUDE = st.builds("{}e{}".format, st.integers(1, 9), st.integers(-300, 299))
+_ODD_CELL = st.one_of(
+    st.just("0"), _MAGNITUDE.map("-{}".format), st.sampled_from(["nan", "inf", "-inf", "", "x1"])
+)
+
+
+@st.composite
+def _fit_scaling_csvs(draw):
+    """``(features, CSV text)``: one or two feature columns and up to 30 rows.
+    Each column's numbers lie within up to 20 decades, often near 1; up to two
+    cells are replaced by zero, a negative number, a non-finite number, an
+    empty cell or text."""
+    features = draw(st.sampled_from(["CIN1", "CIN1,CIN2"]))
+    columns = []
+    for _ in range(features.count(",") + 2):
+        lo = draw(st.one_of(st.integers(-10, 10), st.integers(-300, 299)))
+        decades = st.integers(lo, min(299, lo + draw(st.integers(0, 20))))
+        columns.append(st.builds("{}e{}".format, st.integers(1, 9), decades))
+    rows = [[draw(c) for c in columns] for _ in range(draw(st.integers(0, 30)))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):
+        draw(st.sampled_from(rows))[draw(st.integers(0, len(columns) - 1))] = draw(_ODD_CELL)
+    return features, "\n".join([features + ",resource"] + [",".join(r) for r in rows]) + "\n"
+
+
+def test_fit_scaling_on_drawn_csvs_never_fails_internally(tmp_path):
+    # Any CSV ends in exit 0, 1 or 2; on exit 0 the report is strict JSON
+    # with finite fits.
+    import contextlib
+    import io
+    import math
+
+    def strict(name):
+        raise ValueError(f"{name} in fit-scaling output")
+
+    csv_path = tmp_path / "obs.csv"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_fit_scaling_csvs())
+    def check(drawn):
+        features, text = drawn
+        csv_path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(out):
+            code = main(["fit-scaling", "--csv", str(csv_path), "--features", features])
+        assert code in (0, 1, 2)
+        if code == EXIT_OK:
+            doc = json.loads(out.getvalue(), parse_constant=strict)
+            fits = [(c["alpha"], c["sse"]) for c in doc["candidates"]]
+            assert all(map(math.isfinite, [x for fit in fits for x in fit] + [doc["selected"]["alpha"]]))
+
+    check()
+
+
 @pytest.mark.parametrize("flag", ["--model", "--out"])
 def test_estimate_with_directory_path_is_data_error(workspace, tmp_path, capsys, flag):
     _, _, corpus, model = workspace

@@ -1,6 +1,8 @@
 """Plan model, validation, pipeline decomposition, and JSON round trips."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import make_table, scan_node, sort_over_scan
@@ -11,6 +13,7 @@ from qres.plan import (
     MAX_PLAN_DEPTH,
     NO_PARENT,
     OperatorType,
+    Pipeline,
     PlanError,
     PlanNode,
     QueryPlan,
@@ -21,6 +24,7 @@ from qres.plan import (
     plan_to_json,
     save_corpus,
 )
+from qres.synth import _TEMPLATES, CorpusSpec, generate_corpus
 
 
 def test_operator_codes_stable():
@@ -67,6 +71,12 @@ def test_validate_error_names_offending_path():
     plan.root.children[0].table = None
     with pytest.raises(PlanError, match=r"root\.children\[0\]"):
         plan.validate()
+    # A probe side below a build side: each parent names its children.
+    probe = PlanNode(op=OperatorType.Filter, children=[scan_node(make_table())])
+    join = PlanNode(op=OperatorType.HashJoin, children=[scan_node(make_table()), probe])
+    probe.children[0].true_out_cardinality = -1
+    with pytest.raises(PlanError, match=r"^root\.children\[1\]\.children\[0\]: negative"):
+        join.validate()
 
 
 def test_pipeline_sort_over_scan():
@@ -112,6 +122,59 @@ def test_non_blocking_ops_never_cut(small_corpus):
         for pipe in decompose_pipelines(plan):
             if pipe.boundary is not None:
                 assert pipe.boundary.op in BLOCKING_OPS | {OperatorType.HashJoin}
+
+
+def _reference_pipelines(plan: QueryPlan) -> list[Pipeline]:
+    """The queue-based decomposition: each pipeline is walked breadth first
+    from its start, and each blocking edge queues a new pipeline."""
+    preorder_index = {id(n): i for i, n in enumerate(plan.root.walk())}
+    pending = [(plan.root, None)]
+    pipelines = []
+    while pending:
+        start, boundary = pending.pop(0)
+        members = []
+        queue = [start]
+        while queue:
+            node = queue.pop(0)
+            members.append(node)
+            cut = node.op in BLOCKING_OPS or node.op is OperatorType.HashJoin
+            for i, child in enumerate(node.children):
+                if cut and i == 0:
+                    pending.append((child, node))
+                else:
+                    queue.append(child)
+        pipelines.append(Pipeline(nodes=members, boundary=boundary))
+    pipelines.sort(key=lambda p: (1, 0) if p.boundary is None else (0, preorder_index[id(p.boundary)]))
+    return pipelines
+
+
+def _random_node(rng: random.Random, depth: int, max_depth: int) -> PlanNode:
+    ops = list(OperatorType) if depth < max_depth else sorted(LEAF_OPS)
+    op = rng.choice(ops)
+    children = [_random_node(rng, depth + 1, max_depth) for _ in range(operator_arity(op))]
+    return PlanNode(op=op, children=children)
+
+
+def test_pipelines_equal_the_queue_based_decomposition(tiny_tables):
+    # Same nodes, in the same order, under the same boundary: the order of
+    # every per-pipeline sum of an estimate depends on it.
+    def shape(pipes):
+        return [([id(n) for n in p.nodes], id(p.boundary) if p.boundary is not None else None) for p in pipes]
+
+    corpus = generate_corpus(CorpusSpec(
+        templates={name: 1.0 for name in _TEMPLATES}, tables=tiny_tables,
+        scales=[1.0, 8.0], query_count=90, rng_seed=12,
+    ))
+    assert {plan.template for plan in corpus} == set(_TEMPLATES)
+    rng = random.Random(12)
+    drawn = [QueryPlan(query_id=f"r{i}", root=_random_node(rng, 1, 9)) for i in range(2_000)]
+    assert {n.op for plan in drawn for n in plan.nodes()} == set(OperatorType)
+    depths = [(plan.root, 1) for plan in drawn]
+    for node, depth in depths:
+        depths.extend((child, depth + 1) for child in node.children)
+    assert max(depth for _, depth in depths) == 9
+    for plan in corpus + drawn:
+        assert shape(decompose_pipelines(plan)) == shape(_reference_pipelines(plan)), plan.query_id
 
 
 def test_json_round_trip_is_identity(small_corpus):
