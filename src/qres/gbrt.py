@@ -66,6 +66,42 @@ class Tree:
         return len(self.child)
 
 
+class PackedTrees(Sequence[Tree]):
+    """A model's trees as one node set, the form training, model files and
+    the prediction layout share: tree t is nodes ``starts[t]:starts[t + 1]``
+    of ``child`` (uint8), ``feature`` (uint8) and ``value`` (float32), in
+    :class:`Tree`'s pre-order form. Item t is a read-only :class:`Tree` view
+    of those nodes."""
+
+    __slots__ = ("starts", "child", "feature", "value")
+
+    def __init__(self, starts: np.ndarray, child: np.ndarray, feature: np.ndarray, value: np.ndarray):
+        self.starts, self.child, self.feature, self.value = starts, child, feature, value
+
+    @classmethod
+    def pack(cls, trees: Sequence[Tree]) -> "PackedTrees":
+        """``trees`` concatenated in order."""
+        starts = np.zeros(len(trees) + 1, dtype=np.intp)
+        np.cumsum([t.n_nodes for t in trees], out=starts[1:])
+        return cls(starts, *(
+            np.concatenate([np.zeros(0, dtype), *(getattr(t, name) for t in trees)])
+            for name, dtype in (("child", np.uint8), ("feature", np.uint8), ("value", np.float32))
+        ))
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[i] for i in range(len(self))[t]]
+        t = range(len(self))[t]
+        lo, hi = self.starts[t], self.starts[t + 1]
+        views = [a[lo:hi] for a in (self.child, self.feature, self.value)]
+        for v in views:
+            v.flags.writeable = False
+        return Tree(*views)
+
+
 #: Fewest training rows a split leaves on either side.
 MIN_EXAMPLES_PER_LEAF = 2
 
@@ -93,8 +129,12 @@ class TrainConfig:
 
 @dataclass
 class MartModel:
+    """``init`` plus ``learning_rate`` times the leaf each tree reaches.
+    ``trees`` is stored as :class:`PackedTrees`; a list of :class:`Tree`
+    given to the constructor is packed."""
+
     init: float
-    trees: list[Tree]
+    trees: Sequence[Tree]
     learning_rate: float
     schema: list[FeatureId]
     feature_stats: dict[FeatureId, tuple[float, float]]
@@ -103,20 +143,15 @@ class MartModel:
         default=None, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self):
+        if not isinstance(self.trees, PackedTrees):
+            self.trees = PackedTrees.pack(self.trees)
+
     def packed(self) -> tuple:
-        """``(starts, child, feat, val)``: all trees concatenated, tree t
-        occupying nodes ``starts[t]:starts[t + 1]``."""
-        starts = np.zeros(len(self.trees) + 1, dtype=np.intp)
-        np.cumsum([t.n_nodes for t in self.trees], out=starts[1:])
-        if self.trees:
-            child = np.concatenate([t.child for t in self.trees])
-            feat = np.concatenate([t.feature for t in self.trees])
-            val = np.concatenate([t.value for t in self.trees])
-        else:
-            child = np.zeros(0, dtype=np.uint8)
-            feat = np.zeros(0, dtype=np.uint8)
-            val = np.zeros(0, dtype=np.float32)
-        return starts, child, feat, val
+        """``(starts, child, feat, val)``: the stored arrays of
+        :class:`PackedTrees`."""
+        t = self.trees
+        return t.starts, t.child, t.feature, t.value
 
     def layout(self) -> "_Layout":
         """The prediction layout, built on first use and cached."""
@@ -513,7 +548,8 @@ def _examples_to_arrays(
 
 def _boost(problems: Sequence[Problem]) -> list:
     """Boost P problems of one row count and one config but for ``rng_seed``
-    in lock step; returns each problem's ``(init, trees, train_rmse)``."""
+    in lock step; returns each problem's ``(init, trees, train_rmse)``, its
+    trees as :class:`PackedTrees`."""
     cfg = problems[0].cfg
     P, n = len(problems), len(problems[0].y)
     C = max(1, max(X.shape[1] for _, X, _, _ in problems))
@@ -532,7 +568,7 @@ def _boost(problems: Sequence[Problem]) -> list:
     rngs = [np.random.default_rng(p.cfg.rng_seed) for p in problems]
     k = max(1, int(round(cfg.subsample_fraction * n)))
     every = np.arange(P * n)
-    trees: list[list[Tree]] = [[] for _ in range(P)]
+    grown = []  # each iteration's (starts, child, feature code, value)
     rmse = np.empty((P, cfg.iterations))
     first = np.arange(P)[:, None]
     for it in range(cfg.iterations):
@@ -554,10 +590,22 @@ def _boost(problems: Sequence[Problem]) -> list:
         rmse[:, it] = np.sqrt(np.mean((Y - F) ** 2, axis=1))
         tree_of = np.repeat(np.arange(P), np.diff(starts))
         code = np.where(child != 0, codes[tree_of, feat], 0).astype(np.uint8)
-        for p in range(P):
-            lo, hi = starts[p], starts[p + 1]
-            trees[p].append(Tree(child=child[lo:hi], feature=code[lo:hi], value=value[lo:hi]))
-    return [(float(init[p]), trees[p], rmse[p].tolist()) for p in range(P)]
+        grown.append((starts, child, code, value))
+    # The nodes of every iteration, regrouped problem by problem: a stable
+    # sort by problem keeps each problem's trees in iteration order.
+    sizes = np.array([np.diff(starts) for starts, _, _, _ in grown])  # (iterations, P)
+    child, code, value = (np.concatenate([g[i] for g in grown]) for i in (1, 2, 3))
+    by_problem = np.argsort(np.repeat(np.tile(np.arange(P), len(grown)), sizes.ravel()), kind="stable")
+    bounds = np.zeros(P + 1, dtype=np.intp)
+    np.cumsum(sizes.sum(axis=0), out=bounds[1:])
+    out = []
+    for p in range(P):
+        nodes = by_problem[bounds[p] : bounds[p + 1]]
+        starts = np.zeros(len(grown) + 1, dtype=np.intp)
+        np.cumsum(sizes[:, p], out=starts[1:])
+        trees = PackedTrees(starts, child[nodes], code[nodes], value[nodes])
+        out.append((float(init[p]), trees, rmse[p].tolist()))
+    return out
 
 
 class Problem(NamedTuple):

@@ -29,7 +29,7 @@ from .features import (
     featurize,
     featurize_many,
 )
-from .gbrt import MartModel, TrainConfig, Tree, TrainingError
+from .gbrt import MartModel, TrainConfig, TrainingError
 from .plan import JOIN_OPS, OperatorType, PlanNode, QueryPlan, decompose_pipelines, ordered_sum
 from .scaling import (
     POWER_EXPONENT_GRID,
@@ -670,19 +670,18 @@ def _decode_enum(cls, code: int):
     return member
 
 
-def _check_trees(child, feat, value, sizes: list[int], schema) -> None:
+def _check_trees(trees: gbrt.PackedTrees, schema) -> None:
     """Reject node arrays the prediction kernel cannot walk: it trusts every
-    right-child offset and split feature. ``child``, ``feat`` and ``value``
-    hold all trees of one model, tree t having ``sizes[t]`` nodes."""
-    if 0 in sizes:
+    right-child offset and split feature."""
+    starts, child, feat, value = trees.starts, trees.child, trees.feature, trees.value
+    sizes = np.diff(starts)
+    if (sizes == 0).any():
         raise RegistryError("empty tree")
-    sizes = np.array(sizes)
-    ends = np.cumsum(sizes)
     internal = child != 0
     # Nodes left in the tree from each node on, itself included: a right
     # child must land inside, so the last node of a tree must be a leaf.
-    left_in_tree = np.repeat(ends, sizes) - np.arange(len(child))
-    n_splits = np.add.reduceat(internal, ends - sizes, dtype=np.intp)
+    left_in_tree = np.repeat(starts[1:], sizes) - np.arange(len(child))
+    n_splits = np.add.reduceat(internal, starts[:-1], dtype=np.intp)
     if (
         (child >= left_in_tree).any()
         or (child == 1).any()
@@ -699,35 +698,30 @@ def _check_trees(child, feat, value, sizes: list[int], schema) -> None:
         raise RegistryError("non-finite tree threshold or leaf value")
 
 
-def _decode_trees(r: _Reader, schema) -> list[Tree]:
-    """All trees of one model: one bulk read of their node records, checked
-    together, then copied into arrays of each tree's own."""
+def _decode_trees(r: _Reader, schema) -> gbrt.PackedTrees:
+    """All trees of one model, from one bulk read of their node records into
+    arrays of their own, checked together."""
     n_trees = r.u16()
     data, start = r.data, r.pos
-    sizes: list[int] = []
-    heads: list[int] = []
-    pos = start
+    offsets: list[int] = []  # where each tree's node count lies in data
+    pos, end = start, len(data)
     for _ in range(n_trees):
-        if pos >= len(data):
+        if pos >= end:
             raise RegistryError("truncated model payload")
-        sizes.append(data[pos])
-        heads.append(pos - start)
+        offsets.append(pos)
         pos += 1 + _NODE.itemsize * data[pos]
-    if not sizes:
-        return []
-    nodes = np.delete(np.frombuffer(r.take(pos - start), dtype=np.uint8), heads)
-    nodes = nodes.view(_NODE)
-    child = np.ascontiguousarray(nodes["child"])
-    feat = np.ascontiguousarray(nodes["feature"])
-    value = nodes["value"].astype(np.float32)
-    _check_trees(child, feat, value, sizes, schema)
-    trees = []
-    end = 0
-    for n in sizes:
-        begin, end = end, end + n
-        trees.append(Tree(
-            child[begin:end].copy(), feat[begin:end].copy(), value[begin:end].copy()
-        ))
+    records = np.frombuffer(r.take(pos - start), dtype=np.uint8)
+    heads = np.array(offsets, dtype=np.intp) - start
+    starts = np.zeros(n_trees + 1, dtype=np.intp)
+    np.cumsum(records[heads], out=starts[1:])
+    nodes = np.delete(records, heads).view(_NODE)
+    trees = gbrt.PackedTrees(
+        starts,
+        np.ascontiguousarray(nodes["child"]),
+        np.ascontiguousarray(nodes["feature"]),
+        nodes["value"].astype(np.float32),
+    )
+    _check_trees(trees, schema)
     return trees
 
 

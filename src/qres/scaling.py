@@ -113,13 +113,20 @@ def fit_form(
     xs = [obs[0] for obs in observations]
     y = np.array([obs[1] for obs in observations], dtype=np.float64)
     if kind is FormKind.Power:
+        # An exponent whose basis or fit overflows a float is skipped; the
+        # fit fails only when every exponent does.
         best: tuple[float, float, float] | None = None  # (sse, beta, alpha)
         for beta in POWER_EXPONENT_GRID:
-            b = np.array([basis(kind, x, beta) for x in xs])
-            alpha, sse = _fit_alpha(b, y)
+            try:
+                b = np.array([basis(kind, x, beta) for x in xs])
+                alpha, sse = _fit_alpha(b, y)
+            except ScalingError as exc:
+                failure = exc
+                continue
             if best is None or sse < best[0] - 1e-12 * (1 + best[0]):
                 best = (sse, beta, alpha)
-        assert best is not None
+        if best is None:
+            raise failure
         sse, beta, alpha = best
         return ScalingForm(kind, alpha, tuple(features), beta), sse
     b = np.array([basis(kind, x) for x in xs])

@@ -477,6 +477,23 @@ def test_fit_scaling_on_overflowing_fit_is_data_error(tmp_path, capsys, features
     assert err == "error: fit overflows: observations too large for a float\n"
 
 
+def test_fit_scaling_skips_a_power_exponent_that_overflows(tmp_path, capsys):
+    # Power with beta = 3 overflows on these rows; the other fits still make
+    # a report, and the exact Linear fit is selected.
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_text("CIN1,resource\n1e60,1\n2e60,2\n3e60,3\n")
+    assert main(["fit-scaling", "--csv", str(csv_path), "--features", "CIN1"]) == EXIT_OK
+
+    def strict(name):
+        raise ValueError(f"{name} in fit-scaling output")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=strict)
+    assert [c["kind"] for c in doc["candidates"]] == ["Linear", "NLogN", "Power", "Log"]
+    power = doc["candidates"][2]
+    assert power["beta"] < 3.0 and power["alpha"] != 0.0
+    assert doc["selected"]["kind"] == "Linear"
+
+
 #: A number from 1e-300 to 9e299.
 _MAGNITUDE = st.builds("{}e{}".format, st.integers(1, 9), st.integers(-300, 299))
 _ODD_CELL = st.one_of(
@@ -779,5 +796,156 @@ def test_estimate_on_mutated_plans_never_fails_internally(workspace):
                 values = [v for _, fv in featurize(plan.root, source) for v in fv.values.values()]
                 assert all(map(math.isfinite, values))
             assert all(math.isfinite(e["total"]) for e in json.loads(out.read_text()))
+
+    check()
+
+
+def _tree_fields(blob: bytes) -> tuple[list[int], list[int]]:
+    """Offsets, in a model file, of every model's u16 tree count and of every
+    tree's node-count byte: a walk of the format independent of the decoder."""
+    import struct
+
+    counts, sizes = [], []
+    pos = 7  # magic, version, u16 entry count
+    for _ in range(struct.unpack_from("<H", blob, 5)[0]):
+        n_models = struct.unpack_from("<H", blob, pos + 4)[0]
+        pos += 6  # operator, resource, u16 default, u16 model count
+        for _ in range(n_models):
+            kind = blob[pos]
+            pos += 9  # kind, f32 init, f32 learning rate
+            pos += 1 + 9 * blob[pos]  # schema codes and their f32 ranges
+            counts.append(pos)
+            n_trees = struct.unpack_from("<H", blob, pos)[0]
+            pos += 2
+            for _ in range(n_trees):
+                sizes.append(pos)
+                pos += 1 + 6 * blob[pos]
+            if kind == 1:
+                n_terms = blob[pos]
+                pos += 1
+                for _ in range(n_terms):
+                    pos += 5  # form kind, f32 beta
+                    pos += 1 + blob[pos]
+    assert pos == len(blob)
+    return counts, sizes
+
+
+@st.composite
+def _corrupt_models(draw, blob: bytes):
+    """``blob`` truncated, with bytes overwritten, inserted or deleted, with a
+    tree's node count set to 0, 1 or 255, or with a model's tree count
+    altered."""
+    import struct
+
+    counts, sizes = _tree_fields(blob)
+    data = bytearray(blob)
+    offset = st.sampled_from(range(len(data)))  # uniform over the file
+    how = draw(st.sampled_from(["truncate", "overwrite", "insert", "delete", "tree size", "tree count"]))
+    if how == "truncate":
+        del data[draw(offset) :]
+    elif how == "overwrite":
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(offset)] = draw(st.integers(0, 255))
+    elif how == "insert":
+        at = draw(offset)
+        data[at:at] = draw(st.binary(min_size=1, max_size=8))
+    elif how == "delete":
+        at = draw(offset)
+        del data[at : at + draw(st.integers(1, 8))]
+    elif how == "tree size":
+        data[draw(st.sampled_from(sizes))] = draw(st.sampled_from([0, 1, 255]))
+    else:
+        at = draw(st.sampled_from(counts))
+        delta = draw(st.one_of(st.sampled_from([1, 0xFFFF]), st.integers(1, 0xFFFF)))
+        n = struct.unpack_from("<H", data, at)[0]
+        struct.pack_into("<H", data, at, (n + delta) % 0x10000)
+    return bytes(data)
+
+
+def test_estimate_on_corrupt_model_never_fails_internally(workspace):
+    # A corrupt model file ends in exit 0 or 2; on exit 0 every total is
+    # finite and non-negative.
+    import contextlib
+    import io
+    import math
+
+    root, spec, corpus, _ = workspace
+    model, bad = root / "small.bin", root / "corrupt.bin"
+    far_spec, far = root / "far-spec.json", root / "far.jsonl"
+    plans, out = root / "corrupt-plans.jsonl", root / "corrupt-est.json"
+    assert main([
+        "train", "--corpus", str(corpus), "--out", str(model), "--iterations", "3", "--seed", "0",
+    ]) == EXIT_OK
+    # In-range plans pick default models; far larger ones score every model.
+    far_spec.write_text(json.dumps({**SPEC, "scales": [32], "query_count": 6, "rng_seed": 12}))
+    assert main(["gen", "--spec", str(far_spec), "--out", str(far)]) == EXIT_OK
+    plans.write_text("".join(corpus.read_text().splitlines(True)[:6]) + far.read_text())
+    blob = model.read_bytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_corrupt_models(blob), st.sampled_from(["cpu", "io"]))
+    def check(data, resource):
+        bad.write_bytes(data)
+        out.unlink(missing_ok=True)
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["estimate", "--model", str(bad), "--plans", str(plans),
+                         "--resource", resource, "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_DATA)
+        if code == EXIT_OK:
+            totals = [e["total"] for e in json.loads(out.read_text())]
+            assert len(totals) == 12
+            assert all(math.isfinite(t) and t >= 0.0 for t in totals)
+
+    check()
+
+
+#: Operators with one child.
+_UNARY_OPS = ["Filter", "Sort", "HashAggregate", "StreamAggregate", "ComputeScalar"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "eval", "train"])
+def test_plan_wrapped_in_too_many_unary_operators_is_data_error(workspace, command):
+    # A valid plan under a chain of more unary operators than MAX_PLAN_DEPTH
+    # allows, among valid plans: exit 2 naming the depth, never exit 3 or a
+    # RecursionError, however deep the chain.
+    import contextlib
+    import io
+
+    from qres.plan import MAX_PLAN_DEPTH
+
+    root, _, corpus, model = workspace
+    lines = corpus.read_text().splitlines()[:4]
+    plans, out = root / f"deep-{command}.jsonl", root / f"deep-{command}.out"
+    argv = {
+        "estimate": ["estimate", "--model", str(model), "--plans", str(plans), "--out", str(out)],
+        "eval": ["eval", "--model", str(model), "--corpus", str(plans)],
+        "train": ["train", "--corpus", str(plans), "--out", str(out), "--iterations", "2"],
+    }[command]
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.sampled_from(lines),
+        st.lists(st.sampled_from(_UNARY_OPS), min_size=1, max_size=4),
+        st.one_of(st.integers(MAX_PLAN_DEPTH, MAX_PLAN_DEPTH + 8), st.integers(MAX_PLAN_DEPTH, 20_000)),
+        st.integers(0, len(lines)),
+    )
+    def check(line, ops, depth, at):
+        doc = json.loads(line)
+        head = "".join(
+            f'{{"op":"{ops[i % len(ops)]}","card_true":10,"card_est":10,"children":['
+            for i in range(depth)
+        )
+        root_doc = head + json.dumps(doc["root"]) + "]}" * depth
+        deep = json.dumps({**doc, "query_id": "deep", "root": None}).replace(
+            '"root": null', '"root": ' + root_doc
+        )
+        plans.write_text("\n".join(lines[:at] + [deep] + lines[at:]) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code == EXIT_DATA
+        assert "nested too deeply" in err.getvalue()
 
     check()

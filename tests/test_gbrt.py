@@ -588,6 +588,75 @@ def test_midpoint_guard_case_rounds_onto_the_upper_value():
     assert _BELOW_ONE + (1.0 - _BELOW_ONE) / 2.0 == 1.0
 
 
+def _concatenated(trees: list[Tree]) -> tuple:
+    """[DERIVED] Reference for the packed arrays: per-tree arrays joined in
+    tree order, one ``np.concatenate`` per array."""
+    starts = np.zeros(len(trees) + 1, dtype=np.intp)
+    np.cumsum([t.n_nodes for t in trees], out=starts[1:])
+    if trees:
+        child = np.concatenate([t.child for t in trees])
+        feat = np.concatenate([t.feature for t in trees])
+        val = np.concatenate([t.value for t in trees])
+    else:
+        child = np.zeros(0, dtype=np.uint8)
+        feat = np.zeros(0, dtype=np.uint8)
+        val = np.zeros(0, dtype=np.float32)
+    return starts, child, feat, val
+
+
+@pytest.mark.parametrize("case", ["one leaf", "ten leaves", "forty leaves", "column counts"])
+def test_boosted_packed_arrays_equal_the_per_tree_concatenation(case, monkeypatch):
+    # Each iteration's grown trees, cut into one Tree per problem with
+    # feature codes for columns, then joined per problem.
+    n, cfg, columns, kind = FAMILY_CASES[case]
+    problems = _problems(_family(n, cfg, columns, kind))
+    grown = []
+    grow = gbrt._Grower.grow
+
+    def recording(grower):
+        grown.append(grow(grower))
+        return grown[-1]
+
+    monkeypatch.setattr(gbrt._Grower, "grow", recording)
+    models = train_family(problems)
+    assert len(grown) == cfg.iterations
+    for p, (problem, model) in enumerate(zip(problems, models)):
+        codes = np.array([int(f) for f in problem.schema], dtype=np.uint8)
+        trees = []
+        for starts, child, feat, value in grown:
+            lo, hi = starts[p], starts[p + 1]
+            code = np.where(child[lo:hi] != 0, codes[feat[lo:hi]], 0).astype(np.uint8)
+            trees.append(Tree(child=child[lo:hi], feature=code, value=value[lo:hi]))
+        for got, want in zip(model.packed(), _concatenated(trees)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.owndata and got.flags.c_contiguous
+
+
+def test_model_trees_are_read_only_views_of_the_packed_arrays():
+    rng = np.random.default_rng(4)
+    trees = [_random_tree(rng, n) for n in (0, 3, 9, 12)]
+    model = MartModel(init=0.0, trees=trees, learning_rate=0.1, schema=[F(1)], feature_stats={})
+    starts, child, feat, val = model.packed()
+    assert [a.tobytes() for a in model.packed()] == [a.tobytes() for a in _concatenated(trees)]
+    assert len(model.trees) == 4
+    for got, tree in zip(model.trees, trees):
+        for name in ("child", "feature", "value"):
+            view = getattr(got, name)
+            assert np.array_equal(view, getattr(tree, name))
+            assert not view.flags.writeable
+            assert any(view.base is a for a in (child, feat, val))
+    assert np.array_equal(model.trees[-1].child, trees[-1].child)
+    assert [t.n_nodes for t in model.trees[1:3]] == [7, 19]
+    with pytest.raises(IndexError):
+        model.trees[4]
+    with pytest.raises(TypeError):
+        model.trees[0] = trees[0]
+    empty = MartModel(init=1.0, trees=[], learning_rate=0.1, schema=[F(1)], feature_stats={})
+    assert len(empty.trees) == 0 and empty.packed()[0].tolist() == [0]
+    assert [a.dtype for a in empty.packed()[1:]] == [np.uint8, np.uint8, np.float32]
+
+
 def test_train_family_rejects_members_of_another_shape():
     a = _family(50, TrainConfig(iterations=3), (2, 3))
     other_rows = _family(30, TrainConfig(iterations=3), (3,), seed=1)

@@ -492,22 +492,21 @@ def _mart(model):
 
 def test_decoded_tree_arrays_are_owned_and_typed(trained):
     registry, _ = trained
-    loaded = deserialize(serialize(registry))
+    blob = serialize(registry)
+    loaded = deserialize(blob)
     for key, entry in registry.entries.items():
         for model, back in zip(entry.models, loaded.entries[key].models):
+            starts, *arrays = _mart(back).packed()
+            assert starts.dtype == np.intp and starts[0] == 0
+            for arr, dtype in zip(arrays, (np.uint8, np.uint8, np.float32)):
+                assert arr.dtype == dtype
+                assert arr.flags.owndata and arr.flags.writeable
+                assert arr.flags.c_contiguous
+                assert not np.shares_memory(arr, np.frombuffer(blob, dtype=np.uint8))
+            assert len(_mart(back).trees) == len(_mart(model).trees)
             for tree, got in zip(_mart(model).trees, _mart(back).trees):
-                for name, dtype in (
-                    ("child", np.uint8), ("feature", np.uint8), ("value", np.float32),
-                ):
-                    arr = getattr(got, name)
-                    assert arr.dtype == dtype
-                    assert arr.flags.owndata and arr.flags.writeable
-                    assert arr.flags.c_contiguous
-                    assert np.array_equal(arr, getattr(tree, name))
-
-
-def _split_tree(mart):
-    return next(t for t in mart.trees if t.n_nodes >= 3)
+                for name in ("child", "feature", "value"):
+                    assert np.array_equal(getattr(got, name), getattr(tree, name))
 
 
 def _combined(registry):
@@ -534,16 +533,25 @@ def _first_entry(registry):
     return registry.entries[min(registry.entries, key=lambda k: (int(k[0]), k[1]))]
 
 
-def _set_node(tree, name, i, v):
-    getattr(tree, name)[i] = v
+def _set_node(mart, name, i, v):
+    """Set node i of the model's first tree of three or more nodes, in its
+    packed arrays."""
+    t = next(t for t, tree in enumerate(mart.trees) if tree.n_nodes >= 3)
+    starts, *arrays = mart.packed()
+    nodes = dict(zip(("child", "feature", "value"), arrays))[name]
+    nodes[starts[t] : starts[t + 1]][i] = v
 
 
-def _replace_first_tree(mart, child, feature):
-    n = len(child)
-    mart.trees[0] = Tree(
+def _replace_first_tree(entry, child, feature):
+    """Rebuild the entry's plain model with its first tree replaced."""
+    mart = entry.models[0]
+    tree = Tree(
         child=np.array(child, dtype=np.uint8),
         feature=np.array(feature, dtype=np.uint8),
-        value=np.zeros(n, dtype=np.float32),
+        value=np.zeros(len(child), dtype=np.float32),
+    )
+    entry.models[0] = MartModel(
+        mart.init, [tree, *mart.trees[1:]], mart.learning_rate, mart.schema, mart.feature_stats
     )
 
 
@@ -585,34 +593,34 @@ CORRUPTIONS = {
         lambda r: _retype_term(r, kind=FormKind.Power, beta=1e30), "exponent"
     ),
     "offset past tree": (
-        lambda r: _set_node(_split_tree(_first_entry(r).models[0]), "child", 0, 250),
+        lambda r: _set_node(_first_entry(r).models[0], "child", 0, 250),
         "child offsets",
     ),
     "offset 1": (
-        lambda r: _set_node(_split_tree(_first_entry(r).models[0]), "child", 0, 1),
+        lambda r: _set_node(_first_entry(r).models[0], "child", 0, 1),
         "child offsets",
     ),
     "last node a split": (
-        lambda r: _replace_first_tree(_first_entry(r).models[0], [0, 0, 2], [0, 0, 1]),
+        lambda r: _replace_first_tree(_first_entry(r), [0, 0, 2], [0, 0, 1]),
         "child offsets",
     ),
     "leaves not splits + 1": (
-        lambda r: _replace_first_tree(_first_entry(r).models[0], [2, 0, 0, 0], [1, 0, 0, 0]),
+        lambda r: _replace_first_tree(_first_entry(r), [2, 0, 0, 0], [1, 0, 0, 0]),
         "child offsets",
     ),
     "empty tree": (
-        lambda r: _replace_first_tree(_first_entry(r).models[0], [], []), "empty tree"
+        lambda r: _replace_first_tree(_first_entry(r), [], []), "empty tree"
     ),
     "leaf feature": (
-        lambda r: _set_node(_split_tree(_first_entry(r).models[0]), "feature", -1, 1),
+        lambda r: _set_node(_first_entry(r).models[0], "feature", -1, 1),
         "feature outside",
     ),
     "split feature": (
-        lambda r: _set_node(_split_tree(_first_entry(r).models[0]), "feature", 0, 30),
+        lambda r: _set_node(_first_entry(r).models[0], "feature", 0, 30),
         "feature outside",
     ),
     "non-finite leaf": (
-        lambda r: _set_node(_split_tree(_first_entry(r).models[0]), "value", 1, math.inf),
+        lambda r: _set_node(_first_entry(r).models[0], "value", 1, math.inf),
         "non-finite tree",
     ),
 }

@@ -107,6 +107,17 @@ def test_power_grid_selects_planted_exponent():
         assert form.alpha == pytest.approx(1.5)
 
 
+def test_power_fit_skips_exponents_that_overflow():
+    # (1e60) ** 3 squared leaves the float range, so beta = 3 is skipped and
+    # the other exponents still fit.
+    form, sse = fit_form(FormKind.Power, ONE, obs1([1e60, 2e60, 3e60], lambda x: 1e-120 * x**2))
+    assert (form.beta, sse) == (2.0, pytest.approx(0.0, abs=1e-20))
+    assert form.alpha == pytest.approx(1e-120)
+    # When every exponent overflows, the fit fails.
+    with pytest.raises(ScalingError, match="overflows"):
+        fit_form(FormKind.Power, ONE, [([1e300], 1e200), ([2e300], 2e200)])
+
+
 def test_fit_requires_two_observations():
     with pytest.raises(ScalingError, match="at least 2"):
         fit_form(FormKind.Linear, ONE, [([1.0], 1.0)])
