@@ -232,9 +232,7 @@ def cmd_inspect(args) -> int:
         models = []
         for model in entry.models:
             if isinstance(model, reg.CombinedModel):
-                label = "/".join(
-                    f"{t.kind.name}({','.join(f.name for f in t.features)})" for t in model.terms
-                )
+                label = reg.model_label(model).removeprefix("combined:")
                 models.append(
                     {
                         "kind": "combined",
@@ -284,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-leaves", type=int, default=10)
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--subsample", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("estimate")

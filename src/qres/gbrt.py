@@ -125,6 +125,8 @@ class TrainConfig:
             raise TrainingError("learning_rate must be in (0, 1]")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise TrainingError("subsample_fraction must be in (0, 1]")
+        if self.rng_seed < 0:
+            raise TrainingError("rng_seed must be >= 0")
 
 
 @dataclass
@@ -142,6 +144,9 @@ class MartModel:
     _layout: Optional["_Layout"] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The model's selection table as a plain model of a registry entry,
+    #: built by the registry on first use.
+    _selection: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.trees, PackedTrees):

@@ -9,6 +9,7 @@ through a compact binary format (magic "QRES").
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import gbrt
 from .features import (
+    FEATURE_SPACE,
     NEVER_SCALE_IO,
     SCALE_CANDIDATES,
     FeatureBatch,
@@ -85,10 +87,32 @@ class ScaleTerm:
 class CombinedModel:
     terms: list[ScaleTerm]
     scaled_model: MartModel
+    _selection: Optional["_SelectionTable"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def scale_feature_ids(self) -> list[FeatureId]:
         return [f for t in self.terms for f in t.features]
+
+
+def model_label(model) -> str:
+    """A model's name in reports: ``mart`` for a plain model, else
+    ``combined:`` and its scale terms, e.g. ``combined:Power(TSIZE)``."""
+    if isinstance(model, CombinedModel):
+        return "combined:" + "/".join(
+            f"{t.kind.name}({','.join(f.name for f in t.features)})" for t in model.terms
+        )
+    return "mart"
+
+
+@functools.cache
+def _divisor_chains(scale_ids: tuple[FeatureId, ...]) -> dict[FeatureId, tuple[FeatureId, ...]]:
+    """Normalization by the scale features ``scale_ids``, the one map every
+    normalization reads: each feature's divisor chain, the scale features, in
+    order, whose dependents include it. A feature is divided by the raw value
+    of each in turn; the scale features themselves are dropped."""
+    return {f: tuple(s for s in scale_ids if f in dependents(s)) for f in FeatureId}
 
 
 def transform_for_scaling(
@@ -100,18 +124,18 @@ def transform_for_scaling(
     feature order.
     """
     raw = fv.values
-    work = dict(raw)
-    for term in terms:
-        for fid in term.features:
-            v = raw.get(fid)
-            if v is None or v <= 0:
-                raise FeatureError(
-                    f"degenerate scaling feature: {fid.name} absent or non-positive"
-                )
-            for dep in dependents(fid):
-                if dep in work:
-                    work[dep] = work[dep] / v
-            work.pop(fid, None)
+    scale_ids = tuple(f for t in terms for f in t.features)
+    for fid in scale_ids:
+        v = raw.get(fid)
+        if v is None or v <= 0:
+            raise FeatureError(f"degenerate scaling feature: {fid.name} absent or non-positive")
+    chains = _divisor_chains(scale_ids)
+    work = {}
+    for f, v in raw.items():
+        if f not in scale_ids:
+            for s in chains[f]:
+                v = v / raw[s]
+            work[f] = v
     return FeatureVector(op=fv.op, values=work, cardinality_source=fv.cardinality_source)
 
 
@@ -152,7 +176,8 @@ def estimate_with_model(model, fv: FeatureVector) -> float:
     and a non-finite one raises :class:`ScalingError`."""
     if isinstance(model, CombinedModel):
         g = _scale_factor(model.terms, fv.values)
-        value = g * gbrt.predict(model.scaled_model, transform_for_scaling(fv, model.terms))
+        x = _selection_table(model).normalized(fv.values)
+        value = g * model.scaled_model.layout().predict(x)
     else:
         value = gbrt.predict(model, fv)
     if not math.isfinite(value):
@@ -161,11 +186,110 @@ def estimate_with_model(model, fv: FeatureVector) -> float:
 
 
 def out_ratio(value: float, low: float, high: float) -> float:
-    """Normalized distance of a value outside the training range [low, high]."""
+    """Normalized distance of a value outside the training range [low, high].
+
+    Outside the range one of the two distances below and above it is 0.0,
+    so only the other is computed; :class:`_SelectionTable` inlines this."""
     if high == low:
         return 0.0 if value == high else math.inf
-    excursion = max(low - value, 0.0) + max(value - high, 0.0)
-    return excursion / (high - low)
+    if value > high:
+        return (value - high) / (high - low)
+    if value >= low:
+        return 0.0
+    return (low - value) / (high - low)
+
+
+class _SelectionTable:
+    """What the selection rule needs of one model, computed on its first
+    use and cached on the model (:func:`_selection_table`).
+
+    ``scale_ids`` are the model's scale features; ``schema`` holds, for each
+    feature of its ensemble's schema, ``(feature, code, divisor chain, kept)``,
+    where a feature is not kept when normalization drops it; ``checks`` holds
+    ``(feature, divisor chain, low, high, high - low)`` for each of them but
+    OUTPUTUSAGE. Every method takes a raw feature dict.
+    """
+
+    __slots__ = ("scale_ids", "schema", "checks", "complete")
+
+    def __init__(self, model):
+        mart, scale_ids = _parts(model)
+        self.scale_ids = tuple(scale_ids)
+        chains = _divisor_chains(self.scale_ids)
+        self.schema = tuple((f, int(f), chains[f], f not in scale_ids) for f in mart.schema)
+        self.checks = tuple(
+            (f, chains[f], low, high, high - low)
+            for f in mart.schema if f is not FeatureId.OUTPUTUSAGE
+            for low, high in [mart.feature_stats[f]]
+        )
+        self.complete = all(kept for f, *_, kept in self.schema if f is not FeatureId.OUTPUTUSAGE)
+
+    def _normalizable(self, values: dict) -> bool:
+        """Whether every scale feature is present and positive and no
+        checked feature is dropped."""
+        for s in self.scale_ids:
+            v = values.get(s)
+            if v is None or v <= 0:
+                return False
+        return self.complete
+
+    def out_ratios(self, values: dict) -> list[float]:
+        """:func:`model_out_ratios`."""
+        if not self._normalizable(values):
+            return [math.inf]
+        ratios = []
+        for f, chain, low, high, span in self.checks:
+            v = values.get(f)
+            if v is None:
+                return [math.inf]
+            for s in chain:
+                v = v / values[s]
+            if v > high:
+                ratios.append((v - high) / span if span else math.inf)
+            elif v >= low:
+                ratios.append(0.0)
+            else:
+                ratios.append((low - v) / span if span else math.inf)
+        return ratios or [0.0]
+
+    def in_range(self, values: dict) -> bool:
+        """``max(self.out_ratios(values)) == 0.0``, stopping at the first
+        feature out of range."""
+        if not self._normalizable(values):
+            return False
+        for f, chain, low, high, span in self.checks:
+            v = values.get(f)
+            if v is None:
+                return False
+            for s in chain:
+                v = v / values[s]
+            if v > high or v < low:
+                # A distance that underflows to a ratio of 0.0 is in range.
+                if not span or (v - high if v > high else low - v) / span:
+                    return False
+        return True
+
+    def normalized(self, values: dict) -> np.ndarray:
+        """The code-indexed dense vector of :func:`transform_for_scaling`'s
+        output over the schema, as :func:`gbrt.dense_vector` builds it; the
+        scale features must be present and positive."""
+        x = np.zeros(FEATURE_SPACE, dtype=np.float64)
+        for f, code, chain, kept in self.schema:
+            v = values.get(f)
+            if v is None or not kept:
+                raise TrainingError(f"feature {f.name} absent from input vector")
+            for s in chain:
+                v = v / values[s]
+            x[code] = v
+        return x
+
+
+def _selection_table(model) -> _SelectionTable:
+    """The model's selection table, built on first use and cached."""
+    table = model._selection
+    if table is None:
+        table = model._selection = _SelectionTable(model)
+    return table
 
 
 def model_out_ratios(model, fv: FeatureVector) -> list[float]:
@@ -174,24 +298,7 @@ def model_out_ratios(model, fv: FeatureVector) -> list[float]:
     Combined models are evaluated in their normalized feature space. A vector
     that cannot be normalized (non-positive scale feature) yields [inf].
     """
-    if isinstance(model, CombinedModel):
-        try:
-            fv = transform_for_scaling(fv, model.terms)
-        except FeatureError:
-            return [math.inf]
-        mart = model.scaled_model
-    else:
-        mart = model
-    ratios = []
-    for f in mart.schema:
-        if f is FeatureId.OUTPUTUSAGE:
-            continue
-        value = fv.values.get(f)
-        if value is None:
-            return [math.inf]
-        low, high = mart.feature_stats[f]
-        ratios.append(out_ratio(value, low, high))
-    return ratios or [0.0]
+    return _selection_table(model).out_ratios(fv.values)
 
 
 @dataclass
@@ -237,7 +344,7 @@ def select_model(
     """
     entry = registry.entry(op, resource)
     default = entry.models[entry.default_idx]
-    if max(model_out_ratios(default, fv)) == 0.0:
+    if _selection_table(default).in_range(fv.values):
         return default, entry.default_idx
 
     best_key = None
@@ -245,7 +352,7 @@ def select_model(
     for idx, model in enumerate(entry.models):
         ratios = sorted(model_out_ratios(model, fv), reverse=True)
         padded = tuple(ratios[1:]) + (0.0,)
-        key = (ratios[0], len(_parts(model)[1]), padded, idx)
+        key = (ratios[0], len(_selection_table(model).scale_ids), padded, idx)
         if best_key is None or key < best_key:
             best_key = key
             best = (model, idx)
@@ -336,41 +443,34 @@ def _normalize_rows(X: np.ndarray, op: OperatorType, scale_ids: Sequence[Feature
     order. Returns ``(rows, degenerate, kept)``: the rows that cannot be
     normalized, and the features the normalized rows keep."""
     degenerate = np.zeros(len(X), dtype=bool)
-    kept = set(applicable_features(op))
+    kept = set(applicable_features(op)).difference(scale_ids)
     if scale_ids:
         raw, X = X, X.copy()
+        chains = _divisor_chains(tuple(scale_ids))
         with np.errstate(divide="ignore", invalid="ignore"):
             for fid in scale_ids:
-                if fid not in kept:
-                    degenerate[:] = True
-                    continue
-                v = raw[:, fid]
-                degenerate |= v <= 0
-                for dep in dependents(fid):
-                    if dep in kept:
-                        X[:, dep] = X[:, dep] / v
-                kept.discard(fid)
+                degenerate |= raw[:, fid] <= 0  # 0 where op lacks the feature
+            for f in kept:
+                for fid in chains[f]:
+                    X[:, f] = X[:, f] / raw[:, fid]
     return X, degenerate, kept
 
 
 def _out_ratio_rows(X: np.ndarray, op: OperatorType, model) -> tuple:
     """:func:`model_out_ratios` of every row of ``X``: a (rows, features)
     matrix of ratios, and a mask of the rows whose ratios are ``[inf]``."""
-    mart, scale_ids = _parts(model)
-    X, degenerate, kept = _normalize_rows(X, op, scale_ids)
+    table = _selection_table(model)
+    X, degenerate, kept = _normalize_rows(X, op, table.scale_ids)
     columns = []
-    for f in mart.schema:
-        if f is FeatureId.OUTPUTUSAGE:
-            continue
-        low, high = mart.feature_stats[f]
+    for f, _, low, high, span in table.checks:
         v = X[:, f]
-        if high == low:
+        if not span:
             columns.append(np.where(v == high, 0.0, math.inf))
         else:
             excursion = np.maximum(low - v, 0.0) + np.maximum(v - high, 0.0)
-            columns.append(excursion / (high - low))
+            columns.append(excursion / span)
     ratios = np.column_stack(columns or [np.zeros(len(X))])
-    return ratios, degenerate | any(f not in kept for f in mart.schema)
+    return ratios, degenerate | any(f not in kept for f, *_ in table.schema)
 
 
 def _selection_keys(X: np.ndarray, op: OperatorType, model) -> np.ndarray:
@@ -384,7 +484,7 @@ def _selection_keys(X: np.ndarray, op: OperatorType, model) -> np.ndarray:
     desc = np.sort(ratios, axis=1)[:, ::-1]
     keys = np.empty((len(X), n + 2))
     keys[:, 0] = desc[:, 0]
-    keys[:, 1] = len(_parts(model)[1])
+    keys[:, 1] = len(_selection_table(model).scale_ids)
     keys[:, 2 : n + 1] = desc[:, 1:]
     keys[:, n + 1] = 0.0
     keys[inf_rows, 0] = math.inf
@@ -558,6 +658,7 @@ def train_registry(
     any model is trained. The problems of all entries differ only in their
     seeds, so every problem of one row count, across operators and
     resources, is boosted in one lock-step :func:`gbrt.train_family` call."""
+    cfg.validate()
     rows = {}
     for resource in resources:
         if resource not in RESOURCES:

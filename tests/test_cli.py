@@ -378,11 +378,12 @@ def test_train_with_out_of_range_setting_is_usage_error(workspace, tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gen", "eval"])
+@pytest.mark.parametrize("command", ["gen", "train", "eval"])
 def test_negative_seed_flag_is_usage_error(workspace, tmp_path, capsys, command):
     _, spec, corpus, model = workspace
     argv = {
         "gen": ["gen", "--spec", str(spec), "--out", str(tmp_path / "c.jsonl")],
+        "train": ["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.bin")],
         "eval": [
             "eval", "--model", str(model), "--corpus", str(corpus),
             "--baselines", "--train-corpus", str(corpus),

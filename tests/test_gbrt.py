@@ -402,6 +402,17 @@ def test_config_validation():
             bad.validate()
 
 
+def test_negative_seed_is_training_error():
+    from qres.registry import train_registry
+
+    ex = _examples_2d(n=20, seed=0)
+    cfg = TrainConfig(iterations=2, rng_seed=-1)
+    with pytest.raises(TrainingError, match="rng_seed must be >= 0"):
+        train(ex, cfg)
+    with pytest.raises(TrainingError, match="rng_seed must be >= 0"):
+        train_registry([], ["cpu_us"], cfg)
+
+
 def test_missing_feature_at_predict_time():
     ex = _examples_2d(n=20, seed=0)
     model = train(ex, TrainConfig(iterations=2))

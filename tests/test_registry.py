@@ -23,6 +23,7 @@ from qres.features import (
     FeatureError,
     FeatureId,
     FeatureVector,
+    dependents,
     extract_features,
     featurize,
     featurize_many,
@@ -1054,3 +1055,370 @@ def test_estimate_many_with_non_finite_features(batch_case):
             else:
                 kept.append(plan)
         _same_as_single(registry, kept, resource)
+
+
+# ---------------------------------------------------------------------------
+# Selection tables: the per-vector rule computed from each model's cached
+# table equals the rule as it was computed on every call, kept here as the
+# reference.
+
+
+def _reference_out_ratio(value, low, high):
+    if high == low:
+        return 0.0 if value == high else math.inf
+    excursion = max(low - value, 0.0) + max(value - high, 0.0)
+    return excursion / (high - low)
+
+
+def _reference_transform_for_scaling(fv, terms):
+    raw = fv.values
+    work = dict(raw)
+    for term in terms:
+        for fid in term.features:
+            v = raw.get(fid)
+            if v is None or v <= 0:
+                raise FeatureError(
+                    f"degenerate scaling feature: {fid.name} absent or non-positive"
+                )
+            for dep in dependents(fid):
+                if dep in work:
+                    work[dep] = work[dep] / v
+            work.pop(fid, None)
+    return FeatureVector(op=fv.op, values=work, cardinality_source=fv.cardinality_source)
+
+
+def _reference_model_out_ratios(model, fv):
+    if isinstance(model, CombinedModel):
+        try:
+            fv = _reference_transform_for_scaling(fv, model.terms)
+        except FeatureError:
+            return [math.inf]
+        mart = model.scaled_model
+    else:
+        mart = model
+    ratios = []
+    for f in mart.schema:
+        if f is F.OUTPUTUSAGE:
+            continue
+        value = fv.values.get(f)
+        if value is None:
+            return [math.inf]
+        low, high = mart.feature_stats[f]
+        ratios.append(_reference_out_ratio(value, low, high))
+    return ratios or [0.0]
+
+
+def _reference_select_model(registry, op, resource, fv):
+    entry = registry.entry(op, resource)
+    default = entry.models[entry.default_idx]
+    if max(_reference_model_out_ratios(default, fv)) == 0.0:
+        return default, entry.default_idx
+    best_key = None
+    best = None
+    for idx, model in enumerate(entry.models):
+        ratios = sorted(_reference_model_out_ratios(model, fv), reverse=True)
+        padded = tuple(ratios[1:]) + (0.0,)
+        n_scale = len(model.scale_feature_ids) if isinstance(model, CombinedModel) else 0
+        key = (ratios[0], n_scale, padded, idx)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (model, idx)
+    return best
+
+
+def _reference_estimate_with_model(model, fv):
+    from qres import gbrt
+    from qres.registry import _scale_factor
+    from qres.scaling import ScalingError
+
+    if isinstance(model, CombinedModel):
+        g = _scale_factor(model.terms, fv.values)
+        transformed = _reference_transform_for_scaling(fv, model.terms)
+        value = g * gbrt.predict(model.scaled_model, transformed)
+    else:
+        value = gbrt.predict(model, fv)
+    if not math.isfinite(value):
+        raise ScalingError("non-finite estimate")
+    return max(0.0, value)
+
+
+def _outcome(fn, *args):
+    """A call's result as exact bits, or the type and message of what it raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return type(exc), str(exc)
+    if isinstance(value, FeatureVector):
+        return [(f, v.hex()) for f, v in value.values.items()]
+    if isinstance(value, list):
+        return [v.hex() for v in value]
+    return value.hex()
+
+
+_EDGE_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300, 5e-324, 3.4e38, -7.0])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.one_of(st.floats(-1e6, 1e6), _EDGE_VALUES),
+    st.one_of(st.floats(-1e6, 1e6), _EDGE_VALUES),
+    st.one_of(st.floats(0.0, 1e6), _EDGE_VALUES.map(abs)),
+    st.sampled_from(["inside", "low", "high", "below", "above"]),
+)
+def test_out_ratio_equals_the_reference(value, low, width, where):
+    high = low + width
+    value = {
+        "inside": value,
+        "low": low,
+        "high": high,
+        "below": math.nextafter(low, -math.inf),
+        "above": math.nextafter(high, math.inf),
+    }[where]
+    assert out_ratio(value, low, high).hex() == _reference_out_ratio(value, low, high).hex()
+
+
+@pytest.fixture(scope="module")
+def selection_case(batch_case):
+    registry, in_range, large = batch_case
+    vectors: dict = {}
+    for plan in in_range[:48] + large[:48]:
+        for node, fv in featurize(plan.root):
+            vectors.setdefault(node.op, []).append(fv)
+    keys = sorted(registry.entries, key=lambda k: (int(k[0]), k[1]))
+    return registry, vectors, keys
+
+
+def _hand_built_variants(models):
+    """Combined models no training makes: one on the plain ensemble, whose
+    schema keeps its scale feature COUT, and on a two-feature join model's
+    ensemble, its features (CIN2 is a dependent of CIN1) in the other order
+    and as two one-feature terms."""
+    plain = CombinedModel([ScaleTerm(FormKind.Linear, (F.COUT,))], models[0])
+    pair = next(
+        (m for m in models if isinstance(m, CombinedModel) and len(m.scale_feature_ids) == 2),
+        None,
+    )
+    if pair is None:
+        return [plain]
+    a, b = pair.scale_feature_ids
+    return [
+        plain,
+        CombinedModel([ScaleTerm(FormKind.Product2, (b, a))], pair.scaled_model),
+        CombinedModel(
+            [ScaleTerm(FormKind.Linear, (a,)), ScaleTerm(FormKind.Linear, (b,))],
+            pair.scaled_model,
+        ),
+    ]
+
+
+def _edit_vector(data, values, scale_features):
+    """Drop features, or set them to 0, to a negative value or to a multiple."""
+    for _ in range(data.draw(st.integers(0, 3))):
+        f = data.draw(st.sampled_from(sorted(values) + scale_features))
+        edit = data.draw(st.sampled_from(["absent", "zero", "negative", "times"]))
+        if edit == "absent":
+            values.pop(f, None)
+        elif edit == "zero":
+            values[f] = 0.0
+        elif edit == "negative":
+            values[f] = -data.draw(st.sampled_from([1e-9, 1.0, 1e6]))
+        else:
+            values[f] = values.get(f, 1.0) * data.draw(st.sampled_from([1e-3, 0.5, 3.0, 64.0, 1e6]))
+
+
+def _edit_range(data, model, fv):
+    """A copy of ``model`` whose training range of one feature ends exactly
+    at the vector's (normalized) value, one step short of it, or is that
+    value alone."""
+    import dataclasses
+
+    mart = model.scaled_model if isinstance(model, CombinedModel) else model
+    f = data.draw(st.sampled_from([g for g in mart.schema if g is not F.OUTPUTUSAGE]))
+    low, high = mart.feature_stats[f]
+    try:
+        values = (
+            _reference_transform_for_scaling(fv, model.terms).values
+            if isinstance(model, CombinedModel) else fv.values
+        )
+    except FeatureError:
+        values = {}
+    v = values.get(f, low)
+    edge = data.draw(st.sampled_from(["low", "high", "below", "above", "zero-width"]))
+    if edge == "low":
+        low, high = v, max(v, high)
+    elif edge == "high":
+        low, high = min(v, low), v
+    elif edge == "below":
+        low = math.nextafter(v, math.inf)
+        high = max(low, high)
+    elif edge == "above":
+        high = math.nextafter(v, -math.inf)
+        low = min(low, high)
+    else:
+        low = high = v
+    edited = dataclasses.replace(mart, feature_stats={**mart.feature_stats, f: (low, high)})
+    if isinstance(model, CombinedModel):
+        return CombinedModel(list(model.terms), edited)
+    return edited
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_selection_tables_equal_the_reference_rule(selection_case, data):
+    # Values at a range's ends and one step outside them, zero-width ranges,
+    # scale features that are absent, 0 or negative, absent schema features,
+    # CIN1/CIN2 terms in either order, and a scale feature the ensemble
+    # also reads: every ratio list, pick, estimate and normalized vector is
+    # the reference's, bit for bit, or both raise the same error.
+    from qres.registry import _parts
+
+    registry, vectors, keys = selection_case
+    op, resource = key = data.draw(st.sampled_from(keys))
+    models = list(registry.entries[key].models)
+    if data.draw(st.booleans()):
+        models += _hand_built_variants(models)
+    values = dict(data.draw(st.sampled_from(vectors[op])).values)
+    _edit_vector(data, values, sorted({f for m in models for f in _parts(m)[1]}))
+    fv = FeatureVector(op=op, values=values)
+    for _ in range(data.draw(st.integers(0, 3))):
+        idx = data.draw(st.integers(0, len(models) - 1))
+        models[idx] = _edit_range(data, models[idx], fv)
+    default_idx = data.draw(st.integers(0, len(models) - 1))
+    edited = ModelRegistry({key: RegistryEntry(op, resource, models, default_idx)})
+
+    for model in models:
+        assert _outcome(model_out_ratios, model, fv) == _outcome(
+            _reference_model_out_ratios, model, fv
+        )
+        assert _outcome(estimate_with_model, model, fv) == _outcome(
+            _reference_estimate_with_model, model, fv
+        )
+        if isinstance(model, CombinedModel):
+            assert _outcome(transform_for_scaling, fv, model.terms) == _outcome(
+                _reference_transform_for_scaling, fv, model.terms
+            )
+    got = select_model(edited, op, resource, fv)
+    want = _reference_select_model(edited, op, resource, fv)
+    assert got[1] == want[1] and got[0] is want[0]
+
+
+def test_every_operator_of_the_batch_plans_equals_the_reference_rule(selection_case):
+    # Every featurized operator of the in-range and scale-32 plans, against
+    # every model of its entries and the hand-built variants.
+    registry, vectors, keys = selection_case
+    for key in keys:
+        entry = registry.entries[key]
+        models = entry.models + _hand_built_variants(entry.models)
+        for fv in vectors[key[0]]:
+            for model in models:
+                assert _outcome(model_out_ratios, model, fv) == _outcome(
+                    _reference_model_out_ratios, model, fv
+                )
+                assert _outcome(estimate_with_model, model, fv) == _outcome(
+                    _reference_estimate_with_model, model, fv
+                )
+            got = select_model(registry, *key, fv)
+            assert got == _reference_select_model(registry, *key, fv)
+
+
+def test_load_builds_no_selection_table_and_estimates_build_the_scored_ones(
+    batch_case, tmp_path, monkeypatch
+):
+    # Tables are built on first use, so loading a model file does no
+    # selection work; one estimate builds the tables of the defaults it
+    # checked and of the models it scored, and no others.
+    import qres.registry as registry_module
+
+    registry, _, large = batch_case
+    path = str(tmp_path / "model.bin")
+    registry_module.save_registry(registry, path)
+    loaded = registry_module.load_registry(path)
+    models = [m for e in loaded.entries.values() for m in e.models]
+    marts = [m.scaled_model for m in models if isinstance(m, CombinedModel)]
+    assert all(m._selection is None for m in models + marts)
+
+    scored = []
+    original = registry_module.model_out_ratios
+
+    def recording(model, fv):
+        scored.append(model)
+        return original(model, fv)
+
+    monkeypatch.setattr(registry_module, "model_out_ratios", recording)
+    plan = next(
+        p for p in large
+        if any(
+            select_model(registry, node.op, "cpu_us", fv)[1]
+            != registry.entry(node.op, "cpu_us").default_idx
+            for node, fv in featurize(p.root)
+        )
+    )
+    scored.clear()
+    estimate_query(loaded, plan, "cpu_us")
+    entries = [loaded.entry(node.op, "cpu_us") for node in plan.root.walk()]
+    checked = {id(m) for m in scored} | {id(e.models[e.default_idx]) for e in entries}
+    assert any(id(m) != id(e.models[e.default_idx]) for e in entries for m in scored)
+    assert {id(m) for m in models if m._selection is not None} == checked
+    assert all(m._selection is None for m in marts)
+
+
+def test_estimate_query_reaches_select_model_through_the_module(batch_case, monkeypatch):
+    # Tracing replaces registry.select_model by a wrapper; estimate_query
+    # must call it by that name, once per operator.
+    import qres.registry as registry_module
+
+    registry, in_range, large = batch_case
+    calls = []
+    original = registry_module.select_model
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(registry_module, "select_model", counting)
+    for plan in (in_range[0], large[0]):
+        calls.clear()
+        estimate_query(registry, plan, "cpu_us")
+        assert calls == [node.op for node, _ in featurize(plan.root)]
+
+
+def test_model_label_names_the_scale_terms():
+    from qres.registry import model_label
+
+    scaled = MartModel(0.0, [], 0.1, [F.COUT], {F.COUT: (0.0, 1.0)})
+    assert model_label(scaled) == "mart"
+    power = CombinedModel([ScaleTerm(FormKind.Power, (F.TSIZE,), 3.0)], scaled)
+    assert model_label(power) == "combined:Power(TSIZE)"
+    pair = CombinedModel([ScaleTerm(FormKind.Product2, (F.CIN1, F.CIN2))], scaled)
+    assert model_label(pair) == "combined:Product2(CIN1,CIN2)"
+
+
+def test_ratio_that_underflows_to_zero_counts_as_in_range():
+    # 0.0 lies one step below a range starting at the smallest subnormal,
+    # but its ratio, 5e-324 / 10, rounds to 0.0: the default stays the pick,
+    # although model 0 would win the scoring.
+    first = MartModel(0.0, [], 0.1, [F.COUT], {F.COUT: (0.0, 10.0)})
+    default = MartModel(0.0, [], 0.1, [F.COUT], {F.COUT: (5e-324, 10.0)})
+    key = (OperatorType.Filter, "cpu_us")
+    registry = ModelRegistry({key: RegistryEntry(*key, [first, default], default_idx=1)})
+    fv = FeatureVector(op=OperatorType.Filter, values={F.COUT: 0.0})
+    assert model_out_ratios(default, fv) == [0.0]
+    assert select_model(registry, *key, fv) == (default, 1)
+    assert _reference_select_model(registry, *key, fv) == (default, 1)
+
+
+@pytest.mark.parametrize("order", [(F.CIN1, F.CIN2), (F.CIN2, F.CIN1)])
+def test_divisions_follow_the_scale_feature_order(order):
+    # COUT is a dependent of both CIN1 and CIN2; (1 / 3) / 13 and (1 / 13) / 3
+    # differ in the last bit, and so do the out-of-range ratios.
+    scaled = MartModel(0.0, [], 0.1, [F.COUT], {F.COUT: (0.0, 0.01)})
+    model = CombinedModel([ScaleTerm(FormKind.Product2, order)], scaled)
+    fv = FeatureVector(
+        op=OperatorType.MergeJoin, values={F.COUT: 1.0, F.CIN1: 3.0, F.CIN2: 13.0}
+    )
+    a, b = (fv.values[f] for f in order)
+    assert transform_for_scaling(fv, model.terms).values[F.COUT] == (1.0 / a) / b
+    assert _outcome(model_out_ratios, model, fv) == _outcome(
+        _reference_model_out_ratios, model, fv
+    )
+    assert model_out_ratios(model, fv) != [(1.0 / b / a - 0.01) / 0.01]
