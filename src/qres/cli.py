@@ -9,7 +9,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import estimators, evalkit, registry as reg, scaling, synth
-from .features import FeatureId, featurize_many
+from .features import FeatureError, FeatureId, featurize_many
 from .gbrt import TrainConfig, TrainingError
 from .plan import PlanError, load_corpus, save_corpus
 from .registry import RegistryError, load_registry, save_registry, train_registry
@@ -172,6 +172,7 @@ def cmd_fit_scaling(args) -> int:
         candidates = scaling.SINGLE_FEATURE_CANDIDATES
     else:
         candidates = scaling.TWO_FEATURE_CANDIDATES
+    fitted = scaling.fit_candidates(candidates, features, observations)
     report = [
         {
             "kind": form.kind.name,
@@ -180,9 +181,9 @@ def cmd_fit_scaling(args) -> int:
             "beta": form.beta,
             "sse": sse,
         }
-        for form, sse in scaling.fit_candidates(candidates, features, observations)
+        for form, sse in fitted
     ]
-    best = scaling.select_form(candidates, features, observations)
+    best = scaling.best_form(fitted)
     doc = {
         "candidates": report,
         "selected": {
@@ -325,7 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PlanError, SynthError, RegistryError, scaling.ScalingError,
+    except (PlanError, SynthError, RegistryError, FeatureError, scaling.ScalingError,
             evalkit.EvalError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -155,7 +155,6 @@ def dependents(f: FeatureId) -> frozenset[FeatureId]:
 class FeatureVector:
     op: OperatorType
     values: dict[FeatureId, float]
-    cardinality_source: str = "true"  # "true" | "estimated"
 
 
 def _inner_table_tuple_count(node: PlanNode) -> Optional[int]:
@@ -231,7 +230,7 @@ def extract_features(
     if not all(map(math.isfinite, v.values())):
         f = next(f for f, x in v.items() if not math.isfinite(x))
         raise PlanError(f"{op.name} operator: feature {f.name} is not finite ({v[f]})")
-    return FeatureVector(op=op, values=v, cardinality_source=source)
+    return FeatureVector(op=op, values=v)
 
 
 def featurize(root: PlanNode, source: str = "true") -> Iterator[tuple[PlanNode, FeatureVector]]:

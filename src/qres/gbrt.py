@@ -21,8 +21,9 @@ training applies each new tree to all of its rows with the same walk.
 Training boosts a family of independent problems (:func:`train_family`) in
 lock step: every iteration grows one tree per problem, and each best-first
 step scores the new leaves of all trees in one padded pass (:class:`_Grower`).
-Problems need to share only their row count and their settings but the seed,
-so ``registry.train_registry`` boosts the models of every operator and
+A family shares one :class:`TrainConfig`, and its problems need to share
+only their row count, each drawing its subsamples from its own seed; so
+``registry.train_registry`` boosts the models of every operator and
 resource with one row count as one family, whatever their feature counts.
 Each column is sorted once per family, filtered to each tree's subsample, and
 carried down to a node's children by a stable partition, in the spirit of the
@@ -34,7 +35,6 @@ node-at-a-time search.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -551,11 +551,10 @@ def _examples_to_arrays(
     return schema, X, y
 
 
-def _boost(problems: Sequence[Problem]) -> list:
-    """Boost P problems of one row count and one config but for ``rng_seed``
+def _boost(problems: Sequence[Problem], cfg: TrainConfig) -> list:
+    """Boost P problems of one row count by ``cfg``, each with its own seed,
     in lock step; returns each problem's ``(init, trees, train_rmse)``, its
     trees as :class:`PackedTrees`."""
-    cfg = problems[0].cfg
     P, n = len(problems), len(problems[0].y)
     C = max(1, max(X.shape[1] for _, X, _, _ in problems))
     XF = np.zeros((P, n, C))
@@ -570,7 +569,7 @@ def _boost(problems: Sequence[Problem]) -> list:
     ranked_ids = ranked + (np.arange(P) * n)[:, None, None]  # rows of flat (P * n)
     init = [np.float32(y.mean()) for _, _, y, _ in problems]
     F = np.repeat(np.array(init, dtype=np.float64)[:, None], n, axis=1)
-    rngs = [np.random.default_rng(p.cfg.rng_seed) for p in problems]
+    rngs = [np.random.default_rng(p.seed) for p in problems]
     k = max(1, int(round(cfg.subsample_fraction * n)))
     every = np.arange(P * n)
     grown = []  # each iteration's (starts, child, feature code, value)
@@ -615,33 +614,30 @@ def _boost(problems: Sequence[Problem]) -> list:
 
 class Problem(NamedTuple):
     """One training problem of :func:`train_family`: row i of ``X`` holds
-    the values of ``schema``'s features, in schema order, for target ``y[i]``."""
+    the values of ``schema``'s features, in schema order, for target ``y[i]``;
+    ``seed`` draws its subsamples."""
 
     schema: list[FeatureId]
     X: np.ndarray
     y: np.ndarray
-    cfg: TrainConfig
+    seed: int
 
 
 def train(examples: Sequence[tuple[FeatureVector, float]], cfg: TrainConfig) -> MartModel:
     """Stochastic gradient boosting of least-squares regression trees."""
-    return train_family([Problem(*_examples_to_arrays(examples), cfg)])[0]
+    return train_family([Problem(*_examples_to_arrays(examples), cfg.rng_seed)], cfg)[0]
 
 
-def train_family(problems: Sequence[Problem]) -> list[MartModel]:
-    """One model per problem, bit for bit the model of training it alone,
-    boosted in lock step: every iteration grows the problems' trees together.
-    The problems must share their row count and every setting but ``rng_seed``."""
-    for problem in problems:
-        problem.cfg.validate()
-    shapes = {
-        (len(y), dataclasses.astuple(dataclasses.replace(cfg, rng_seed=0)))
-        for _, _, y, cfg in problems
-    }
-    if len(shapes) > 1:
-        raise TrainingError("family members differ in row count or training settings")
+def train_family(problems: Sequence[Problem], cfg: TrainConfig) -> list[MartModel]:
+    """One model per problem, bit for bit the model of training it alone by
+    ``cfg`` with the problem's seed, boosted in lock step: every iteration
+    grows the problems' trees together. The problems must share their row
+    count."""
+    cfg.validate()
+    if len({len(p.y) for p in problems}) > 1:
+        raise TrainingError("family members differ in row count")
     models = []
-    for (schema, X, _, cfg), (init, trees, rmse) in zip(problems, _boost(problems)):
+    for (schema, X, _, _), (init, trees, rmse) in zip(problems, _boost(problems, cfg)):
         lows = np.min(X, axis=0).astype(np.float32)
         highs = np.max(X, axis=0).astype(np.float32)
         models.append(MartModel(

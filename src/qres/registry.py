@@ -8,7 +8,6 @@ through a compact binary format (magic "QRES").
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import struct
@@ -136,7 +135,7 @@ def transform_for_scaling(
             for s in chains[f]:
                 v = v / raw[s]
             work[f] = v
-    return FeatureVector(op=fv.op, values=work, cardinality_source=fv.cardinality_source)
+    return FeatureVector(op=fv.op, values=work)
 
 
 def _scale_factor(terms: Sequence[ScaleTerm], raw: dict[FeatureId, float]) -> float:
@@ -154,7 +153,7 @@ def _scale_factors(terms: Sequence[ScaleTerm], X: np.ndarray) -> list[float]:
 
 
 def _combined_problem(
-    op: OperatorType, X: np.ndarray, y: np.ndarray, terms: Sequence[ScaleTerm], cfg: TrainConfig
+    op: OperatorType, X: np.ndarray, y: np.ndarray, terms: Sequence[ScaleTerm], seed: int
 ) -> gbrt.Problem:
     """The per-unit problem of a combined model on op's raw rows ``X``:
     normalized features and targets divided by the scale factor. A scale
@@ -168,7 +167,7 @@ def _combined_problem(
         y = y / g
     if not all((np.abs(a) <= _FLOAT32_MAX).all() for a in (g, X, y)):
         raise TrainingError("per-unit training data beyond the float32 range of model files")
-    return gbrt.Problem(schema, X, y, cfg)
+    return gbrt.Problem(schema, X, y, seed)
 
 
 def estimate_with_model(model, fv: FeatureVector) -> float:
@@ -338,26 +337,23 @@ def select_model(
     """Pick the model for one operator instance.
 
     The default model wins whenever every feature value lies inside its
-    training ranges. Otherwise the model with the smallest maximum out_ratio
-    wins; ties prefer fewer scale features, then the smaller next-largest
-    out_ratio, then the lower model index.
+    training ranges. Otherwise each model has a key and the least key wins:
+    the largest out_ratio, then the count of scale features, then the other
+    out_ratios in descending order, where a list that begins another orders
+    first; exact ties go to the lower model index.
     """
     entry = registry.entry(op, resource)
     default = entry.models[entry.default_idx]
     if _selection_table(default).in_range(fv.values):
         return default, entry.default_idx
 
-    best_key = None
-    best: tuple[object, int] | None = None
-    for idx, model in enumerate(entry.models):
+    def key(idx: int) -> tuple:
+        model = entry.models[idx]
         ratios = sorted(model_out_ratios(model, fv), reverse=True)
-        padded = tuple(ratios[1:]) + (0.0,)
-        key = (ratios[0], len(_selection_table(model).scale_ids), padded, idx)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (model, idx)
-    assert best is not None
-    return best
+        return ratios[0], len(_selection_table(model).scale_ids), ratios[1:]
+
+    idx = min(range(len(entry.models)), key=key)
+    return entry.models[idx], idx
 
 
 @dataclass
@@ -460,7 +456,7 @@ def _out_ratio_rows(X: np.ndarray, op: OperatorType, model) -> tuple:
     """:func:`model_out_ratios` of every row of ``X``: a (rows, features)
     matrix of ratios, and a mask of the rows whose ratios are ``[inf]``."""
     table = _selection_table(model)
-    X, degenerate, kept = _normalize_rows(X, op, table.scale_ids)
+    X, degenerate, _ = _normalize_rows(X, op, table.scale_ids)
     columns = []
     for f, _, low, high, span in table.checks:
         v = X[:, f]
@@ -470,56 +466,35 @@ def _out_ratio_rows(X: np.ndarray, op: OperatorType, model) -> tuple:
             excursion = np.maximum(low - v, 0.0) + np.maximum(v - high, 0.0)
             columns.append(excursion / span)
     ratios = np.column_stack(columns or [np.zeros(len(X))])
-    return ratios, degenerate | any(f not in kept for f, *_ in table.schema)
-
-
-def _selection_keys(X: np.ndarray, op: OperatorType, model) -> np.ndarray:
-    """:func:`select_model`'s key of ``model`` for every row of ``X``, less
-    the model index, one row of floats each: the largest ratio, the count of
-    scale features, the other ratios in descending order and a 0.0. Padding
-    a row with -inf, below every ratio, orders a shorter key first, as tuple
-    comparison does."""
-    ratios, inf_rows = _out_ratio_rows(X, op, model)
-    n = ratios.shape[1]
-    desc = np.sort(ratios, axis=1)[:, ::-1]
-    keys = np.empty((len(X), n + 2))
-    keys[:, 0] = desc[:, 0]
-    keys[:, 1] = len(_selection_table(model).scale_ids)
-    keys[:, 2 : n + 1] = desc[:, 1:]
-    keys[:, n + 1] = 0.0
-    keys[inf_rows, 0] = math.inf
-    keys[inf_rows, 2:] = [0.0] + [-math.inf] * (n - 1)
-    return keys
-
-
-def _pad_keys(keys: np.ndarray, width: int) -> np.ndarray:
-    if keys.shape[1] == width:
-        return keys
-    return np.pad(keys, ((0, 0), (0, width - keys.shape[1])), constant_values=-math.inf)
+    return ratios, degenerate | (not table.complete)
 
 
 def _select_rows(entry: RegistryEntry, X: np.ndarray) -> np.ndarray:
     """:func:`select_model`'s pick for every row of ``X``: the default model
-    where its ratios are all 0, else the model of the least key, ties going
-    to the lower index. Featurization keeps every row finite, so no ratio is
-    NaN and the keys order as :func:`select_model`'s tuples do."""
-    op = entry.op
-    pick = np.full(len(X), entry.default_idx, dtype=np.intp)
-    ratios, inf_rows = _out_ratio_rows(X, op, entry.models[entry.default_idx])
+    where its ratios are all 0, else the model of the least key. Keys padded
+    to one width with -inf, below every ratio, order as select_model's do (a
+    key that begins another first), and a stable sort gives exact ties to the
+    lower index. Featurization keeps every row finite, so no ratio is NaN."""
+    op, default_idx = entry.op, entry.default_idx
+    pick = np.full(len(X), default_idx, dtype=np.intp)
+    ratios, inf_rows = _out_ratio_rows(X, op, entry.models[default_idx])
     out = np.flatnonzero(inf_rows | (ratios != 0.0).any(axis=1))
-    if out.size:
-        X_out, rows = X[out], np.arange(out.size)
-        best = _selection_keys(X_out, op, entry.models[0])
-        pick[out] = 0
-        for idx, model in enumerate(entry.models[1:], 1):
-            keys = _selection_keys(X_out, op, model)
-            width = max(best.shape[1], keys.shape[1])
-            best, keys = _pad_keys(best, width), _pad_keys(keys, width)
-            differ = keys != best
-            first = differ.argmax(axis=1)
-            better = differ.any(axis=1) & (keys[rows, first] < best[rows, first])
-            best[better] = keys[better]
-            pick[out[better]] = idx
+    if not out.size:
+        return pick
+    X_out, keys = X[out], []
+    for idx, model in enumerate(entry.models):
+        if idx == default_idx:
+            r, inf = ratios[out], inf_rows[out]
+        else:
+            r, inf = _out_ratio_rows(X_out, op, model)
+        r = np.sort(r, axis=1)[:, ::-1]
+        r[inf] = [math.inf] + [-math.inf] * (r.shape[1] - 1)  # the ratios [inf]
+        keys.append(np.insert(r, 1, len(_selection_table(model).scale_ids), axis=1))
+    stack = np.full((max(k.shape[1] for k in keys), out.size, len(keys)), -math.inf)
+    for idx, k in enumerate(keys):
+        stack[: k.shape[1], :, idx] = k.T
+    # lexsort's last key is its first: reverse the key columns.
+    pick[out] = np.lexsort(stack[::-1], axis=-1)[:, 0]
     return pick
 
 
@@ -586,8 +561,8 @@ def _training_sse(model, X: np.ndarray, op: OperatorType, y: np.ndarray) -> floa
     return float(np.cumsum(err * err)[-1])
 
 
-def _model_cfg(cfg: TrainConfig, salt: int) -> TrainConfig:
-    return dataclasses.replace(cfg, rng_seed=(cfg.rng_seed * 1000003 + salt) % (2**31))
+def _model_seed(cfg: TrainConfig, salt: int) -> int:
+    return (cfg.rng_seed * 1000003 + salt) % (2**31)
 
 
 def _entry_problems(
@@ -599,7 +574,7 @@ def _entry_problems(
     scale feature (two-feature variant for joins). A candidate whose form fit
     fails, or whose per-unit problem leaves float32, is left out."""
     schema = list(applicable_features(op))
-    problems = [gbrt.Problem(schema, X[:, schema], y, _model_cfg(cfg, 0))]
+    problems = [gbrt.Problem(schema, X[:, schema], y, _model_seed(cfg, 0))]
     terms: list = [None]
     eligible = eligible_scale_features(op, resource, X)
     fits = [(SINGLE_FEATURE_CANDIDATES, [f]) for f in eligible]
@@ -611,7 +586,7 @@ def _entry_problems(
         try:
             form = select_form(candidates, features, list(zip(X[:, features].tolist(), targets)))
             term = ScaleTerm(kind=form.kind, features=form.features, beta=form.beta)
-            problems.append(_combined_problem(op, X, y, [term], _model_cfg(cfg, salt)))
+            problems.append(_combined_problem(op, X, y, [term], _model_seed(cfg, salt)))
             terms.append([term])
         except (ScalingError, FeatureError, TrainingError):
             pass
@@ -644,7 +619,7 @@ def train_entry(
     """Train the model family for one operator/resource on op's raw rows
     ``X`` and targets ``y``, all models boosted in lock step."""
     terms, problems = _entry_problems(op, resource, X, y, cfg)
-    return _build_entry(op, resource, X, y, terms, gbrt.train_family(problems))
+    return _build_entry(op, resource, X, y, terms, gbrt.train_family(problems, cfg))
 
 
 def train_registry(
@@ -655,8 +630,8 @@ def train_registry(
 ) -> ModelRegistry:
     """One entry per operator type and resource, each as :func:`train_entry`
     trains it. The rows of every resource are collected and checked before
-    any model is trained. The problems of all entries differ only in their
-    seeds, so every problem of one row count, across operators and
+    any model is trained. Every entry trains by ``cfg``, each model with a
+    seed of its own, so every problem of one row count, across operators and
     resources, is boosted in one lock-step :func:`gbrt.train_family` call."""
     cfg.validate()
     rows = {}
@@ -677,7 +652,7 @@ def train_registry(
             terms, problems = _entry_problems(op, resource, X, y, cfg)
             pending.append((op, resource, X, y, terms))
             by_rows.setdefault(len(y), []).extend(problems)
-    trained = {n: iter(gbrt.train_family(problems)) for n, problems in by_rows.items()}
+    trained = {n: iter(gbrt.train_family(problems, cfg)) for n, problems in by_rows.items()}
     registry = ModelRegistry()
     for op, resource, X, y, terms in pending:
         marts = [next(trained[len(y)]) for _ in terms]
@@ -890,7 +865,9 @@ def deserialize(data: bytes) -> ModelRegistry:
             elif kind == 1:
                 mart = _decode_mart(r)
                 terms = [_decode_term(r, op) for _ in range(r.u8())]
-                scale = {f for t in terms for f in t.features}
+                scale = [f for t in terms for f in t.features]
+                if len(set(scale)) != len(scale):
+                    raise RegistryError(f"repeated scaling feature in a {op.name} model")
                 schema = tuple(f for f in features if f not in scale)
                 models.append(CombinedModel(terms=terms, scaled_model=mart))
             else:

@@ -163,14 +163,18 @@ def select_form(
     features: Sequence[FeatureId],
     observations: Sequence[tuple[Sequence[float], float]],
 ) -> ScalingForm:
-    """Fit every candidate and return the one with the smallest residual SSE.
-
-    Ties (within relative 1e-9) prefer fewer fitted parameters, then the lower
-    form code, then the earlier fit of :func:`fit_candidates`.
-    """
+    """Fit every candidate and return the :func:`best_form` of the fits."""
     if len(candidates) < 2:
         raise ScalingError("need at least 2 candidate forms")
-    fitted = fit_candidates(candidates, features, observations)
+    return best_form(fit_candidates(candidates, features, observations))
+
+
+def best_form(fitted: Sequence[tuple[ScalingForm, float]]) -> ScalingForm:
+    """The form of :func:`fit_candidates`' list with the smallest residual SSE.
+
+    Ties (within relative 1e-9) prefer fewer fitted parameters, then the lower
+    form code, then the earlier fit.
+    """
     best_sse = min(sse for _, sse in fitted)
     tol = 1e-9 * (1.0 + abs(best_sse))
     near = [

@@ -80,7 +80,7 @@ def as_rows(examples) -> tuple[np.ndarray, np.ndarray]:
 def build_combined(op, X, y, terms, cfg) -> CombinedModel:
     """One combined model, trained on op's raw rows ``X`` and targets ``y`` as
     ``registry.train_entry`` trains the combined models of a family."""
-    scaled = gbrt.train_family([_combined_problem(op, X, y, terms, cfg)])[0]
+    scaled = gbrt.train_family([_combined_problem(op, X, y, terms, cfg.rng_seed)], cfg)[0]
     return CombinedModel(terms=list(terms), scaled_model=scaled)
 
 

@@ -116,6 +116,27 @@ def test_fit_scaling_selects_generating_form(tmp_path, capsys):
     assert {c["kind"] for c in doc["candidates"]} == {"Linear", "NLogN", "Power", "Log"}
 
 
+@pytest.mark.parametrize("features", ["CIN1", "CIN1,CIN2"])
+def test_fit_scaling_fits_each_candidate_once(tmp_path, capsys, monkeypatch, features):
+    # The selected form is picked from the fits the report lists.
+    from qres import scaling
+
+    fits = []
+    fit_form = scaling.fit_form
+
+    def counted(kind, order, observations):
+        fits.append((kind, order))
+        return fit_form(kind, order, observations)
+
+    monkeypatch.setattr(scaling, "fit_form", counted)
+    csv_path = tmp_path / "obs.csv"
+    rows = ["CIN1,CIN2,resource"] + [f"{n},{3 * n + 7},{5 * n}" for n in (10, 40, 90, 250)]
+    csv_path.write_text("\n".join(rows) + "\n")
+    assert main(["fit-scaling", "--csv", str(csv_path), "--features", features]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert len(fits) == len(set(fits)) == len(doc["candidates"])
+
+
 def test_inspect_lists_models(workspace, capsys):
     _, _, _, model = workspace
     assert main(["inspect", "--model", str(model)]) == EXIT_OK
@@ -239,6 +260,58 @@ def test_estimate_on_corrupt_model_is_data_error(workspace, tmp_path, capsys):
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "invalid OperatorType code 0" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "eval"])
+def test_model_without_a_plain_model_on_a_zero_scale_feature_is_data_error(
+    workspace, tmp_path, capsys, command
+):
+    # The decoder accepts an entry of combined models only; a Sort whose
+    # input cardinality is 0 cannot be scaled by CIN1 and has no plain model
+    # to fall back on.
+    from qres.features import FeatureId
+    from qres.plan import OperatorType, load_corpus, save_corpus
+    from qres.registry import CombinedModel, load_registry, save_registry
+
+    _, _, corpus, model = workspace
+    registry = load_registry(str(model))
+    entry = registry.entry(OperatorType.Sort, "cpu_us")
+    entry.models = [
+        m for m in entry.models
+        if isinstance(m, CombinedModel) and m.scale_feature_ids == [FeatureId.CIN1]
+    ]
+    assert len(entry.models) == 1
+    entry.default_idx = 0
+    cut, plans = tmp_path / "cut.bin", tmp_path / "plans.jsonl"
+    save_registry(registry, str(cut))
+    plan = next(p for p in load_corpus(str(corpus)) if p.root.op is OperatorType.Sort)
+    plan.root.children[0].true_out_cardinality = 0
+    save_corpus([plan], str(plans))
+    flag = "--plans" if command == "estimate" else "--corpus"
+    code = main([command, "--model", str(cut), flag, str(plans), "--resource", "cpu"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == "error: degenerate scaling feature: CIN1 absent or non-positive\n"
+
+
+def test_estimate_on_a_repeated_scale_feature_is_data_error(workspace, tmp_path, capsys):
+    # Product2(f, f) is a valid term to the decoder's per-term checks, but
+    # it would normalize by f twice and scale by f squared.
+    from qres.registry import CombinedModel, ScaleTerm, load_registry, save_registry
+    from qres.scaling import FormKind
+
+    _, _, corpus, model = workspace
+    registry = load_registry(str(model))
+    combined = next(
+        m for e in registry.entries.values() for m in e.models if isinstance(m, CombinedModel)
+    )
+    f = combined.terms[0].features[0]
+    combined.terms[:] = [ScaleTerm(FormKind.Product2, (f, f))]
+    bad = tmp_path / "twice.bin"
+    save_registry(registry, str(bad))
+    assert main(["estimate", "--model", str(bad), "--plans", str(corpus)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: repeated scaling feature in a ")
 
 
 @pytest.mark.parametrize("field", ['"observed":[1,2]', '"cols":[1]', '"row_bytes":NaN'])

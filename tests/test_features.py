@@ -108,7 +108,6 @@ def test_join_features_and_identities():
     assert est.values[F.COUT] == 900.0
     # Table-level features are exact regardless of cardinality source.
     assert est.values.get(F.TSIZE) is None  # joins carry no table features
-    assert est.cardinality_source == "estimated"
 
 
 def test_sseek_table_uses_inner_base_table():

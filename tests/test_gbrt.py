@@ -555,7 +555,7 @@ def _family(n: int, cfg: TrainConfig, columns, kind: str = "uniform", seed: int 
 
 
 def _problems(members) -> list[Problem]:
-    return [Problem(*gbrt._examples_to_arrays(examples), cfg) for examples, cfg in members]
+    return [Problem(*gbrt._examples_to_arrays(examples), cfg.rng_seed) for examples, cfg in members]
 
 
 FAMILY_CASES = {
@@ -580,7 +580,7 @@ def _model_bytes(model: MartModel) -> bytes:
 def test_train_family_equals_separate_training(case):
     n, cfg, columns, kind = FAMILY_CASES[case]
     members = _family(n, cfg, columns, kind)
-    family = train_family(_problems(members))
+    family = train_family(_problems(members), cfg)
     for (examples, member_cfg), model in zip(members, family):
         alone = train(examples, member_cfg)
         assert _model_bytes(model) == _model_bytes(alone)
@@ -629,7 +629,7 @@ def test_boosted_packed_arrays_equal_the_per_tree_concatenation(case, monkeypatc
         return grown[-1]
 
     monkeypatch.setattr(gbrt._Grower, "grow", recording)
-    models = train_family(problems)
+    models = train_family(problems, cfg)
     assert len(grown) == cfg.iterations
     for p, (problem, model) in enumerate(zip(problems, models)):
         codes = np.array([int(f) for f in problem.schema], dtype=np.uint8)
@@ -669,12 +669,11 @@ def test_model_trees_are_read_only_views_of_the_packed_arrays():
 
 
 def test_train_family_rejects_members_of_another_shape():
-    a = _family(50, TrainConfig(iterations=3), (2, 3))
-    other_rows = _family(30, TrainConfig(iterations=3), (3,), seed=1)
-    other_leaves = _family(50, TrainConfig(iterations=3, max_leaves=4), (3,), seed=1)
-    for odd in (other_rows[0], other_leaves[0]):
-        with pytest.raises(TrainingError, match="family members differ"):
-            train_family(_problems([a[0], odd, a[1]]))
+    cfg = TrainConfig(iterations=3)
+    a = _family(50, cfg, (2, 3))
+    other_rows = _family(30, cfg, (3,), seed=1)
+    with pytest.raises(TrainingError, match="family members differ in row count"):
+        train_family(_problems([a[0], other_rows[0], a[1]]), cfg)
 
 
 def _assert_matches_reference(examples, max_leaves, min_per_leaf):

@@ -325,7 +325,6 @@ def test_combined_problem_rows_are_the_transformed_vectors(trained):
     from qres.registry import _combined_problem
 
     _, corpus = trained
-    cfg = TrainConfig(iterations=1)
     terms = [
         (OperatorType.Sort, [ScaleTerm(FormKind.NLogN, (F.CIN1,))]),
         (OperatorType.TableScan, [ScaleTerm(FormKind.Power, (F.TSIZE,), 1.5)]),
@@ -334,7 +333,7 @@ def test_combined_problem_rows_are_the_transformed_vectors(trained):
     for op, term in terms:
         examples = labeled_vectors(corpus, "cpu_us", op)
         X, y = collect_examples(corpus, "cpu_us")[op]
-        problem = _combined_problem(op, X, y, term, cfg)
+        problem = _combined_problem(op, X, y, term, 0)
         vectors = [transform_for_scaling(fv, term) for fv, _ in examples]
         assert problem.schema == sorted(vectors[0].values)
         want = [[v.values[f] for f in problem.schema] for v in vectors]
@@ -355,10 +354,10 @@ def test_combined_problem_beyond_float32_is_training_error(kind, beta, cin, cout
     vectors = [filter_fv(cin=c) for c in (100.0, 200.0, 400.0)]
     term = [ScaleTerm(kind, (F.CIN1,), beta)]
     X, y = as_rows([(fv, 5.0) for fv in vectors])
-    _combined_problem(OperatorType.Filter, X, y, term, TrainConfig())
+    _combined_problem(OperatorType.Filter, X, y, term, 0)
     X, y = as_rows([(fv, 5.0) for fv in vectors + [filter_fv(cin=cin, cout=cout)]])
     with pytest.raises(TrainingError, match="per-unit training data beyond the float32 range"):
-        _combined_problem(OperatorType.Filter, X, y, term, TrainConfig())
+        _combined_problem(OperatorType.Filter, X, y, term, 0)
 
 
 def test_train_registry_rejects_unknown_resource(trained):
@@ -524,6 +523,17 @@ def _retype_term(registry, **changes):
     model.terms[0] = ScaleTerm(**{**fields, **changes})
 
 
+def _repeat_scale_feature(registry, across_terms):
+    """Scale the first combined model by its scale feature twice: in one
+    Product2 term, or in two Linear terms."""
+    model = _combined(registry)
+    f = model.terms[0].features[0]
+    if across_terms:
+        model.terms[:] = [ScaleTerm(FormKind.Linear, (f,)), ScaleTerm(FormKind.Linear, (f,))]
+    else:
+        model.terms[:] = [ScaleTerm(FormKind.Product2, (f, f))]
+
+
 def _set_schema(mart, schema):
     stats = next(iter(mart.feature_stats.values()))
     mart.schema = schema
@@ -592,6 +602,12 @@ CORRUPTIONS = {
     ),
     "power exponent": (
         lambda r: _retype_term(r, kind=FormKind.Power, beta=1e30), "exponent"
+    ),
+    "scale feature twice in a term": (
+        lambda r: _repeat_scale_feature(r, across_terms=False), "repeated scaling feature"
+    ),
+    "scale feature in two terms": (
+        lambda r: _repeat_scale_feature(r, across_terms=True), "repeated scaling feature"
     ),
     "offset past tree": (
         lambda r: _set_node(_first_entry(r).models[0], "child", 0, 250),
@@ -744,9 +760,9 @@ def test_grouped_training_equals_entry_by_entry_training(fast_cfg, monkeypatch):
     calls = []
     train_family = gbrt.train_family
 
-    def counted(problems):
+    def counted(problems, cfg):
         calls.append(len(problems))
-        return train_family(problems)
+        return train_family(problems, cfg)
 
     monkeypatch.setattr(gbrt, "train_family", counted)
     grouped = train_registry(corpus, resources, fast_cfg)
@@ -1084,7 +1100,7 @@ def _reference_transform_for_scaling(fv, terms):
                 if dep in work:
                     work[dep] = work[dep] / v
             work.pop(fid, None)
-    return FeatureVector(op=fv.op, values=work, cardinality_source=fv.cardinality_source)
+    return FeatureVector(op=fv.op, values=work)
 
 
 def _reference_model_out_ratios(model, fv):
@@ -1319,6 +1335,51 @@ def test_every_operator_of_the_batch_plans_equals_the_reference_rule(selection_c
                 )
             got = select_model(registry, *key, fv)
             assert got == _reference_select_model(registry, *key, fv)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_batch_selection_equals_the_per_vector_rule(selection_case, data):
+    # Trained families and hand-built variants, exact duplicates of models
+    # (exact ties), families without their plain model (the decoder accepts
+    # them), ranges ending at a row's value, one step short of it or zero
+    # wide, any default, and complete rows whose scale features may be 0
+    # (all of them, as for an empty input) or negative: _select_rows picks,
+    # row by row, select_model's index.
+    from qres.registry import _parts, _select_rows
+
+    registry, vectors, keys = selection_case
+    op, resource = key = data.draw(st.sampled_from(keys))
+    models = list(registry.entries[key].models)
+    if data.draw(st.booleans()):
+        models += _hand_built_variants(models)
+    duplicates = data.draw(st.lists(st.integers(0, len(models) - 1), max_size=3))
+    models += [models[i] for i in duplicates]
+    if data.draw(st.booleans()):
+        del models[0]
+    drawn = data.draw(st.lists(st.sampled_from(vectors[op]), min_size=1, max_size=12))
+    rows = [dict(fv.values) for fv in drawn]
+    scale_features = sorted({f for m in models for f in _parts(m)[1]})
+    for values in rows:
+        if scale_features and data.draw(st.integers(0, 4)) == 0:
+            values.update(dict.fromkeys(scale_features, 0.0))
+        for _ in range(data.draw(st.integers(0, 3)) if scale_features else 0):
+            f = data.draw(st.sampled_from(scale_features))
+            edits = [0.0, -0.0, -1.0, 1e-3 * values[f], 64.0 * values[f]]
+            values[f] = data.draw(st.sampled_from(edits))
+    for _ in range(data.draw(st.integers(0, 3))):
+        idx = data.draw(st.integers(0, len(models) - 1))
+        fv = FeatureVector(op, data.draw(st.sampled_from(rows)))
+        models[idx] = _edit_range(data, models[idx], fv)
+    entry = RegistryEntry(op, resource, models, data.draw(st.integers(0, len(models) - 1)))
+
+    X = np.zeros((len(rows), FEATURE_SPACE))
+    for row, values in zip(X, rows):
+        for f, v in values.items():
+            row[int(f)] = v
+    edited = ModelRegistry({key: entry})
+    want = [select_model(edited, op, resource, FeatureVector(op, values))[1] for values in rows]
+    assert _select_rows(entry, X).tolist() == want
 
 
 def test_load_builds_no_selection_table_and_estimates_build_the_scored_ones(
