@@ -40,6 +40,14 @@ def seed(text: str) -> int:
     return int(text)
 
 
+def feature_names(text: str) -> list[str]:
+    """A ``--features`` value: one or two distinct comma-separated names."""
+    names = [name.strip() for name in text.split(",")]
+    if len(names) > 2 or len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"one or two distinct feature names, not {text}")
+    return names
+
+
 def _resources(flag: str) -> list[str]:
     if flag == "both":
         return list(reg.RESOURCES)
@@ -159,8 +167,7 @@ def _csv_number(row: dict, name: str, where: str) -> float:
 
 
 def cmd_fit_scaling(args) -> int:
-    feature_names = args.features.split(",")
-    features = [FeatureId[name.strip()] for name in feature_names]
+    features = [FeatureId[name] for name in args.features]
     observations = []
     with open(args.csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -307,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-scaling")
     p.add_argument("--csv", required=True, help="observation CSV")
-    p.add_argument("--features", required=True, help="1-2 feature columns, comma-separated")
+    p.add_argument("--features", type=feature_names, required=True,
+                   help="1-2 distinct feature columns, comma-separated")
     p.add_argument("--resource-column", default="resource")
     p.set_defaults(func=cmd_fit_scaling)
 

@@ -1,10 +1,11 @@
 """Per-operator model families: training, runtime selection, and serialization.
 
 Each (operator type, resource) entry holds a plain tree-ensemble model plus a
-family of combined models (scaling term x per-unit ensemble). At estimation
-time the model whose training ranges best cover the incoming feature values is
-chosen via the out-of-range ratio heuristic. The whole registry round-trips
-through a compact binary format (magic "QRES").
+family of combined models (scaling term x per-unit ensemble), none when its
+training labels are all 0. At estimation time the model whose training
+ranges best cover the incoming feature values is chosen via the out-of-range
+ratio heuristic. The whole registry round-trips through a compact binary
+format (magic "QRES").
 """
 from __future__ import annotations
 
@@ -340,11 +341,12 @@ def select_model(
     training ranges. Otherwise each model has a key and the least key wins:
     the largest out_ratio, then the count of scale features, then the other
     out_ratios in descending order, where a list that begins another orders
-    first; exact ties go to the lower model index.
+    first; exact ties go to the lower model index. The one model of an entry
+    is returned unchecked.
     """
     entry = registry.entry(op, resource)
     default = entry.models[entry.default_idx]
-    if _selection_table(default).in_range(fv.values):
+    if len(entry.models) == 1 or _selection_table(default).in_range(fv.values):
         return default, entry.default_idx
 
     def key(idx: int) -> tuple:
@@ -477,6 +479,8 @@ def _select_rows(entry: RegistryEntry, X: np.ndarray) -> np.ndarray:
     lower index. Featurization keeps every row finite, so no ratio is NaN."""
     op, default_idx = entry.op, entry.default_idx
     pick = np.full(len(X), default_idx, dtype=np.intp)
+    if len(entry.models) == 1:
+        return pick
     ratios, inf_rows = _out_ratio_rows(X, op, entry.models[default_idx])
     out = np.flatnonzero(inf_rows | (ratios != 0.0).any(axis=1))
     if not out.size:
@@ -572,10 +576,14 @@ def _entry_problems(
     rows ``X`` and targets ``y``, with each one's scale terms (None for the
     plain model): the plain problem plus one combined problem per eligible
     scale feature (two-feature variant for joins). A candidate whose form fit
-    fails, or whose per-unit problem leaves float32, is left out."""
+    fails, or whose per-unit problem leaves float32, is left out. Targets
+    that are all 0 get the plain problem alone: every model of such a family
+    predicts exactly 0."""
     schema = list(applicable_features(op))
     problems = [gbrt.Problem(schema, X[:, schema], y, _model_seed(cfg, 0))]
     terms: list = [None]
+    if not y.any():
+        return terms, problems
     eligible = eligible_scale_features(op, resource, X)
     fits = [(SINGLE_FEATURE_CANDIDATES, [f]) for f in eligible]
     pair = _join_scale_pair(op)

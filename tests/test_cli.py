@@ -137,6 +137,16 @@ def test_fit_scaling_fits_each_candidate_once(tmp_path, capsys, monkeypatch, fea
     assert len(fits) == len(set(fits)) == len(doc["candidates"])
 
 
+@pytest.mark.parametrize("features", ["CIN1,CIN2,COUT", "CIN1,CIN1", "CIN1, CIN1"])
+def test_fit_scaling_on_a_third_or_repeated_feature_is_usage_error(tmp_path, capsys, features):
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_text("CIN1,CIN2,COUT,resource\n10,3,5,50\n40,7,20,200\n90,11,45,450\n")
+    assert main(["fit-scaling", "--csv", str(csv_path), "--features", features]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --features: one or two distinct feature names" in err
+
+
 def test_inspect_lists_models(workspace, capsys):
     _, _, _, model = workspace
     assert main(["inspect", "--model", str(model)]) == EXIT_OK
@@ -406,9 +416,12 @@ def test_inspect_output_bytes_are_pinned(small_corpus, fast_cfg, tmp_path, capsy
     for extra in ([], ["--trees"]):
         assert main(["inspect", "--model", str(model), *extra]) == EXIT_OK
         digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    # f28e03a182f64840edd28f9d610b4643ad441d773ddda81aab533703ae8b5a19 and
+    # 931efb5665c674bc29280a9abdb056f385f748878a0844fe7467cfcb3b66cbc1 while
+    # entries whose labels are all 0 kept every combined model as well.
     assert digests == [
-        "f28e03a182f64840edd28f9d610b4643ad441d773ddda81aab533703ae8b5a19",
-        "931efb5665c674bc29280a9abdb056f385f748878a0844fe7467cfcb3b66cbc1",
+        "75dc04ff84c305be6dea8b6a5d5a5b1bee5fe43ffb67cee00d062a061e0d6ea9",
+        "65b6ba12ac2c48a142f0da03500b294a11926fbe93a9f6e08b713c3f27b770be",
     ]
 
 

@@ -790,8 +790,10 @@ def test_fixed_corpus_bytes_and_estimates_are_pinned(small_corpus, fast_cfg, tmp
         "880c7a6672d0b8bb0530326b4010f436e33ee875d19cc2fa3fd31e02c13e00be"
     )
     registry = train_registry(small_corpus, ["cpu_us", "logical_io"], fast_cfg)
+    # 506f2bf351544d23bb276c10ceacb624f55d60f3863c53097dd1ac7a1facb93e while
+    # entries whose labels are all 0 kept every combined model as well.
     assert hashlib.sha256(serialize(registry)).hexdigest() == (
-        "506f2bf351544d23bb276c10ceacb624f55d60f3863c53097dd1ac7a1facb93e"
+        "def173d2f318fa122cac523edfb1df22bf5972465bdeb960663812022f5c1cf4"
     )
     # The default pick and its training RMSE are not stored in the file.
     entries = [
@@ -972,6 +974,92 @@ def test_estimate_many_breaks_exact_ties_by_model_index(batch_case):
         ]
         assert any(idx != doubled.entry(op, resource).default_idx for op, idx in picks)
         assert all(idx < len(registry.entry(op, resource).models) for op, idx in picks)
+
+
+def test_entry_with_all_zero_labels_keeps_only_its_plain_model(
+    batch_case, all_template_spec, fast_cfg
+):
+    # Every model of such an entry predicts exactly 0, so training fits no
+    # scale form and boosts no combined model for it; its plain model is the
+    # one training it alone gives, and it estimates 0 in range and far out.
+    import dataclasses
+
+    from qres import gbrt
+    from qres.features import applicable_features
+    from qres.registry import _model_seed, operator_estimates
+    from qres.synth import generate_corpus
+
+    registry, in_range, _ = batch_case
+    huge = generate_corpus(dataclasses.replace(all_template_spec, scales=[64.0]))
+    zero = {
+        (op, resource): (X, y)
+        for resource in ("cpu_us", "logical_io")
+        for op, (X, y) in collect_examples(in_range, resource).items()
+        if not y.any()
+    }
+    assert {(op.name, resource) for op, resource in zero} == {
+        (name, "logical_io")
+        for name in ("Filter", "Sort", "HashAggregate", "HashJoin", "MergeJoin", "NestedLoopJoin")
+    }
+    for (op, resource), (X, y) in zero.items():
+        entry = registry.entry(op, resource)
+        assert (len(entry.models), entry.default_idx, entry.train_rmse) == (1, 0, 0.0)
+        schema = list(applicable_features(op))
+        problem = gbrt.Problem(schema, X[:, schema], y, _model_seed(fast_cfg, 0))
+        alone = RegistryEntry(op, resource, gbrt.train_family([problem], fast_cfg))
+        assert serialize(ModelRegistry({(op, resource): alone})) == serialize(
+            ModelRegistry({(op, resource): entry})
+        )
+        inside, outside = (
+            [fv for p in plans for node, fv in featurize(p.root) if node.op is op]
+            for plans in (in_range, huge)
+        )
+        assert max(max(_reference_model_out_ratios(entry.models[0], fv)) for fv in outside) > 0
+        assert {estimate_with_model(entry.models[0], fv) for fv in inside + outside} == {0.0}
+    assert all(len(e.models) > 1 for key, e in registry.entries.items() if key not in zero)
+    batch = featurize_many(huge)
+    values = operator_estimates(registry, batch, "logical_io")
+    for op, _ in zero:
+        assert set(values[batch.at[op]].tolist()) == {0.0}
+
+
+def test_one_model_entry_is_picked_without_a_range_check(batch_case, monkeypatch):
+    # An entry of one model returns it on both paths, on rows out of its
+    # ranges and on rows whose scale features are 0: no ratio is computed
+    # and no selection table is built.
+    import qres.registry as registry_module
+    from qres.features import SCALE_CANDIDATES
+    from qres.registry import _select_rows
+
+    registry, _, large = batch_case
+    loaded = deserialize(serialize(registry))
+    one = [e for e in loaded.entries.values() if len(e.models) == 1]
+    assert one  # the entries whose labels are all 0
+    for e in loaded.entries.values():
+        if len(e.models) > 1:
+            one += [RegistryEntry(e.op, e.resource, [m]) for m in (e.models[0], e.models[-1])]
+
+    def ranked(model, fv):
+        raise AssertionError("a one-model entry was ranked")
+
+    monkeypatch.setattr(registry_module, "model_out_ratios", ranked)
+    for entry in one:
+        op, model = entry.op, entry.models[0]
+        rows = [dict(fv.values) for p in large for node, fv in featurize(p.root) if node.op is op]
+        rows += [{f: 0.0 if f in SCALE_CANDIDATES else v for f, v in r.items()} for r in rows]
+        assert any(
+            max(_reference_model_out_ratios(model, FeatureVector(op, r))) > 0 for r in rows
+        )
+        edited = ModelRegistry({(op, entry.resource): entry})
+        for values in rows:
+            got = select_model(edited, op, entry.resource, FeatureVector(op, values))
+            assert got[0] is model and got[1] == 0
+        X = np.zeros((len(rows), FEATURE_SPACE))
+        for row, values in zip(X, rows):
+            for f, v in values.items():
+                row[int(f)] = v
+        assert _select_rows(entry, X).tolist() == [0] * len(rows)
+        assert model._selection is None
 
 
 def test_estimator_views_equal_per_plan_sums(batch_case):
@@ -1342,10 +1430,10 @@ def test_every_operator_of_the_batch_plans_equals_the_reference_rule(selection_c
 def test_batch_selection_equals_the_per_vector_rule(selection_case, data):
     # Trained families and hand-built variants, exact duplicates of models
     # (exact ties), families without their plain model (the decoder accepts
-    # them), ranges ending at a row's value, one step short of it or zero
-    # wide, any default, and complete rows whose scale features may be 0
-    # (all of them, as for an empty input) or negative: _select_rows picks,
-    # row by row, select_model's index.
+    # them), families of one model, ranges ending at a row's value, one step
+    # short of it or zero wide, any default, and complete rows whose scale
+    # features may be 0 (all of them, as for an empty input) or negative:
+    # _select_rows picks, row by row, select_model's index.
     from qres.registry import _parts, _select_rows
 
     registry, vectors, keys = selection_case
@@ -1355,7 +1443,7 @@ def test_batch_selection_equals_the_per_vector_rule(selection_case, data):
         models += _hand_built_variants(models)
     duplicates = data.draw(st.lists(st.integers(0, len(models) - 1), max_size=3))
     models += [models[i] for i in duplicates]
-    if data.draw(st.booleans()):
+    if data.draw(st.booleans()) and len(models) > 1:
         del models[0]
     drawn = data.draw(st.lists(st.sampled_from(vectors[op]), min_size=1, max_size=12))
     rows = [dict(fv.values) for fv in drawn]
