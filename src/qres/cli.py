@@ -6,7 +6,8 @@ import csv
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Optional, Sequence
 
 from . import estimators, evalkit, registry as reg, scaling, synth
 from .features import FeatureError, FeatureId, featurize_many
@@ -98,24 +99,47 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    """``value`` as ``json.dumps`` writes a float."""
+    text = float.__repr__(value)
+    return _JSON_SPECIAL.get(text, text)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A list whose items are already indented text, closed at ``indent``."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def estimates_json(pairs: Iterable[tuple[str, reg.QueryEstimate]]) -> str:
+    """``json.dumps(docs, indent=2, sort_keys=True)`` of one document per
+    ``(query_id, estimate)`` pair, formatted directly: each document holds
+    ``per_operator`` (``{"estimate", "op"}`` objects), ``per_pipeline``,
+    ``query_id`` and ``total``."""
+    num, text = _json_float, encode_basestring_ascii
+    docs = []
+    for query_id, est in pairs:
+        ops = [
+            f'      {{\n        "estimate": {num(value)},\n        "op": {text(name)}\n      }}'
+            for name, value in est.per_operator
+        ]
+        pipes = [f"      {num(value)}" for value in est.per_pipeline]
+        docs.append(
+            f'  {{\n    "per_operator": {_json_list(ops, "    ")},\n'
+            f'    "per_pipeline": {_json_list(pipes, "    ")},\n'
+            f'    "query_id": {text(query_id)},\n    "total": {num(est.total)}\n  }}'
+        )
+    return _json_list(docs, "")
+
+
 def cmd_estimate(args) -> int:
     registry = load_registry(args.model)
     plans = load_corpus(args.plans)
     resource = _RESOURCE_FLAG[args.resource]
-    out = [
-        {
-            "query_id": plan.query_id,
-            "total": est.total,
-            "per_pipeline": est.per_pipeline,
-            "per_operator": [
-                {"op": name, "estimate": value} for name, value in est.per_operator
-            ],
-        }
-        for plan, est in zip(
-            plans, reg.estimate_batch(registry, featurize_many(plans, args.source), resource)
-        )
-    ]
-    text = json.dumps(out, indent=2, sort_keys=True)
+    estimates = reg.estimate_batch(registry, featurize_many(plans, args.source), resource)
+    text = estimates_json((plan.query_id, est) for plan, est in zip(plans, estimates))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -98,12 +98,18 @@ class CombinedModel:
 
 def model_label(model) -> str:
     """A model's name in reports: ``mart`` for a plain model, else
-    ``combined:`` and its scale terms, e.g. ``combined:Power(TSIZE)``."""
+    ``combined:`` and its scale terms, a Power term with its exponent, e.g.
+    ``combined:Power(TSIZE;3)``."""
     if isinstance(model, CombinedModel):
-        return "combined:" + "/".join(
-            f"{t.kind.name}({','.join(f.name for f in t.features)})" for t in model.terms
-        )
+        return "combined:" + "/".join(map(_term_label, model.terms))
     return "mart"
+
+
+def _term_label(term: ScaleTerm) -> str:
+    names = ",".join(f.name for f in term.features)
+    if term.kind is FormKind.Power:
+        names += ";" + repr(term.beta).removesuffix(".0")
+    return f"{term.kind.name}({names})"
 
 
 @functools.cache

@@ -53,6 +53,7 @@ class CorpusSpec:
         unknown = set(self.templates) - set(_TEMPLATES)
         if unknown:
             raise SynthError(f"unknown templates: {sorted(unknown)}")
+        self._template_mix()
         if not self.tables:
             raise SynthError("empty table catalog")
         if not self.scales:
@@ -72,6 +73,18 @@ class CorpusSpec:
             raise SynthError("negative noise level")
         if self.card_bias <= 0:
             raise SynthError("cardinality bias must be positive")
+
+    def _template_mix(self) -> tuple[list[str], np.ndarray]:
+        """The templates of positive weight, sorted, and their draw
+        probabilities: each weight over the float64 sum of them all. A sum
+        past the float range raises :class:`SynthError`."""
+        names = sorted(k for k, w in self.templates.items() if w > 0)
+        weights = np.array([self.templates[k] for k in names], dtype=np.float64)
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if not np.isfinite(total):
+            raise SynthError("template weights sum past the float range")
+        return names, weights / total
 
 
 def default_tables() -> list[TableSpec]:
@@ -388,9 +401,7 @@ def generate_corpus(spec: CorpusSpec) -> list[QueryPlan]:
     """
     spec.validate()
     oracles = default_oracles()
-    names = sorted(k for k, w in spec.templates.items() if w > 0)
-    weights = np.array([spec.templates[k] for k in names], dtype=np.float64)
-    weights /= weights.sum()
+    names, weights = spec._template_mix()
     seeds = np.random.SeedSequence(spec.rng_seed).spawn(spec.query_count)
     plans = []
     for qidx in range(spec.query_count):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import pytest
@@ -404,7 +405,7 @@ def test_estimate_and_eval_output_bytes_are_pinned(small_corpus, fast_cfg, tmp_p
 
 def test_inspect_output_bytes_are_pinned(small_corpus, fast_cfg, tmp_path, capsys):
     # Each model's target transform is derived from its scale terms, not
-    # stored, and prints as it did when it was stored.
+    # stored; a Power term names its exponent.
     import hashlib
 
     from qres.registry import save_registry, train_registry
@@ -418,10 +419,13 @@ def test_inspect_output_bytes_are_pinned(small_corpus, fast_cfg, tmp_path, capsy
         digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     # f28e03a182f64840edd28f9d610b4643ad441d773ddda81aab533703ae8b5a19 and
     # 931efb5665c674bc29280a9abdb056f385f748878a0844fe7467cfcb3b66cbc1 while
-    # entries whose labels are all 0 kept every combined model as well.
+    # entries whose labels are all 0 kept every combined model as well;
+    # 75dc04ff84c305be6dea8b6a5d5a5b1bee5fe43ffb67cee00d062a061e0d6ea9 and
+    # 65b6ba12ac2c48a142f0da03500b294a11926fbe93a9f6e08b713c3f27b770be while
+    # a Power model's target transform did not name its exponent.
     assert digests == [
-        "75dc04ff84c305be6dea8b6a5d5a5b1bee5fe43ffb67cee00d062a061e0d6ea9",
-        "65b6ba12ac2c48a142f0da03500b294a11926fbe93a9f6e08b713c3f27b770be",
+        "9202cbd5276795e881604cd7515cc2d3a76371dbad54eeba07c490cfd7e48b9a",
+        "8a76923a57fdcbadd04fa29cd61830957dfeb3ebee70fa01a757b627dc80e63c",
     ]
 
 
@@ -449,6 +453,74 @@ def test_estimate_with_overflowing_scale_factor_is_data_error(small_corpus, tmp_
     code = main(["estimate", "--model", str(model), "--plans", str(plans)])
     assert code == EXIT_DATA
     assert "overflows" in capsys.readouterr().err
+
+
+def test_failed_estimate_writes_nothing(small_corpus, tmp_path, capsys):
+    # Every plan is encoded before the output is opened: a plan that fails
+    # after one that succeeds leaves an earlier file as it was and prints
+    # nothing.
+    from conftest import scaled_seek_registry, seek_plan
+
+    from qres.registry import save_registry
+
+    model, plans, out = tmp_path / "model.bin", tmp_path / "plans.jsonl", tmp_path / "est.json"
+    save_registry(scaled_seek_registry(small_corpus), str(model))
+    plans.write_text(plan_to_json(seek_plan(10_000)) + "\n" + plan_to_json(seek_plan(10**120)) + "\n")
+    out.write_bytes(b"earlier output\n")
+    argv = ["estimate", "--model", str(model), "--plans", str(plans)]
+    assert main([*argv, "--out", str(out)]) == EXIT_DATA
+    assert out.read_bytes() == b"earlier output\n"
+    assert "overflows" in capsys.readouterr().err
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows" in captured.err
+
+
+#: Estimate values: signed zeros, the smallest subnormal, values near the
+#: float maximum, infinities, NaN, and any other float.
+_ESTIMATE_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.7e308, math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+#: Query ids: any text, lone surrogates included, and ids that need escapes.
+_QUERY_ID = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é\u2028", "\ud800", "q\udfff\U0001f600"]),
+)
+
+
+@st.composite
+def _estimate_pairs(draw):
+    from qres.plan import OperatorType
+    from qres.registry import QueryEstimate
+
+    names = st.sampled_from([op.name for op in OperatorType])
+    return [
+        (draw(_QUERY_ID), QueryEstimate(
+            draw(_ESTIMATE_VALUE),
+            draw(st.lists(_ESTIMATE_VALUE, max_size=3)),
+            draw(st.lists(st.tuples(names, _ESTIMATE_VALUE), max_size=3)),
+        ))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_estimate_pairs())
+def test_estimates_json_equals_json_dumps(pairs):
+    from qres.cli import estimates_json
+
+    docs = [
+        {
+            "query_id": query_id,
+            "total": est.total,
+            "per_pipeline": est.per_pipeline,
+            "per_operator": [{"op": name, "estimate": value} for name, value in est.per_operator],
+        }
+        for query_id, est in pairs
+    ]
+    assert estimates_json(pairs) == json.dumps(docs, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -516,6 +588,8 @@ def test_gen_on_non_positive_spec_size_is_data_error(tmp_path, capsys, change, m
                  id="card-bias"),
     pytest.param({"tables": [{**SPEC["tables"][0], "base_tuples": 10**309}]},
                  "malformed corpus spec: int too large", id="base-tuples"),
+    pytest.param({"templates": {"scan": 1e308, "seek": 1e308}},
+                 "template weights sum past the float range", id="template-weights"),
 ])
 def test_gen_on_overflowing_spec_is_data_error(tmp_path, capsys, change, message):
     spec = tmp_path / "spec.json"
@@ -761,12 +835,16 @@ def test_train_on_corpus_lacking_a_resource_fails_before_training(
 
 
 #: Spec numbers, seven in eight of a usual size; the others are non-positive,
-#: any finite float, huge finite numbers or an integer past the float range.
+#: any finite float, huge finite numbers up to 1e308 or an integer past the
+#: float range.
 _SPEC_NUMBER = st.integers(0, 7).flatmap(lambda i: st.one_of(
     st.integers(-2, 0), st.floats(allow_nan=False, allow_infinity=False),
-    st.integers(0, 12).flatmap(lambda d: st.sampled_from([10 ** (307 - d), 10.0 ** (307 - d)])),
+    st.integers(0, 12).flatmap(lambda d: st.sampled_from([10 ** (308 - d), 10.0 ** (308 - d)])),
     st.just(10 ** 309),
 ) if i == 0 else st.one_of(st.integers(1, 50_000), st.floats(0.001, 100.0)))
+#: Template weights: spec numbers, or 1e308, two of which sum past the float
+#: range.
+_TEMPLATE_WEIGHT = st.one_of(_SPEC_NUMBER, st.sampled_from([10 ** 308, 10.0 ** 308]))
 
 
 @st.composite
@@ -781,7 +859,9 @@ def _corpus_specs(draw):
         "columns": _SPEC_NUMBER,
     })
     return {
-        "templates": draw(st.dictionaries(st.sampled_from(names), _SPEC_NUMBER, min_size=1, max_size=3)),
+        "templates": draw(
+            st.dictionaries(st.sampled_from(names), _TEMPLATE_WEIGHT, min_size=1, max_size=3)
+        ),
         "tables": draw(st.lists(tables, min_size=1, max_size=2)),
         "scales": draw(st.lists(_SPEC_NUMBER, min_size=1, max_size=3)),
         "query_count": draw(st.integers(0, 3)),

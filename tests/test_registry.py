@@ -1537,9 +1537,13 @@ def test_model_label_names_the_scale_terms():
     scaled = MartModel(0.0, [], 0.1, [F.COUT], {F.COUT: (0.0, 1.0)})
     assert model_label(scaled) == "mart"
     power = CombinedModel([ScaleTerm(FormKind.Power, (F.TSIZE,), 3.0)], scaled)
-    assert model_label(power) == "combined:Power(TSIZE)"
+    assert model_label(power) == "combined:Power(TSIZE;3)"
+    root = CombinedModel([ScaleTerm(FormKind.Power, (F.CIN1,), 0.5)], scaled)
+    assert model_label(root) == "combined:Power(CIN1;0.5)"
     pair = CombinedModel([ScaleTerm(FormKind.Product2, (F.CIN1, F.CIN2))], scaled)
     assert model_label(pair) == "combined:Product2(CIN1,CIN2)"
+    linear = CombinedModel([ScaleTerm(FormKind.Linear, (F.CIN1,))], scaled)
+    assert model_label(linear) == "combined:Linear(CIN1)"
 
 
 def test_ratio_that_underflows_to_zero_counts_as_in_range():
