@@ -10,8 +10,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .plan import JOIN_OPS, LEAF_OPS, NO_PARENT, OperatorType, PlanError, PlanNode, QueryPlan
-from .plan import ordered_sum, preorder
+from .plan import (
+    JOIN_OPS, LEAF_OPS, NO_PARENT, HashAggregate, HashJoin, IndexSeek, MergeJoin, NestedLoopJoin,
+    OperatorType, PlanError, PlanNode, QueryPlan, Sort, ordered_sum, preorder,
+)
 
 
 class FeatureError(ValueError):
@@ -52,6 +54,13 @@ class FeatureId(IntEnum):
 
 
 F = FeatureId
+
+# Per-operator code reads the members through these bindings, not as
+# attributes of FeatureId: see plan.py's operator bindings for why.
+(COUT, SOUTAVG, SOUTTOT, CIN1, SINAVG1, SINTOT1, CIN2, SINAVG2, SINTOT2, OUTPUTUSAGE,
+ TSIZE, PAGES, TCOLUMNS, ESTIOCOST, INDEXDEPTH, HASHOPAVG, HASHOPTOT, CHASHCOL,
+ CINNERCOL, COUTERCOL, SSEKTABLE, MINCOMP, CSORTCOL, SINSUM) = FeatureId
+_CHILD_SLOTS = ((CIN1, SINAVG1, SINTOT1), (CIN2, SINAVG2, SINTOT2))
 
 #: Dense feature rows are indexed by feature code; codes fit in one byte and
 #: the highest code in use is 24.
@@ -186,16 +195,16 @@ def extract_features(
     op = node.op
     v: dict[FeatureId, float] = {}
     cout = card(node)
-    v[F.COUT] = cout
-    v[F.SOUTAVG] = node.out_row_bytes
-    v[F.SOUTTOT] = cout * node.out_row_bytes
-    v[F.OUTPUTUSAGE] = float(int(parent_op))
+    v[COUT] = cout
+    v[SOUTAVG] = node.out_row_bytes
+    v[SOUTTOT] = cout * node.out_row_bytes
+    v[OUTPUTUSAGE] = float(parent_op)
 
     cins = []
     for i, child in enumerate(node.children):
+        slot = _CHILD_SLOTS[min(i, 1)]
         cin = card(child)
         cins.append(cin)
-        slot = (F.CIN1, F.SINAVG1, F.SINTOT1) if i == 0 else (F.CIN2, F.SINAVG2, F.SINTOT2)
         v[slot[0]] = cin
         v[slot[1]] = child.out_row_bytes
         v[slot[2]] = cin * child.out_row_bytes
@@ -203,28 +212,28 @@ def extract_features(
     if op in LEAF_OPS:
         if node.table is None:
             raise FeatureError(f"{op.name} node lacks table metadata")
-        v[F.TSIZE] = float(node.table.tuple_count)
-        v[F.PAGES] = float(node.table.page_count)
-        v[F.TCOLUMNS] = float(node.table.column_count)
-        v[F.ESTIOCOST] = node.est_io_cost
-        if op is OperatorType.IndexSeek:
-            v[F.INDEXDEPTH] = float(node.table.index_depth)
-    if op is OperatorType.Sort:
-        v[F.CSORTCOL] = float(node.sort_columns)
-        v[F.MINCOMP] = cins[0] * node.sort_columns
-    if op in (OperatorType.HashAggregate, OperatorType.HashJoin):
-        v[F.HASHOPAVG] = node.hash_ops_per_tuple
-        v[F.HASHOPTOT] = node.hash_ops_per_tuple * cins[0]
-    if op is OperatorType.HashAggregate:
-        v[F.CHASHCOL] = float(node.hash_columns)
+        v[TSIZE] = float(node.table.tuple_count)
+        v[PAGES] = float(node.table.page_count)
+        v[TCOLUMNS] = float(node.table.column_count)
+        v[ESTIOCOST] = node.est_io_cost
+        if op is IndexSeek:
+            v[INDEXDEPTH] = float(node.table.index_depth)
+    if op is Sort:
+        v[CSORTCOL] = float(node.sort_columns)
+        v[MINCOMP] = cins[0] * node.sort_columns
+    if op is HashAggregate or op is HashJoin:
+        v[HASHOPAVG] = node.hash_ops_per_tuple
+        v[HASHOPTOT] = node.hash_ops_per_tuple * cins[0]
+    if op is HashAggregate:
+        v[CHASHCOL] = float(node.hash_columns)
     if op in JOIN_OPS:
-        v[F.CINNERCOL] = float(node.join_inner_columns)
-        v[F.COUTERCOL] = float(node.join_outer_columns)
-    if op is OperatorType.MergeJoin:
-        v[F.SINSUM] = v[F.SINTOT1] + v[F.SINTOT2]
-    if op is OperatorType.NestedLoopJoin:
+        v[CINNERCOL] = float(node.join_inner_columns)
+        v[COUTERCOL] = float(node.join_outer_columns)
+    if op is MergeJoin:
+        v[SINSUM] = v[SINTOT1] + v[SINTOT2]
+    if op is NestedLoopJoin:
         inner = _inner_table_tuple_count(node)
-        v[F.SSEKTABLE] = float(inner) if inner is not None else cins[1]
+        v[SSEKTABLE] = float(inner) if inner is not None else cins[1]
 
     assert tuple(sorted(v)) == applicable_features(op)
     if not all(map(math.isfinite, v.values())):

@@ -31,14 +31,24 @@ class OperatorType(IntEnum):
 #: Sentinel parent-operator code used for the root node of a plan.
 NO_PARENT = 0
 
+# Python 3.11's enum type defines ``__getattr__``, so ``OperatorType.Sort``,
+# ``op.name``, ``OperatorType[name]`` and ``int(op)`` each cost 5-20 global
+# reads; per-node code reads these bindings instead. Python 3.12 dropped the
+# hook.
+(TableScan, IndexScan, IndexSeek, Filter, Sort, HashAggregate, StreamAggregate,
+ HashJoin, MergeJoin, NestedLoopJoin, ComputeScalar) = OperatorType
+OP_NAME = {op: op.name for op in OperatorType}
+OP_CODE = {op: int(op) for op in OperatorType}
+_OP_BY_NAME = dict(OperatorType.__members__)
+
 #: Operators with no children (access paths over a base table).
-LEAF_OPS = frozenset({OperatorType.TableScan, OperatorType.IndexScan, OperatorType.IndexSeek})
+LEAF_OPS = frozenset({TableScan, IndexScan, IndexSeek})
 
 #: Operators with exactly two children (child 0 = outer/build, child 1 = inner/probe).
-JOIN_OPS = frozenset({OperatorType.HashJoin, OperatorType.MergeJoin, OperatorType.NestedLoopJoin})
+JOIN_OPS = frozenset({HashJoin, MergeJoin, NestedLoopJoin})
 
 #: Fully blocking operators: their input subtree forms a separate pipeline.
-BLOCKING_OPS = frozenset({OperatorType.Sort, OperatorType.HashAggregate})
+BLOCKING_OPS = frozenset({Sort, HashAggregate})
 
 
 def operator_arity(op: OperatorType) -> int:
@@ -65,8 +75,17 @@ class TableMeta:
             raise PlanError(f"{path}: negative tuple_count {self.tuple_count}")
         if self.tuple_count > 0 and self.page_count < 1:
             raise PlanError(f"{path}: page_count must be >= 1 for a non-empty table")
-        if self.index_depth < 0:
-            raise PlanError(f"{path}: negative index_depth")
+        for name in ("page_count", "column_count", "avg_row_bytes", "index_depth"):
+            if getattr(self, name) < 0:
+                raise PlanError(f"{path}: negative {name} {getattr(self, name)}")
+
+
+#: The plan-file names of the node fields that are widths or counts,
+#: besides cardinalities, none of which may be negative.
+_SIZE_FIELDS = (
+    "row_bytes", "sort_columns", "hash_columns", "join_inner_columns",
+    "join_outer_columns", "hash_ops_per_tuple",
+)
 
 
 @dataclass
@@ -108,10 +127,15 @@ class PlanNode:
             if self.table is None:
                 raise PlanError(f"{path}: {self.op.name} requires table metadata")
             self.table.validate(path)
-            if self.op is OperatorType.IndexSeek and self.table.index_depth < 1:
+            if self.op is IndexSeek and self.table.index_depth < 1:
                 raise PlanError(f"{path}: IndexSeek access path requires index_depth >= 1")
         if self.est_io_cost < 0:
             raise PlanError(f"{path}: negative est_io_cost")
+        sizes = (self.out_row_bytes, self.sort_columns, self.hash_columns,
+                 self.join_inner_columns, self.join_outer_columns, self.hash_ops_per_tuple)
+        if min(sizes) < 0:
+            name, value = next((n, v) for n, v in zip(_SIZE_FIELDS, sizes) if v < 0)
+            raise PlanError(f"{path}: negative {name} {value}")
         if self.observed is not None:
             for res, value in self.observed.items():
                 if value < 0:
@@ -135,7 +159,7 @@ def preorder(root: PlanNode, mirrored: bool = False) -> Iterator[tuple[PlanNode,
         node, parent_op = stack.pop()
         yield node, parent_op
         if node.children:
-            op = int(node.op)
+            op = OP_CODE[node.op]
             for child in node.children if mirrored else reversed(node.children):
                 stack.append((child, op))
 
@@ -203,7 +227,7 @@ def decompose_pipelines(plan: QueryPlan) -> list[Pipeline]:
     for node, _ in preorder(plan.root):
         pipeline, depth = place[id(node)]
         pipeline.nodes.append(node)
-        cut = node.op in BLOCKING_OPS or node.op is OperatorType.HashJoin
+        cut = node.op in BLOCKING_OPS or node.op is HashJoin
         for i, child in enumerate(node.children):
             if cut and i == 0:
                 pipelines.append(Pipeline(nodes=[], boundary=node))
@@ -276,7 +300,7 @@ def _node_from_dict(doc: dict, path: str, depth: int = 1) -> PlanNode:
         raise _too_deep()
     _object(doc, path, "node")
     try:
-        op = OperatorType[doc["op"]]
+        op = _OP_BY_NAME[doc["op"]]
     except (KeyError, TypeError):
         raise PlanError(f"{path}: unknown or missing operator {doc.get('op')!r}") from None
     cols = _object(doc.get("cols", {}), path, "cols")
@@ -316,7 +340,7 @@ def _node_to_dict(node: PlanNode, depth: int = 1) -> dict:
     if depth > MAX_PLAN_DEPTH:
         raise _too_deep()
     doc: dict = {
-        "op": node.op.name,
+        "op": OP_NAME[node.op],
         "children": [_node_to_dict(c, depth + 1) for c in node.children],
         "card_true": node.true_out_cardinality,
         "card_est": node.est_out_cardinality,
@@ -359,11 +383,16 @@ def parse_plan(document: str) -> QueryPlan:
         scale = finite_float(doc["scale"]) if doc.get("scale") is not None else None
     except _FIELD_ERRORS as exc:
         raise PlanError(f"malformed plan scale: {exc}") from None
+    if scale is not None and scale <= 0:
+        raise PlanError(f"plan scale must be positive, got {scale}")
+    template = doc.get("template")
+    if template is not None and not isinstance(template, str):
+        raise PlanError(f"plan template must be a string, got {template!r}")
     plan = QueryPlan(
         query_id=str(doc.get("query_id", "")),
         root=root,
         scale=scale,
-        template=doc.get("template"),
+        template=template,
     )
     plan.validate()
     return plan

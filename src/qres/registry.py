@@ -32,7 +32,7 @@ from .features import (
     featurize_many,
 )
 from .gbrt import MartModel, TrainConfig, TrainingError
-from .plan import JOIN_OPS, OperatorType, PlanNode, QueryPlan, decompose_pipelines, ordered_sum
+from .plan import JOIN_OPS, OP_NAME, OperatorType, PlanNode, QueryPlan, decompose_pipelines, ordered_sum
 from .scaling import (
     POWER_EXPONENT_GRID,
     SINGLE_FEATURE_CANDIDATES,
@@ -179,13 +179,14 @@ def _combined_problem(
 
 def estimate_with_model(model, fv: FeatureVector) -> float:
     """Evaluate one model on a raw feature vector; negative output clamps to 0
-    and a non-finite one raises :class:`ScalingError`."""
+    and a non-finite one raises :class:`ScalingError`. A combined model's
+    scale factor is computed first, so an absent or non-positive scale
+    feature raises :class:`FeatureError`."""
     if isinstance(model, CombinedModel):
-        g = _scale_factor(model.terms, fv.values)
-        x = _selection_table(model).normalized(fv.values)
-        value = g * model.scaled_model.layout().predict(x)
+        g, mart = _scale_factor(model.terms, fv.values), model.scaled_model
     else:
-        value = gbrt.predict(model, fv)
+        g, mart = 1.0, model
+    value = g * mart.layout().predict(_selection_table(model).normalized(fv.values))
     if not math.isfinite(value):
         raise ScalingError("non-finite estimate")
     return max(0.0, value)
@@ -277,7 +278,8 @@ class _SelectionTable:
 
     def normalized(self, values: dict) -> np.ndarray:
         """The code-indexed dense vector of :func:`transform_for_scaling`'s
-        output over the schema, as :func:`gbrt.dense_vector` builds it; the
+        output over the schema, as :func:`gbrt.dense_vector` builds it (for a
+        plain model, its vector and its error on an absent feature); the
         scale features must be present and positive."""
         x = np.zeros(FEATURE_SPACE, dtype=np.float64)
         for f, code, chain, kept in self.schema:
@@ -393,7 +395,7 @@ def _query_estimate(
     per_pipeline = [
         ordered_sum(value_of[id(n)] for n in p.nodes) for p in decompose_pipelines(plan)
     ]
-    per_operator = [(n.op.name, v) for n, v in zip(nodes, values)]
+    per_operator = [(OP_NAME[n.op], v) for n, v in zip(nodes, values)]
     return QueryEstimate(ordered_sum(per_pipeline), per_pipeline, per_operator)
 
 

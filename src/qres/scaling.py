@@ -30,6 +30,9 @@ class FormKind(IntEnum):
     FLogSecond = 7    # g(F1,F2) = a*F1*log2(F2)
 
 
+# Bound once for per-operator code: see plan.py's operator bindings.
+Linear, NLogN, Power, Log, Product2, Sum2, FLogSecond = FormKind
+
 POWER_EXPONENT_GRID = (0.5, 1.25, 1.5, 2.0, 3.0)
 
 TWO_FEATURE_KINDS = frozenset({FormKind.Product2, FormKind.Sum2, FormKind.FLogSecond})
@@ -61,9 +64,9 @@ def _basis(kind: FormKind, values: Sequence[float], beta: float) -> float:
         v1, v2 = float(values[0]), float(values[1])
         if v1 <= 0 or v2 <= 0:
             raise ScalingError("scaling features must be positive")
-        if kind is FormKind.Product2:
+        if kind is Product2:
             return v1 * v2
-        if kind is FormKind.Sum2:
+        if kind is Sum2:
             return v1 + v2
         return v1 * lg(v2)
     if len(values) != 1:
@@ -71,11 +74,11 @@ def _basis(kind: FormKind, values: Sequence[float], beta: float) -> float:
     v = float(values[0])
     if v <= 0:
         raise ScalingError("scaling features must be positive")
-    if kind is FormKind.Linear:
+    if kind is Linear:
         return v
-    if kind is FormKind.NLogN:
+    if kind is NLogN:
         return v * lg(v)
-    if kind is FormKind.Power:
+    if kind is Power:
         return v**beta
     return lg(v)
 

@@ -15,10 +15,15 @@ from typing import Callable
 
 import numpy as np
 
-from .features import FeatureId, featurize, lg
-from .plan import OperatorType, PlanNode, QueryPlan, TableMeta, finite_float, finite_int, ordered_sum, preorder
-
-F = FeatureId
+from .features import (
+    CIN1, CIN2, COUT, HASHOPTOT, INDEXDEPTH, MINCOMP, PAGES, SINSUM, SSEKTABLE, TCOLUMNS, TSIZE,
+    FeatureId, featurize, lg,
+)
+from .plan import (
+    ComputeScalar, Filter, HashAggregate, HashJoin, IndexScan, IndexSeek, MergeJoin,
+    NestedLoopJoin, OperatorType, PlanNode, QueryPlan, Sort, StreamAggregate, TableMeta, TableScan,
+    finite_float, finite_int, ordered_sum, preorder,
+)
 
 PAGE_BYTES = 8192
 INDEX_FANOUT = 128
@@ -142,23 +147,23 @@ def default_oracles() -> dict[tuple[OperatorType, str], OracleFn]:
     tpp = PAGE_BYTES / 100.0  # tuples per page at a nominal 100-byte row
 
     def scan_cpu(v):
-        return 0.8 * v[F.TSIZE] + 0.05 * v[F.COUT] * v[F.TCOLUMNS]
+        return 0.8 * v[TSIZE] + 0.05 * v[COUT] * v[TCOLUMNS]
 
     o: dict[tuple[OperatorType, str], OracleFn] = {
-        (OperatorType.TableScan, "cpu_us"): scan_cpu,
-        (OperatorType.IndexScan, "cpu_us"): scan_cpu,
-        (OperatorType.IndexSeek, "cpu_us"): lambda v: 50.0 * v[F.INDEXDEPTH] + 1.0 * v[F.COUT],
-        (OperatorType.Filter, "cpu_us"): lambda v: 0.5 * v[F.CIN1],
-        (OperatorType.Sort, "cpu_us"): lambda v: 2.0 * v[F.CIN1] * lg(v[F.CIN1]) + 0.1 * v[F.MINCOMP],
-        (OperatorType.HashAggregate, "cpu_us"): lambda v: 1.2 * v[F.CIN1] + 0.2 * v[F.HASHOPTOT],
-        (OperatorType.StreamAggregate, "cpu_us"): lambda v: 0.3 * v[F.CIN1],
-        (OperatorType.ComputeScalar, "cpu_us"): lambda v: 0.1 * v[F.CIN1],
-        (OperatorType.HashJoin, "cpu_us"): lambda v: 1.0 * v[F.CIN1] + 0.5 * v[F.CIN2] + 0.2 * v[F.HASHOPTOT],
-        (OperatorType.MergeJoin, "cpu_us"): lambda v: 0.05 * v[F.SINSUM],
-        (OperatorType.NestedLoopJoin, "cpu_us"): lambda v: 0.7 * v[F.CIN1] * lg(v[F.SSEKTABLE]),
-        (OperatorType.TableScan, "logical_io"): lambda v: v[F.PAGES],
-        (OperatorType.IndexScan, "logical_io"): lambda v: v[F.PAGES],
-        (OperatorType.IndexSeek, "logical_io"): lambda v: v[F.INDEXDEPTH] + math.ceil(v[F.COUT] / tpp),
+        (TableScan, "cpu_us"): scan_cpu,
+        (IndexScan, "cpu_us"): scan_cpu,
+        (IndexSeek, "cpu_us"): lambda v: 50.0 * v[INDEXDEPTH] + 1.0 * v[COUT],
+        (Filter, "cpu_us"): lambda v: 0.5 * v[CIN1],
+        (Sort, "cpu_us"): lambda v: 2.0 * v[CIN1] * lg(v[CIN1]) + 0.1 * v[MINCOMP],
+        (HashAggregate, "cpu_us"): lambda v: 1.2 * v[CIN1] + 0.2 * v[HASHOPTOT],
+        (StreamAggregate, "cpu_us"): lambda v: 0.3 * v[CIN1],
+        (ComputeScalar, "cpu_us"): lambda v: 0.1 * v[CIN1],
+        (HashJoin, "cpu_us"): lambda v: 1.0 * v[CIN1] + 0.5 * v[CIN2] + 0.2 * v[HASHOPTOT],
+        (MergeJoin, "cpu_us"): lambda v: 0.05 * v[SINSUM],
+        (NestedLoopJoin, "cpu_us"): lambda v: 0.7 * v[CIN1] * lg(v[SSEKTABLE]),
+        (TableScan, "logical_io"): lambda v: v[PAGES],
+        (IndexScan, "logical_io"): lambda v: v[PAGES],
+        (IndexSeek, "logical_io"): lambda v: v[INDEXDEPTH] + math.ceil(v[COUT] / tpp),
     }
     return o
 
@@ -183,7 +188,7 @@ def _table_meta(t: TableSpec, scale: float) -> TableMeta:
     )
 
 
-def _scan(table: TableMeta, op: OperatorType = OperatorType.TableScan) -> PlanNode:
+def _scan(table: TableMeta, op: OperatorType = TableScan) -> PlanNode:
     return PlanNode(
         op=op,
         true_out_cardinality=table.tuple_count,
@@ -200,7 +205,7 @@ def _t_filter_scan(rng, tables):
     scan = _t_scan(rng, tables)
     sel = rng.uniform(0.1, 1.0)
     return PlanNode(
-        op=OperatorType.Filter,
+        op=Filter,
         children=[scan],
         true_out_cardinality=max(1, int(round(sel * scan.true_out_cardinality))),
         out_row_bytes=scan.out_row_bytes,
@@ -210,7 +215,7 @@ def _t_filter_scan(rng, tables):
 def _t_sort_scan(rng, tables):
     child = _t_scan(rng, tables)
     return PlanNode(
-        op=OperatorType.Sort,
+        op=Sort,
         children=[child],
         true_out_cardinality=child.true_out_cardinality,
         out_row_bytes=child.out_row_bytes,
@@ -221,7 +226,7 @@ def _t_sort_scan(rng, tables):
 def _t_sort_filter_scan(rng, tables):
     child = _t_filter_scan(rng, tables)
     return PlanNode(
-        op=OperatorType.Sort,
+        op=Sort,
         children=[child],
         true_out_cardinality=child.true_out_cardinality,
         out_row_bytes=child.out_row_bytes,
@@ -232,7 +237,7 @@ def _t_sort_filter_scan(rng, tables):
 def _t_seek(rng, tables):
     table = tables[rng.integers(len(tables))]
     sel = rng.uniform(0.001, 0.05)
-    node = _scan(table, OperatorType.IndexSeek)
+    node = _scan(table, IndexSeek)
     node.true_out_cardinality = max(1, int(round(sel * table.tuple_count)))
     return node
 
@@ -241,7 +246,7 @@ def _t_hash_agg(rng, tables):
     child = _t_filter_scan(rng, tables)
     groups = max(1, int(round(rng.uniform(0.01, 0.2) * child.true_out_cardinality)))
     return PlanNode(
-        op=OperatorType.HashAggregate,
+        op=HashAggregate,
         children=[child],
         true_out_cardinality=groups,
         out_row_bytes=max(8.0, child.out_row_bytes / 2),
@@ -263,7 +268,7 @@ def _t_hash_join(rng, tables):
     left, right = _scan(build), _scan(probe)
     cout = max(1, int(round(rng.uniform(0.5, 1.0) * probe.tuple_count)))
     return PlanNode(
-        op=OperatorType.HashJoin,
+        op=HashJoin,
         children=[left, right],
         true_out_cardinality=cout,
         out_row_bytes=left.out_row_bytes + right.out_row_bytes,
@@ -278,7 +283,7 @@ def _t_merge_join(rng, tables):
     left, right = _scan(a), _scan(b)
     cout = max(1, int(round(rng.uniform(0.5, 1.0) * max(a.tuple_count, b.tuple_count))))
     return PlanNode(
-        op=OperatorType.MergeJoin,
+        op=MergeJoin,
         children=[left, right],
         true_out_cardinality=cout,
         out_row_bytes=left.out_row_bytes + right.out_row_bytes,
@@ -292,16 +297,16 @@ def _t_nested_loop(rng, tables):
     outer_scan = _scan(a)
     sel = rng.uniform(0.01, 0.1)
     outer = PlanNode(
-        op=OperatorType.Filter,
+        op=Filter,
         children=[outer_scan],
         true_out_cardinality=max(1, int(round(sel * a.tuple_count))),
         out_row_bytes=outer_scan.out_row_bytes,
     )
     per_probe = int(rng.integers(1, 5))
-    inner = _scan(b, OperatorType.IndexSeek)
+    inner = _scan(b, IndexSeek)
     inner.true_out_cardinality = per_probe
     return PlanNode(
-        op=OperatorType.NestedLoopJoin,
+        op=NestedLoopJoin,
         children=[outer, inner],
         true_out_cardinality=outer.true_out_cardinality * per_probe,
         out_row_bytes=outer.out_row_bytes + inner.out_row_bytes,
@@ -330,7 +335,7 @@ SORT_SCAN_TEMPLATES = frozenset({"scan", "filter_scan", "sort_scan", "sort_filte
 # Cardinality estimates, optimizer cost, labels
 
 #: Full-table scans have a-priori exact counts; estimation error applies elsewhere.
-_EXACT_CARD_OPS = frozenset({OperatorType.TableScan, OperatorType.IndexScan})
+_EXACT_CARD_OPS = frozenset({TableScan, IndexScan})
 
 
 def _lognormal(rng, sigma: float) -> float:
@@ -362,13 +367,13 @@ def _assign_optimizer_cost(root: PlanNode) -> None:
         op = node.op
         est = float(node.est_out_cardinality)
         if node.table is not None:
-            if op is OperatorType.IndexSeek:
+            if op is IndexSeek:
                 node.est_io_cost = node.table.index_depth + 0.003 * est
             else:
                 node.est_io_cost = node.table.page_count + 0.001 * node.table.tuple_count
         else:
             cin = ordered_sum(float(c.est_out_cardinality) for c in node.children)
-            if op is OperatorType.Sort:
+            if op is Sort:
                 node.est_io_cost = 0.002 * cin * lg(cin)
             else:
                 node.est_io_cost = 0.002 * cin + 0.0005 * est

@@ -915,27 +915,36 @@ def _fields(doc, out):
 @st.composite
 def _mutated_plans(draw, docs):
     """A valid plan document with one to three fields deleted, given a value
-    of another type, or, for a number, given a huge finite number."""
+    of another type, or, for a number, given a huge finite number or negated.
+    Returns the document and the ``(object, key, value)`` of every number
+    made negative."""
     doc = json.loads(json.dumps(draw(st.sampled_from(docs))))
+    negated = []
     for _ in range(draw(st.integers(1, 3))):
-        how = draw(st.sampled_from(["huge", "swap", "delete"]))
+        how = draw(st.sampled_from(["huge", "swap", "delete", "negate"]))
         fields = [
             (target, key) for target, key in _fields(doc, [])
-            if how != "huge" or type(target[key]) in (int, float)
+            if how in ("swap", "delete") or type(target[key]) in (int, float)
         ]
         if not fields:
             continue
         target, key = draw(st.sampled_from(fields))
         if how == "delete":
             del target[key]
+        elif how == "negate":
+            target[key] = -target[key]
+            if target[key] < 0:
+                negated.append((target, key, target[key]))
         else:
             target[key] = draw(_SWAPPED if how == "swap" else _HUGE)
-    return doc
+    return doc, negated
 
 
 def test_estimate_on_mutated_plans_never_fails_internally(workspace):
     # Bad plan input ends in exit 0, 1 or 2, never in an internal error, and
     # a plan estimated with exit 0 has finite features and a finite estimate.
+    # Every number of a plan file is a count, size, cost, label or scale, so
+    # a negative one that is still in the document ends in exit 2.
     import contextlib
     import io
     import math
@@ -952,12 +961,17 @@ def test_estimate_on_mutated_plans_never_fails_internally(workspace):
     @given(
         _mutated_plans(docs), st.sampled_from(["cpu", "io"]), st.sampled_from(["true", "estimated"])
     )
-    def check(doc, resource, source):
+    def check(mutated, resource, source):
+        doc, negated = mutated
         plans.write_text(json.dumps(doc) + "\n")
         with contextlib.redirect_stderr(io.StringIO()):
             code = main(["estimate", "--model", str(model), "--plans", str(plans),
                          "--resource", resource, "--source", source, "--out", str(out)])
         assert code in (0, 1, 2)
+        reachable = {id(target) for target, _ in _fields(doc, [])}
+        if any(id(target) in reachable and target.get(key) == value
+               for target, key, value in negated):
+            assert code == EXIT_DATA
         if code == EXIT_OK:
             for plan in load_corpus(str(plans)):
                 values = [v for _, fv in featurize(plan.root, source) for v in fv.values.values()]

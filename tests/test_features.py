@@ -16,7 +16,7 @@ from qres.features import (
     extract_features,
     lg,
 )
-from qres.plan import NO_PARENT, OperatorType, PlanNode
+from qres.plan import NO_PARENT, OperatorType, PlanNode, QueryPlan
 from qres.registry import ScaleTerm, transform_for_scaling
 from qres.scaling import FormKind
 
@@ -223,3 +223,121 @@ def test_normalize_rejects_zero_outlier():
     fv.values[F.TSIZE] = 0.0
     with pytest.raises(FeatureError, match="degenerate"):
         normalize(fv, F.TSIZE)
+
+
+def _reference_features(node: PlanNode, parent_code: int, source: str) -> dict[str, float]:
+    """Every feature definition restated by name, read from the node's fields
+    only: the reference :func:`extract_features` is compared against."""
+    def card(n):
+        return float(n.true_out_cardinality if source == "true" else n.est_out_cardinality)
+
+    op, kids, out = node.op.name, node.children, {}
+    out["COUT"] = card(node)
+    out["SOUTAVG"] = node.out_row_bytes
+    out["SOUTTOT"] = card(node) * node.out_row_bytes
+    out["OUTPUTUSAGE"] = float(parent_code)
+    for i, child in enumerate(kids, 1):
+        out[f"CIN{i}"] = card(child)
+        out[f"SINAVG{i}"] = child.out_row_bytes
+        out[f"SINTOT{i}"] = card(child) * child.out_row_bytes
+    if op in ("TableScan", "IndexScan", "IndexSeek"):
+        out["TSIZE"] = float(node.table.tuple_count)
+        out["PAGES"] = float(node.table.page_count)
+        out["TCOLUMNS"] = float(node.table.column_count)
+        out["ESTIOCOST"] = node.est_io_cost
+    if op == "IndexSeek":
+        out["INDEXDEPTH"] = float(node.table.index_depth)
+    if op == "Sort":
+        out["CSORTCOL"] = float(node.sort_columns)
+        out["MINCOMP"] = out["CIN1"] * node.sort_columns
+    if op in ("HashAggregate", "HashJoin"):
+        out["HASHOPAVG"] = node.hash_ops_per_tuple
+        out["HASHOPTOT"] = node.hash_ops_per_tuple * out["CIN1"]
+    if op == "HashAggregate":
+        out["CHASHCOL"] = float(node.hash_columns)
+    if op in ("HashJoin", "MergeJoin", "NestedLoopJoin"):
+        out["CINNERCOL"] = float(node.join_inner_columns)
+        out["COUTERCOL"] = float(node.join_outer_columns)
+    if op == "MergeJoin":
+        out["SINSUM"] = out["SINTOT1"] + out["SINTOT2"]
+    if op == "NestedLoopJoin":
+        # The inner subtree's first base table in pre-order.
+        stack = [kids[1]]
+        while stack:
+            n = stack.pop()
+            if n.table is not None:
+                out["SSEKTABLE"] = float(n.table.tuple_count)
+                break
+            stack.extend(reversed(n.children))
+    return out
+
+
+def _reference_walk(node: PlanNode, parent_code: int = 0):
+    yield node, parent_code
+    for child in node.children:
+        yield from _reference_walk(child, node.op.value)
+
+
+def _hand_built_plans() -> list[QueryPlan]:
+    """The operators no synth template makes, over both kinds of children:
+    ComputeScalar over StreamAggregate over Sort over IndexScan, and a
+    NestedLoopJoin whose inner base table lies below a Filter."""
+    def unary(op, child, true, est, **fields):
+        return PlanNode(op=op, children=[child], true_out_cardinality=true,
+                        est_out_cardinality=est, out_row_bytes=24.5, est_io_cost=3.25, **fields)
+
+    table = make_table(tuples=7_000, row_bytes=88.0, columns=5, table_id="x")
+    scan = scan_node(table, out=7_000)
+    scan.op, scan.est_out_cardinality = OperatorType.IndexScan, 6_500
+    chain = unary(OperatorType.ComputeScalar,
+                  unary(OperatorType.StreamAggregate,
+                        unary(OperatorType.Sort, scan, 7_000, 6_100, sort_columns=2),
+                        310, 290),
+                  310, 333)
+    seek = scan_node(make_table(tuples=90_000, table_id="i", index_depth=4), out=3)
+    seek.op, seek.est_out_cardinality = OperatorType.IndexSeek, 5
+    outer = scan_node(make_table(tuples=400, table_id="o"), out=400)
+    nl = PlanNode(
+        op=OperatorType.NestedLoopJoin,
+        children=[outer, unary(OperatorType.Filter, seek, 2, 4)],
+        true_out_cardinality=800, est_out_cardinality=777, out_row_bytes=61.0,
+        join_inner_columns=2, join_outer_columns=1,
+    )
+    plans = [QueryPlan("chain", chain), QueryPlan("nl", nl)]
+    for plan in plans:
+        plan.validate()
+    return plans
+
+
+def test_extract_features_equals_the_reference_definitions(small_corpus):
+    # Every feature of every operator type, bit for bit and under the right
+    # FeatureId, on each path that featurizes: one operator at a time and
+    # featurize_many's raw rows. Names and codes are read from the enum
+    # itself, so a module-level binding of a wrong member fails here.
+    import struct
+
+    from qres.features import featurize_many
+
+    plans = list(small_corpus) + _hand_built_plans()
+    assert {n.op for p in plans for n in p.nodes()} == set(OperatorType)
+
+    def bits(values: dict) -> dict:
+        return {name: struct.pack("<d", v) for name, v in values.items()}
+
+    for source in ("true", "estimated"):
+        batch = featurize_many(plans, source)
+        position = 0
+        for plan in plans:
+            for node, parent_code in _reference_walk(plan.root):
+                want = _reference_features(node, parent_code, source)
+                fv = extract_features(node, parent_code, source)
+                assert fv.op is node.op
+                assert all(type(v) is float for v in fv.values.values())
+                assert bits({f.name: v for f, v in fv.values.items()}) == bits(want)
+                row = batch.raw[node.op][list(batch.at[node.op]).index(position)]
+                dense = {FeatureId[name].value: v for name, v in want.items()}
+                assert bits({c: float(x) for c, x in enumerate(row) if c in dense}) == bits(dense)
+                assert not row[[c for c in range(len(row)) if c not in dense]].any()
+                assert batch.nodes[position] is node
+                position += 1
+        assert position == len(batch.nodes)

@@ -269,6 +269,31 @@ BAD_PLAN_LINES = {
         '{"root":{%s}}' % _SCAN.replace('"avg_row_bytes":10.0', '"avg_row_bytes":NaN'),
         "non-finite",
     ),
+    "negative row_bytes": ('{"root":{%s,"row_bytes":-50}}' % _SCAN, "root: negative row_bytes"),
+    **{
+        f"negative {name}": (
+            '{"root":{%s,"cols":{"%s":-1}}}' % (_SCAN, name), f"root: negative {name} -1"
+        )
+        for name in ("sort_columns", "hash_columns", "join_inner_columns",
+                     "join_outer_columns", "hash_ops_per_tuple")
+    },
+    "negative column_count": (
+        '{"root":{%s}}' % _SCAN.replace('"column_count":2', '"column_count":-7'),
+        "root: negative column_count -7",
+    ),
+    "negative avg_row_bytes": (
+        '{"root":{%s}}' % _SCAN.replace('"avg_row_bytes":10.0', '"avg_row_bytes":-10.0'),
+        "root: negative avg_row_bytes",
+    ),
+    "negative page_count of an empty table": (
+        '{"root":{%s}}' % _SCAN.replace('"tuple_count":10,"page_count":1',
+                                        '"tuple_count":0,"page_count":-1'),
+        "root: negative page_count -1",
+    ),
+    "list template": ('{"root":{%s},"template":["a",1]}' % _SCAN, "template must be a string"),
+    "object template": ('{"root":{%s},"template":{"x":1}}' % _SCAN, "template must be a string"),
+    "zero scale": ('{"root":{%s},"scale":0}' % _SCAN, "scale must be positive"),
+    "negative scale": ('{"root":{%s},"scale":-3}' % _SCAN, "scale must be positive"),
 }
 
 
