@@ -9,13 +9,12 @@ the ensemble sum are carried out in double precision.
 A prediction is ``init + (S_table + S_walk)`` in float64, where ``S_table``
 and ``S_walk`` are NumPy's pairwise sums, in tree order, of ``lr * leaf`` over
 the trees evaluated by table and by walk respectively. Trees with at most
-:data:`TABLE_MAX_SPLITS` internal nodes are evaluated QuickScorer-style
-(Lucchese et al., SIGIR 2015): all split comparisons of a tree at once, their
-bit pattern used as an index into a per-tree table of leaf numbers. The
-tables are filled QuickScorer's way too, without a walk: a split that sends
-the input right rules out the leaves of its left subtree, and a code's leaf is
-the lowest leaf of a bitmask that no split of the code ruled out. Larger
-trees are walked in lock step, one level of every tree per NumPy step;
+:data:`TABLE_MAX_SPLITS` internal nodes (table trees) are evaluated
+QuickScorer-style (Lucchese et al., SIGIR 2015): all split comparisons of a
+tree at once, without a walk. A split that sends the input right rules out
+the leaves of its left subtree, so the AND of the splits' leaf bitmasks holds
+the leaves no split ruled out, and the lowest of them is the exit leaf.
+Larger trees are walked in lock step, one level of every tree per NumPy step;
 training applies each new tree to all of its rows with the same walk.
 
 Training boosts a family of independent problems (:func:`train_family`) in
@@ -166,8 +165,8 @@ class MartModel:
 
 
 #: Trees with at most this many internal nodes (every tree of the default
-#: 10-leaf configuration) are evaluated through a lookup table of
-#: ``2**TABLE_MAX_SPLITS`` one-byte leaf numbers; larger trees are walked.
+#: 10-leaf configuration) are evaluated by leaf bitmasks; larger trees are
+#: walked. Moving a tree between the two groups regroups the sum.
 TABLE_MAX_SPLITS = 9
 
 #: Leaf bitmasks of table trees: bit l stands for a tree's leaf l, so a mask
@@ -178,8 +177,19 @@ if TABLE_MAX_SPLITS + 1 > np.iinfo(_MASK).bits:
 _ALL_LEAVES = (1 << (TABLE_MAX_SPLITS + 1)) - 1
 #: ``_LOWEST_BIT[m]``: the index of the lowest set bit of a nonzero mask m.
 _LOWEST_BIT = np.array(
-    [0] + [(m & -m).bit_length() - 1 for m in range(1, _ALL_LEAVES + 1)], dtype=np.uint8
+    [0] + [(m & -m).bit_length() - 1 for m in range(1, _ALL_LEAVES + 1)], dtype=np.intp
 )
+
+
+def _exit_leaves(keep: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """The leaf each table tree reaches, where ``left[..., j, t]`` tells
+    whether split j of tree t sends the input left and ``keep`` holds the
+    splits' masks (:class:`_Layout`): the lowest leaf no split rules out."""
+    # -1 sets every bit of a mask: a split that sends the input left rules
+    # out no leaf. The initial mask clears the bits above the leaves.
+    mask = np.bitwise_and.reduce(keep | -left.astype(_MASK), axis=-2, initial=_ALL_LEAVES)
+    return _LOWEST_BIT.take(mask)
+
 
 #: Most split comparisons (rows x splits x trees) or walk cursors (rows x
 #: walked trees) one chunk of :meth:`_Layout.predict_rows` holds at once.
@@ -206,13 +216,12 @@ def _walk(child, feat, thr, X, rows, node) -> np.ndarray:
 class _Layout:
     """Model arrays rearranged for prediction.
 
-    Table trees (model order): column t of ``feat`` and ``thr`` (k, n) holds
-    tree t's split features and thresholds in pre-order, padded with feature
-    0. Bit j of a tree's code is set when its split j sends the input left, and
-    ``leaf[leaf_base[t] + code]`` is the number of the leaf that code reaches,
-    filled from leaf bitmasks; ``value[value_base[t] + leaf]`` is ``lr * leaf
-    value`` in float64. Walked trees keep the node arrays of
-    :meth:`MartModel.packed`.
+    Table trees (model order): column t of ``feat``, ``thr`` and ``keep`` (k,
+    n) holds tree t's split features, thresholds and leaf masks in pre-order,
+    padded with feature 0 and every leaf. A split's mask holds every leaf but
+    those of its left subtree, which it rules out when it sends the input
+    right; ``value[value_base[t] + leaf]`` is ``lr * leaf value`` in float64.
+    Walked trees keep the node arrays of :meth:`MartModel.packed`.
     """
 
     def __init__(self, model: MartModel):
@@ -233,34 +242,23 @@ class _Layout:
         leaves = tab[tree_of] & ~internal
 
         self.init = model.init
+        at = split_rank[splits], row[splits]
         self.feat = np.zeros((k, n_tab), dtype=np.intp)
-        self.feat[split_rank[splits], row[splits]] = feat[splits]
+        self.feat[at] = feat[splits]
         self.thr = np.zeros((k, n_tab), dtype=np.float64)
-        self.thr[split_rank[splits], row[splits]] = val[splits]
-        # Codes are below 2**TABLE_MAX_SPLITS, so float32 holds them exactly.
-        self.pow2 = (2.0 ** np.arange(k)).astype(np.float32)
+        self.thr[at] = val[splits]
+        # The left subtree of split i holds the leaves of pre-order ranks
+        # leaf_rank[i + 1] up to leaf_rank[i + child[i]].
+        node = np.flatnonzero(splits)
+        lo, hi = leaf_rank[node + 1], leaf_rank[node + child[node]]
+        self.keep = np.full((k, n_tab), _ALL_LEAVES, dtype=_MASK)
+        self.keep[at] = _ALL_LEAVES & ~((1 << hi) - (1 << lo))
         value = np.zeros((n_tab, k + 1), dtype=np.float64)
         value[row[leaves], leaf_rank[leaves]] = (
             model.learning_rate * val[leaves].astype(np.float64)
         )
         self.value = value.ravel()
         self.value_base = np.arange(n_tab) * (k + 1)
-        # Fill the tables from leaf bitmasks. A split that sends the input
-        # right rules out the leaves of its left subtree, pre-order leaf ranks
-        # leaf_rank[i + 1] up to leaf_rank[i + child[i]]; a code's exit leaf
-        # is the lowest leaf of its mask that no split ruled out.
-        at = np.flatnonzero(splits)
-        lo, hi = leaf_rank[at + 1], leaf_rank[at + child[at]]
-        keep = np.full((n_tab, k), _ALL_LEAVES, dtype=_MASK)
-        keep[row[splits], split_rank[splits]] = _ALL_LEAVES & ~((1 << hi) - (1 << lo))
-        # Build the masks of all 2**k codes by doubling, one split at a time:
-        # codes without bit j (split j sends the input right) take its keep
-        # mask, codes with it do not.
-        alive = np.full((n_tab, 1), _ALL_LEAVES, dtype=_MASK)
-        for j in range(k):
-            alive = np.concatenate([alive & keep[:, j, None], alive], axis=1)
-        self.leaf = _LOWEST_BIT.take(alive.ravel())
-        self.leaf_base = np.arange(n_tab) << k
 
         self.walk_starts = firsts[~tab]
         self.child = child
@@ -270,9 +268,7 @@ class _Layout:
 
     def predict(self, x: np.ndarray) -> float:
         """Prediction for one code-indexed dense vector ``x``."""
-        left = (x.take(self.feat) <= self.thr).astype(np.float32)
-        code = (self.pow2 @ left).astype(np.intp)
-        leaf = self.leaf.take(self.leaf_base + code)
+        leaf = _exit_leaves(self.keep, x.take(self.feat) <= self.thr)
         total = self.value.take(self.value_base + leaf).sum()
         if self.walk_starts.size:
             reached = _walk(
@@ -288,18 +284,18 @@ class _Layout:
         pairwise sum adds them in the order it adds a single vector's.
 
         Rows go through in chunks of at most :data:`CHUNK_ELEMENTS` split
-        comparisons (rows x splits x trees) or walk cursors.
+        comparisons (rows x splits x trees) or walk cursors; a chunk's leaf
+        masks are narrowed one split at a time.
         """
         k, n_tab = self.feat.shape
         step = max(1, CHUNK_ELEMENTS // max(1, k * n_tab + self.walk_starts.size))
         out = np.empty(len(X))
         for lo in range(0, len(X), step):
             rows = X[lo : lo + step]
-            code = np.zeros((len(rows), n_tab), dtype=np.uint16)
+            mask = np.full((len(rows), n_tab), _ALL_LEAVES, dtype=_MASK)
             for j in range(k):
-                code |= np.left_shift(rows[:, self.feat[j]] <= self.thr[j], j, dtype=np.uint16)
-            leaf = self.leaf.take(self.leaf_base + code)
-            total = self.value.take(self.value_base + leaf).sum(axis=1)
+                mask &= self.keep[j] | -(rows[:, self.feat[j]] <= self.thr[j]).astype(_MASK)
+            total = self.value.take(self.value_base + _LOWEST_BIT.take(mask)).sum(axis=1)
             if self.walk_starts.size:
                 n_walk = self.walk_starts.size
                 reached = _walk(

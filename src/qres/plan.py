@@ -123,12 +123,14 @@ class PlanNode:
             )
         if self.true_out_cardinality < 0 or self.est_out_cardinality < 0:
             raise PlanError(f"{path}: negative cardinality")
-        if self.op in LEAF_OPS:
-            if self.table is None:
-                raise PlanError(f"{path}: {self.op.name} requires table metadata")
+        # Features read the table of any node below a NestedLoopJoin's inner
+        # side, so every table present is checked.
+        if self.table is not None:
             self.table.validate(path)
-            if self.op is IndexSeek and self.table.index_depth < 1:
-                raise PlanError(f"{path}: IndexSeek access path requires index_depth >= 1")
+        elif self.op in LEAF_OPS:
+            raise PlanError(f"{path}: {self.op.name} requires table metadata")
+        if self.op is IndexSeek and self.table.index_depth < 1:
+            raise PlanError(f"{path}: IndexSeek access path requires index_depth >= 1")
         if self.est_io_cost < 0:
             raise PlanError(f"{path}: negative est_io_cost")
         sizes = (self.out_row_bytes, self.sort_columns, self.hash_columns,
@@ -254,9 +256,15 @@ def finite_float(value) -> float:
 
 
 def finite_int(value) -> int:
-    """``int(value)``, refusing integers beyond the float range, which
-    features convert to float."""
-    x = int(value)
+    """``value``, an integer or a float of integral value, as an int. Other
+    types (``bool`` and ``str`` included), fractions, NaN, infinities and
+    integers beyond the float range, which features convert to float, raise."""
+    if type(value) is not int:  # a bool is not an int here
+        if type(value) is not float:
+            raise TypeError(f"expected an integer, got {value!r}")
+        if math.isfinite(value) and not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+    x = int(value)  # NaN and infinities raise here
     float(x)  # OverflowError beyond the float range
     return x
 

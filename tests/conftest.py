@@ -21,6 +21,20 @@ from qres.scaling import FormKind
 from qres.synth import CorpusSpec, SynthError, TableSpec, generate_corpus
 
 
+_SCAN_LINE = (
+    '{"op":"TableScan","card_true":10,"card_est":10,"table":{"table_id":"a",'
+    '"tuple_count":10,"page_count":1,"column_count":2,"avg_row_bytes":10.0}}'
+)
+#: One plan line: a NestedLoopJoin whose inner side is a Filter carrying a
+#: table of negative size above its scan. Features read the Filter's table.
+INNER_TABLE_JOIN = (
+    '{"root":{"op":"NestedLoopJoin","card_true":10,"card_est":10,"children":[%s,'
+    '{"op":"Filter","card_true":10,"card_est":10,"table":{"table_id":"b",'
+    '"tuple_count":-5000,"page_count":-1,"column_count":-2,"avg_row_bytes":10.0},'
+    '"children":[%s]}]}}' % (_SCAN_LINE, _SCAN_LINE)
+)
+
+
 def make_table(tuples: int = 10_000, row_bytes: float = 100.0, columns: int = 8,
                table_id: str = "t", index_depth: int = 3) -> TableMeta:
     pages = max(1, -(-int(tuples * row_bytes) // 8192))

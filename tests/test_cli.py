@@ -8,6 +8,7 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import INNER_TABLE_JOIN
 from qres.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from qres.plan import plan_to_json
 
@@ -337,6 +338,14 @@ def test_estimate_on_malformed_plan_field_is_data_error(workspace, tmp_path, cap
     code = main(["estimate", "--model", str(model), "--plans", str(plans)])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_estimate_on_a_bad_table_below_a_join_is_data_error(workspace, tmp_path, capsys):
+    _, _, _, model = workspace
+    plans = tmp_path / "plan.jsonl"
+    plans.write_text(INNER_TABLE_JOIN + "\n")
+    assert main(["estimate", "--model", str(model), "--plans", str(plans)]) == EXIT_DATA
+    assert "root.children[1]: negative tuple_count -5000" in capsys.readouterr().err
 
 
 _HUGE_CARD_SCAN = (

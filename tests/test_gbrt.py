@@ -273,14 +273,16 @@ def test_predict_matches_manual_walk_large_trees():
 
 
 # ---------------------------------------------------------------------------
-# Leaf tables against a walk over every code
+# Leaf masks against a walk over every code, and the kernel against the
+# lookup-table kernel it replaced
 
 
 def _walked_leaf_tables(model: MartModel) -> np.ndarray:
-    """[DERIVED] Reference for ``_Layout.leaf``: every table tree walked once
-    per code, the code's bit j standing in for the tree's split j. Row c of
-    ``goes_right`` is 1.0 where bit j of c is clear, and the walk sends 1.0
-    right of a 0.5 threshold."""
+    """[DERIVED] The leaf number each table tree reaches for every code of
+    ``2**k`` codes, tree by tree: every table tree walked once per code, the
+    code's bit j standing for the outcome of the tree's split j (set: the
+    split sends the input left). Row c of ``goes_right`` is 1.0 where bit j of
+    c is clear, and the walk sends 1.0 right of a 0.5 threshold."""
     starts, child, _, _ = model.packed()
     firsts = starts[:-1]
     tree_of = np.repeat(np.arange(len(firsts)), np.diff(starts))
@@ -300,10 +302,78 @@ def _walked_leaf_tables(model: MartModel) -> np.ndarray:
     return leaf_rank[reached].astype(np.uint8)
 
 
+def _mask_leaf_tables(model: MartModel) -> np.ndarray:
+    """The leaf the kernel's masks give each table tree for every code, laid
+    out as :func:`_walked_leaf_tables` lays out the walked leaves."""
+    keep = model.layout().keep
+    k = len(keep)
+    codes = np.arange(1 << k)
+    left = ((codes[:, None] >> np.arange(k)) & 1).astype(bool)  # (codes, k)
+    patterns = np.broadcast_to(left[:, :, None], (len(codes), *keep.shape))
+    return gbrt._exit_leaves(keep, patterns).T.ravel()
+
+
 def _assert_leaf_tables_match_walk(model: MartModel) -> None:
-    leaf = model.layout().leaf
-    assert leaf.dtype == np.uint8
-    assert np.array_equal(leaf, _walked_leaf_tables(model))
+    assert np.array_equal(_mask_leaf_tables(model), _walked_leaf_tables(model))
+
+
+class _TableKernel:
+    """[DERIVED] The lookup-table kernel that scored table trees before leaf
+    masks did: a table tree's comparisons, bit j set where its split j sends
+    the input left, index a table of ``2**k`` leaf numbers (here
+    :func:`_walked_leaf_tables`); larger trees are walked node by node. The
+    terms are summed as ``gbrt._Layout`` sums them: table trees, then walked
+    trees, each group in tree order by ``ndarray.sum``."""
+
+    def __init__(self, model: MartModel):
+        self.model = model
+        table = [t for t in model.trees if t.n_nodes // 2 <= TABLE_MAX_SPLITS]
+        self.tables = _walked_leaf_tables(model).reshape(len(table), -1)
+        self.table_trees = table
+        self.walked_trees = [t for t in model.trees if t.n_nodes // 2 > TABLE_MAX_SPLITS]
+
+    def _term(self, leaf_value) -> np.float64:
+        return self.model.learning_rate * np.float64(leaf_value)
+
+    def predict(self, x: np.ndarray) -> float:
+        terms = []
+        for tree, leaf_of in zip(self.table_trees, self.tables):
+            splits = np.flatnonzero(tree.child)
+            code = sum(1 << j for j, i in enumerate(splits) if x[tree.feature[i]] <= tree.value[i])
+            leaves = np.flatnonzero(tree.child == 0)
+            terms.append(self._term(tree.value[leaves[leaf_of[code]]]))
+        total = np.array(terms, dtype=np.float64).sum()
+        if self.walked_trees:
+            walked = []
+            for tree in self.walked_trees:
+                i = 0
+                while tree.child[i]:
+                    i += 1 if x[tree.feature[i]] <= tree.value[i] else int(tree.child[i])
+                walked.append(self._term(tree.value[i]))
+            total += np.array(walked).sum()
+        return self.model.init + float(total)
+
+
+def _threshold_probes(model: MartModel, rng, n: int = 40) -> np.ndarray:
+    """``n`` dense vectors in which each split feature of ``model`` takes one
+    of the model's thresholds on it, or a value below or above them all, so
+    that many comparisons are ties (a tie goes left)."""
+    _, child, feat, val = model.packed()
+    X = np.zeros((n, gbrt.FEATURE_SPACE))
+    for f in np.unique(feat[child != 0]):
+        thr = val[(child != 0) & (feat == f)].astype(np.float64)
+        choices = np.concatenate([thr, [thr.min() - 1.0, thr.max() + 1.0]])
+        X[:, f] = rng.choice(choices, size=n)
+    return X
+
+
+def _assert_kernel_equals_table_kernel(model: MartModel, seed: int = 0) -> None:
+    X = _threshold_probes(model, np.random.default_rng(seed))
+    reference = _TableKernel(model)
+    want = np.array([reference.predict(x) for x in X])
+    layout = model.layout()
+    assert np.array([layout.predict(x) for x in X]).tobytes() == want.tobytes()
+    assert layout.predict_rows(X).tobytes() == want.tobytes()
 
 
 def _random_tree(rng, n_splits: int) -> Tree:
@@ -330,25 +400,44 @@ def _random_tree(rng, n_splits: int) -> Tree:
     )
 
 
-def test_leaf_tables_match_walk_on_registry_models(small_corpus, fast_cfg):
+def _random_model(seed: int) -> MartModel:
+    """Random trees of 0 to 11 splits, every table-tree size included."""
+    rng = np.random.default_rng(seed)
+    sizes = list(range(1, TABLE_MAX_SPLITS + 1)) + rng.integers(0, 12, size=30).tolist()
+    trees = [_random_tree(rng, int(n)) for n in rng.permutation(sizes)]
+    return MartModel(
+        init=0.0, trees=trees, learning_rate=0.1,
+        schema=[F(1), F(2), F(3)], feature_stats={},
+    )
+
+
+def _trained_model(max_leaves) -> MartModel:
+    ex = _examples_2d(n=200, seed=9)
+    if max_leaves == "mixed":
+        big = train(ex, TrainConfig(iterations=20, max_leaves=40, rng_seed=0))
+        small = train(ex, TrainConfig(iterations=20, rng_seed=1))
+        return dataclasses.replace(
+            big, trees=[t for pair in zip(big.trees, small.trees) for t in pair]
+        )
+    return train(ex, TrainConfig(iterations=20, max_leaves=max_leaves, rng_seed=0))
+
+
+@pytest.fixture(scope="module")
+def registry_models(small_corpus, fast_cfg) -> list[MartModel]:
     registry = train_registry(small_corpus, ["cpu_us", "logical_io"], fast_cfg)
     models = [_parts(m)[0] for e in registry.entries.values() for m in e.models]
     assert len(models) > 50
-    for model in models:
+    return models
+
+
+def test_leaf_tables_match_walk_on_registry_models(registry_models):
+    for model in registry_models:
         _assert_leaf_tables_match_walk(model)
 
 
 @pytest.mark.parametrize("max_leaves", [1, 4, 40, "mixed"])
 def test_leaf_tables_match_walk_on_trained_models(max_leaves):
-    ex = _examples_2d(n=200, seed=9)
-    if max_leaves == "mixed":
-        big = train(ex, TrainConfig(iterations=20, max_leaves=40, rng_seed=0))
-        small = train(ex, TrainConfig(iterations=20, rng_seed=1))
-        model = dataclasses.replace(
-            big, trees=[t for pair in zip(big.trees, small.trees) for t in pair]
-        )
-    else:
-        model = train(ex, TrainConfig(iterations=20, max_leaves=max_leaves, rng_seed=0))
+    model = _trained_model(max_leaves)
     assert model.trees
     _assert_leaf_tables_match_walk(model)
     if max_leaves == 40:
@@ -357,16 +446,27 @@ def test_leaf_tables_match_walk_on_trained_models(max_leaves):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_leaf_tables_match_walk_on_random_trees(seed):
-    rng = np.random.default_rng(seed)
-    sizes = list(range(1, TABLE_MAX_SPLITS + 1)) + rng.integers(0, 12, size=30).tolist()
-    trees = [_random_tree(rng, int(n)) for n in rng.permutation(sizes)]
-    model = MartModel(
-        init=0.0, trees=trees, learning_rate=0.1,
-        schema=[F(1), F(2), F(3)], feature_stats={},
-    )
+    model = _random_model(seed)
     _assert_leaf_tables_match_walk(model)
-    # Every table tree has a table of 2**TABLE_MAX_SPLITS codes.
+    # Every code of the largest table tree's 2**TABLE_MAX_SPLITS is checked.
     assert model.layout().feat.shape[0] == TABLE_MAX_SPLITS
+
+
+def test_kernel_equals_table_kernel_on_registry_models(registry_models):
+    for seed, model in enumerate(registry_models):
+        _assert_kernel_equals_table_kernel(model, seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_equals_table_kernel_on_random_trees(seed):
+    _assert_kernel_equals_table_kernel(_random_model(seed), seed)
+
+
+def test_kernel_equals_table_kernel_on_mixed_trees():
+    model = _trained_model("mixed")
+    layout = model.layout()
+    assert layout.feat.shape[1] and layout.walk_starts.size
+    _assert_kernel_equals_table_kernel(model)
 
 
 def test_feature_stats_are_training_ranges():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import make_table, scan_node, sort_over_scan
+from conftest import INNER_TABLE_JOIN, make_table, scan_node, sort_over_scan
 from qres.plan import (
     BLOCKING_OPS,
     JOIN_OPS,
@@ -294,6 +294,25 @@ BAD_PLAN_LINES = {
     "object template": ('{"root":{%s},"template":{"x":1}}' % _SCAN, "template must be a string"),
     "zero scale": ('{"root":{%s},"scale":0}' % _SCAN, "scale must be positive"),
     "negative scale": ('{"root":{%s},"scale":-3}' % _SCAN, "scale must be positive"),
+    "negative tuple_count on a non-leaf": (
+        INNER_TABLE_JOIN, r"root\.children\[1\]: negative tuple_count -5000"
+    ),
+    "fractional card_true": (
+        '{"root":{%s}}' % _SCAN.replace('"card_true":10', '"card_true":2.5'),
+        "root: malformed node: expected an integer, got 2.5",
+    ),
+    "boolean card_true": (
+        '{"root":{%s}}' % _SCAN.replace('"card_true":10', '"card_true":true'),
+        "root: malformed node: expected an integer, got True",
+    ),
+    "string card_true": (
+        '{"root":{%s}}' % _SCAN.replace('"card_true":10', '"card_true":"12"'),
+        "root: malformed node: expected an integer, got '12'",
+    ),
+    "fractional column_count": (
+        '{"root":{%s}}' % _SCAN.replace('"column_count":2', '"column_count":2.9'),
+        "root: malformed table metadata: expected an integer, got 2.9",
+    ),
 }
 
 

@@ -1,6 +1,7 @@
 """Synthetic workload generator: determinism, label oracles, error injection."""
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -73,6 +74,13 @@ def test_spec_validation():
     ):
         with pytest.raises(SynthError, match="table z: base_tuples, row_bytes and columns"):
             base_spec(tables=[TableSpec("a", 10_000, 100.0, 8), bad]).validate()
+    # Counts in a spec file are integers: no fractions, booleans or strings.
+    for counts in ({"base_tuples": 100.5, "columns": 4}, {"base_tuples": 100, "columns": True},
+                   {"base_tuples": "100", "columns": 4}):
+        doc = {"templates": {"scan": 1.0}, "scales": [1], "query_count": 5,
+               "tables": [{"table_id": "t", "row_bytes": 50, **counts}]}
+        with pytest.raises(SynthError, match="malformed corpus spec: expected an integer"):
+            spec_from_json(json.dumps(doc))
 
 
 def test_spec_from_json_round_trip():
