@@ -15,7 +15,9 @@ tree at once, without a walk. A split that sends the input right rules out
 the leaves of its left subtree, so the AND of the splits' leaf bitmasks holds
 the leaves no split ruled out, and the lowest of them is the exit leaf.
 Larger trees are walked in lock step, one level of every tree per NumPy step;
-training applies each new tree to all of its rows with the same walk.
+training applies each new tree to all of its rows with the same walk. One
+vector and a block of rows go through the same expressions, the block
+gathering every row's split features at once (:class:`_Layout`).
 
 Training boosts a family of independent problems (:func:`train_family`) in
 lock step: every iteration grows one tree per problem, and each best-first
@@ -191,9 +193,10 @@ def _exit_leaves(keep: np.ndarray, left: np.ndarray) -> np.ndarray:
     return _LOWEST_BIT.take(mask)
 
 
-#: Most split comparisons (rows x splits x trees) or walk cursors (rows x
-#: walked trees) one chunk of :meth:`_Layout.predict_rows` holds at once.
-CHUNK_ELEMENTS = 1 << 18
+#: Most elements (rows x splits x trees, plus rows x walked trees) one chunk
+#: of :meth:`_Layout.predict_rows` holds at once: the float64 gather of every
+#: split's feature, the kernel's largest temporary, stays within 0.5 MB.
+CHUNK_ELEMENTS = 1 << 16
 
 
 def _walk(child, feat, thr, X, rows, node) -> np.ndarray:
@@ -222,6 +225,7 @@ class _Layout:
     those of its left subtree, which it rules out when it sends the input
     right; ``value[value_base[t] + leaf]`` is ``lr * leaf value`` in float64.
     Walked trees keep the node arrays of :meth:`MartModel.packed`.
+    One body, :meth:`_sum`, scores a vector and a block of rows alike.
     """
 
     def __init__(self, model: MartModel):
@@ -266,46 +270,34 @@ class _Layout:
         self.node_thr = val
         self.lr = model.learning_rate
 
+    def _sum(self, X: np.ndarray) -> np.ndarray:
+        """The trees' terms for ``X`` (..., FEATURE_SPACE) of any leading
+        shape: table trees, then walked trees, each group summed in tree order
+        over a contiguous run, so a row adds its terms as a single vector does."""
+        leaf = _exit_leaves(self.keep, X.take(self.feat, axis=-1) <= self.thr)
+        total = self.value.take(self.value_base + leaf).sum(axis=-1)
+        if self.walk_starts.size:
+            rows, n_walk = X.reshape(-1, X.shape[-1]), self.walk_starts.size
+            reached = _walk(
+                self.child, self.node_feat, self.node_thr, rows,
+                np.repeat(np.arange(len(rows)), n_walk), np.tile(self.walk_starts, len(rows)),
+            )
+            term = self.lr * self.node_thr[reached].astype(np.float64)
+            total += term.reshape(len(rows), n_walk).sum(axis=1).reshape(X.shape[:-1])
+        return total
+
     def predict(self, x: np.ndarray) -> float:
         """Prediction for one code-indexed dense vector ``x``."""
-        leaf = _exit_leaves(self.keep, x.take(self.feat) <= self.thr)
-        total = self.value.take(self.value_base + leaf).sum()
-        if self.walk_starts.size:
-            reached = _walk(
-                self.child, self.node_feat, self.node_thr, x[None, :],
-                np.zeros_like(self.walk_starts), self.walk_starts,
-            )
-            total += (self.lr * self.node_thr[reached].astype(np.float64)).sum()
-        return self.init + float(total)
+        return self.init + float(self._sum(x))
 
     def predict_rows(self, X: np.ndarray) -> np.ndarray:
         """:meth:`predict` of every row of ``X`` (rows, FEATURE_SPACE), bit for
-        bit: each row's terms are summed as one contiguous row, so NumPy's
-        pairwise sum adds them in the order it adds a single vector's.
-
-        Rows go through in chunks of at most :data:`CHUNK_ELEMENTS` split
-        comparisons (rows x splits x trees) or walk cursors; a chunk's leaf
-        masks are narrowed one split at a time.
-        """
+        bit, in chunks of at most :data:`CHUNK_ELEMENTS` elements."""
         k, n_tab = self.feat.shape
         step = max(1, CHUNK_ELEMENTS // max(1, k * n_tab + self.walk_starts.size))
         out = np.empty(len(X))
         for lo in range(0, len(X), step):
-            rows = X[lo : lo + step]
-            mask = np.full((len(rows), n_tab), _ALL_LEAVES, dtype=_MASK)
-            for j in range(k):
-                mask &= self.keep[j] | -(rows[:, self.feat[j]] <= self.thr[j]).astype(_MASK)
-            total = self.value.take(self.value_base + _LOWEST_BIT.take(mask)).sum(axis=1)
-            if self.walk_starts.size:
-                n_walk = self.walk_starts.size
-                reached = _walk(
-                    self.child, self.node_feat, self.node_thr, rows,
-                    np.repeat(np.arange(len(rows)), n_walk),
-                    np.tile(self.walk_starts, len(rows)),
-                )
-                term = self.lr * self.node_thr[reached].astype(np.float64)
-                total += term.reshape(len(rows), n_walk).sum(axis=1)
-            out[lo : lo + step] = self.init + total
+            out[lo : lo + step] = self.init + self._sum(X[lo : lo + step])
         return out
 
 

@@ -248,8 +248,12 @@ def decompose_pipelines(plan: QueryPlan) -> list[Pipeline]:
 
 
 def finite_float(value) -> float:
-    """``float(value)``, refusing NaN and infinities."""
-    x = float(value)
+    """``value``, an int or a float, as a float. Other types (``bool`` and
+    ``str`` included), NaN, infinities and integers beyond the float range
+    raise."""
+    if type(value) is not float and type(value) is not int:  # not a bool
+        raise TypeError(f"expected a number, got {value!r}")
+    x = float(value)  # OverflowError beyond the float range
     if not math.isfinite(x):
         raise ValueError(f"non-finite number {value!r}")
     return x

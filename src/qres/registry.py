@@ -231,19 +231,14 @@ class _SelectionTable:
         )
         self.complete = all(kept for f, *_, kept in self.schema if f is not FeatureId.OUTPUTUSAGE)
 
-    def _normalizable(self, values: dict) -> bool:
-        """Whether every scale feature is present and positive and no
-        checked feature is dropped."""
+    def out_ratios(self, values: dict) -> list[float]:
+        """:func:`model_out_ratios`."""
+        if not self.complete:
+            return [math.inf]
         for s in self.scale_ids:
             v = values.get(s)
             if v is None or v <= 0:
-                return False
-        return self.complete
-
-    def out_ratios(self, values: dict) -> list[float]:
-        """:func:`model_out_ratios`."""
-        if not self._normalizable(values):
-            return [math.inf]
+                return [math.inf]
         ratios = []
         for f, chain, low, high, span in self.checks:
             v = values.get(f)
@@ -258,23 +253,6 @@ class _SelectionTable:
             else:
                 ratios.append((low - v) / span if span else math.inf)
         return ratios or [0.0]
-
-    def in_range(self, values: dict) -> bool:
-        """``max(self.out_ratios(values)) == 0.0``, stopping at the first
-        feature out of range."""
-        if not self._normalizable(values):
-            return False
-        for f, chain, low, high, span in self.checks:
-            v = values.get(f)
-            if v is None:
-                return False
-            for s in chain:
-                v = v / values[s]
-            if v > high or v < low:
-                # A distance that underflows to a ratio of 0.0 is in range.
-                if not span or (v - high if v > high else low - v) / span:
-                    return False
-        return True
 
     def normalized(self, values: dict) -> np.ndarray:
         """The code-indexed dense vector of :func:`transform_for_scaling`'s
@@ -354,7 +332,7 @@ def select_model(
     """
     entry = registry.entry(op, resource)
     default = entry.models[entry.default_idx]
-    if len(entry.models) == 1 or _selection_table(default).in_range(fv.values):
+    if len(entry.models) == 1 or not any(_selection_table(default).out_ratios(fv.values)):
         return default, entry.default_idx
 
     def key(idx: int) -> tuple:

@@ -119,8 +119,8 @@ def spec_from_json(text: str) -> CorpusSpec:
                 for t in doc["tables"]
             ],
             scales=[finite_float(s) for s in doc["scales"]],
-            query_count=int(doc["query_count"]),
-            rng_seed=int(doc.get("rng_seed", 0)),
+            query_count=finite_int(doc["query_count"]),
+            rng_seed=finite_int(doc.get("rng_seed", 0)),
             noise_sigma=finite_float(doc.get("noise_sigma", 0.0)),
             card_sigma=finite_float(doc.get("card_sigma", 0.0)),
             card_bias=finite_float(doc.get("card_bias", 1.0)),

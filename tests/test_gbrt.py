@@ -328,7 +328,7 @@ class _TableKernel:
     def __init__(self, model: MartModel):
         self.model = model
         table = [t for t in model.trees if t.n_nodes // 2 <= TABLE_MAX_SPLITS]
-        self.tables = _walked_leaf_tables(model).reshape(len(table), -1)
+        self.tables = _walked_leaf_tables(model).reshape(len(table), -1) if table else []
         self.table_trees = table
         self.walked_trees = [t for t in model.trees if t.n_nodes // 2 > TABLE_MAX_SPLITS]
 
@@ -367,13 +367,15 @@ def _threshold_probes(model: MartModel, rng, n: int = 40) -> np.ndarray:
     return X
 
 
-def _assert_kernel_equals_table_kernel(model: MartModel, seed: int = 0) -> None:
-    X = _threshold_probes(model, np.random.default_rng(seed))
+def _assert_kernel_equals_table_kernel(model: MartModel, seed: int = 0, n: int = 40) -> None:
+    X = _threshold_probes(model, np.random.default_rng(seed), n)
     reference = _TableKernel(model)
     want = np.array([reference.predict(x) for x in X])
     layout = model.layout()
-    assert np.array([layout.predict(x) for x in X]).tobytes() == want.tobytes()
+    # Rows first: a freed array of the same predictions could otherwise hand
+    # its memory, and so its values, to a row the kernel fails to write.
     assert layout.predict_rows(X).tobytes() == want.tobytes()
+    assert np.array([layout.predict(x) for x in X]).tobytes() == want.tobytes()
 
 
 def _random_tree(rng, n_splits: int) -> Tree:
@@ -467,6 +469,24 @@ def test_kernel_equals_table_kernel_on_mixed_trees():
     layout = model.layout()
     assert layout.feat.shape[1] and layout.walk_starts.size
     _assert_kernel_equals_table_kernel(model)
+
+
+@pytest.mark.parametrize(
+    "max_leaves, groups",
+    [(10, (True, False)), (40, (False, True)), ("mixed", (True, True))],
+    ids=["table-only", "walked-only", "mixed"],
+)
+def test_kernel_equals_table_kernel_across_chunk_bounds(max_leaves, groups, monkeypatch):
+    # CHUNK_ELEMENTS counts rows x splits x table trees plus rows x walked
+    # trees; room for 5 rows makes 0, 1, 4, 5, 6 and 11 rows an empty input,
+    # one row, a short chunk, a full one, a full one and a row, and three.
+    model = _trained_model(max_leaves)
+    layout = model.layout()
+    (k, n_tab), n_walk = layout.feat.shape, layout.walk_starts.size
+    assert (n_tab > 0, n_walk > 0) == groups
+    monkeypatch.setattr(gbrt, "CHUNK_ELEMENTS", 5 * (k * n_tab + n_walk))
+    for n in (0, 1, 4, 5, 6, 11):
+        _assert_kernel_equals_table_kernel(model, seed=n, n=n)
 
 
 def test_feature_stats_are_training_ranges():

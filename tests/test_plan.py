@@ -244,7 +244,10 @@ _SCAN = (
 
 BAD_PLAN_LINES = {
     "observed list": ('{"root":{%s,"observed":[1,2]}}' % _SCAN, "observed must be an object"),
-    "observed text": ('{"root":{%s,"observed":{"cpu_us":"x"}}}' % _SCAN, "could not convert"),
+    "observed text": (
+        '{"root":{%s,"observed":{"cpu_us":"x"}}}' % _SCAN,
+        "root: malformed node: expected a number, got 'x'",
+    ),
     "cols list": ('{"root":{%s,"cols":[1]}}' % _SCAN, "cols must be an object"),
     "children number": ('{"root":{%s,"children":3}}' % _SCAN, "children must be a list"),
     "NaN": ('{"root":{%s,"row_bytes":NaN}}' % _SCAN, "non-finite"),
@@ -308,6 +311,21 @@ BAD_PLAN_LINES = {
     "string card_true": (
         '{"root":{%s}}' % _SCAN.replace('"card_true":10', '"card_true":"12"'),
         "root: malformed node: expected an integer, got '12'",
+    ),
+    "string row_bytes": (
+        '{"root":{%s,"row_bytes":"50"}}' % _SCAN,
+        "root: malformed node: expected a number, got '50'",
+    ),
+    "boolean est_io_cost": (
+        '{"root":{%s,"est_io_cost":true}}' % _SCAN,
+        "root: malformed node: expected a number, got True",
+    ),
+    "string avg_row_bytes": (
+        '{"root":{%s}}' % _SCAN.replace('"avg_row_bytes":10.0', '"avg_row_bytes":"10.5"'),
+        "root: malformed table metadata: expected a number, got '10.5'",
+    ),
+    "string scale": (
+        '{"root":{%s},"scale":"2"}' % _SCAN, "malformed plan scale: expected a number, got '2'"
     ),
     "fractional column_count": (
         '{"root":{%s}}' % _SCAN.replace('"column_count":2', '"column_count":2.9'),

@@ -81,6 +81,21 @@ def test_spec_validation():
                "tables": [{"table_id": "t", "row_bytes": 50, **counts}]}
         with pytest.raises(SynthError, match="malformed corpus spec: expected an integer"):
             spec_from_json(json.dumps(doc))
+    # So are the query count and the seed.
+    table = {"table_id": "t", "base_tuples": 100, "row_bytes": 50, "columns": 4}
+    for fields in ({"query_count": 2.5}, {"query_count": "5"}, {"query_count": True},
+                   {"query_count": 5, "rng_seed": True}, {"query_count": 5, "rng_seed": 1.5},
+                   {"query_count": 5, "rng_seed": "9"}):
+        doc = {"templates": {"scan": 1.0}, "scales": [1], "tables": [table], **fields}
+        with pytest.raises(SynthError, match="malformed corpus spec: expected an integer"):
+            spec_from_json(json.dumps(doc))
+    # Other numeric fields take numbers only, not strings or booleans.
+    for fields in ({"scales": ["2"]}, {"scales": [True]}, {"noise_sigma": "0.1"},
+                   {"tables": [{**table, "row_bytes": "50"}]}):
+        doc = {"templates": {"scan": 1.0}, "scales": [1], "query_count": 5,
+               "tables": [table], **fields}
+        with pytest.raises(SynthError, match="malformed corpus spec: expected a number"):
+            spec_from_json(json.dumps(doc))
 
 
 def test_spec_from_json_round_trip():
