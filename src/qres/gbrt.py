@@ -118,6 +118,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.iterations < 1:
             raise TrainingError("iterations must be >= 1")
+        if self.iterations > 65535:
+            raise TrainingError("iterations must fit the two-byte tree count of model files")
         if self.max_leaves < 1:
             raise TrainingError("max_leaves must be >= 1")
         if self.max_leaves > 128:
@@ -162,7 +164,7 @@ class MartModel:
     def layout(self) -> "_Layout":
         """The prediction layout, built on first use and cached."""
         if self._layout is None:
-            self._layout = _Layout(self)
+            lay_out([self])
         return self._layout
 
 
@@ -217,7 +219,7 @@ def _walk(child, feat, thr, X, rows, node) -> np.ndarray:
 
 
 class _Layout:
-    """Model arrays rearranged for prediction.
+    """Model arrays rearranged for prediction, built by :func:`lay_out`.
 
     Table trees (model order): column t of ``feat``, ``thr`` and ``keep`` (k,
     n) holds tree t's split features, thresholds and leaf masks in pre-order,
@@ -228,47 +230,11 @@ class _Layout:
     One body, :meth:`_sum`, scores a vector and a block of rows alike.
     """
 
-    def __init__(self, model: MartModel):
-        starts, child, feat, val = model.packed()
-        firsts = starts[:-1]
-        tree_of = np.repeat(np.arange(len(firsts)), np.diff(starts))
-        internal = child != 0
-        # Rank of each node among the split (internal) or leaf nodes of its tree.
-        before = np.cumsum(internal) - internal
-        split_rank = before - before[firsts][tree_of]
-        leaf_rank = np.arange(len(child)) - firsts[tree_of] - split_rank
-        n_splits = np.bincount(tree_of, weights=internal, minlength=len(firsts))
-        tab = n_splits <= TABLE_MAX_SPLITS
-        k = int(n_splits[tab].max(initial=0))
-        n_tab = int(tab.sum())
-        row = (np.cumsum(tab) - 1)[tree_of]
-        splits = tab[tree_of] & internal
-        leaves = tab[tree_of] & ~internal
-
-        self.init = model.init
-        at = split_rank[splits], row[splits]
-        self.feat = np.zeros((k, n_tab), dtype=np.intp)
-        self.feat[at] = feat[splits]
-        self.thr = np.zeros((k, n_tab), dtype=np.float64)
-        self.thr[at] = val[splits]
-        # The left subtree of split i holds the leaves of pre-order ranks
-        # leaf_rank[i + 1] up to leaf_rank[i + child[i]].
-        node = np.flatnonzero(splits)
-        lo, hi = leaf_rank[node + 1], leaf_rank[node + child[node]]
-        self.keep = np.full((k, n_tab), _ALL_LEAVES, dtype=_MASK)
-        self.keep[at] = _ALL_LEAVES & ~((1 << hi) - (1 << lo))
-        value = np.zeros((n_tab, k + 1), dtype=np.float64)
-        value[row[leaves], leaf_rank[leaves]] = (
-            model.learning_rate * val[leaves].astype(np.float64)
-        )
-        self.value = value.ravel()
-        self.value_base = np.arange(n_tab) * (k + 1)
-
-        self.walk_starts = firsts[~tab]
-        self.child = child
-        self.node_feat = feat
-        self.node_thr = val
-        self.lr = model.learning_rate
+    def __init__(self, model: MartModel, feat, thr, keep, value, value_base, walk_starts):
+        self.init, self.lr = model.init, model.learning_rate
+        self.feat, self.thr, self.keep = feat, thr, keep
+        self.value, self.value_base, self.walk_starts = value, value_base, walk_starts
+        _, self.child, self.node_feat, self.node_thr = model.packed()
 
     def _sum(self, X: np.ndarray) -> np.ndarray:
         """The trees' terms for ``X`` (..., FEATURE_SPACE) of any leading
@@ -299,6 +265,110 @@ class _Layout:
         for lo in range(0, len(X), step):
             out[lo : lo + step] = self.init + self._sum(X[lo : lo + step])
         return out
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Where each of consecutive runs of ``sizes`` begins."""
+    return np.cumsum(sizes) - sizes
+
+
+#: Nodes, give or take a model, that :func:`lay_out` lays out in one pass:
+#: its temporaries take about 100 bytes a node, so a pass stays near 13 MB.
+LAYOUT_NODES = 1 << 17
+
+
+def lay_out(models: Sequence[MartModel]) -> list[_Layout]:
+    """Build and cache the :class:`_Layout` of every model of ``models``;
+    returns them. Each run of models of about :data:`LAYOUT_NODES` nodes is
+    laid out in one pass over its concatenated nodes."""
+    ends = np.cumsum([m.trees.starts[-1] for m in models], dtype=np.intp) // LAYOUT_NODES
+    cuts = [0, *(np.flatnonzero(np.diff(ends)) + 1).tolist(), len(models)]
+    return [lay for lo, hi in zip(cuts, cuts[1:]) for lay in _lay_out_run(models[lo:hi])]
+
+
+def _lay_out_run(models: Sequence[MartModel]) -> list[_Layout]:
+    """:func:`lay_out` of ``models`` in one pass: the arrays of every model
+    are filled as flat buffers and cut per model, so each layout has its
+    model's own ``k`` (most splits of a table tree) and arrays, as if its
+    model were laid out alone."""
+    packed = [m.packed() for m in models]
+    n_trees = np.array([len(p[0]) - 1 for p in packed], dtype=np.intp)
+    model_of = np.repeat(np.arange(len(models)), n_trees)  # each tree's model
+    node_base = np.repeat(_offsets(np.array([p[0][-1] for p in packed], dtype=np.intp)), n_trees)
+    firsts = np.concatenate([np.zeros(0, np.intp), *(p[0][:-1] for p in packed)]) + node_base
+    child, feat, val = (
+        np.concatenate([np.zeros(0, dtype), *(p[i] for p in packed)])
+        for i, dtype in ((1, np.uint8), (2, np.uint8), (3, np.float32))
+    )
+    sizes = np.diff(firsts, append=len(child))
+    tree_of = np.repeat(np.arange(len(firsts)), sizes)
+    internal = child != 0
+    # Rank of each node among the split (internal) or leaf nodes of its tree.
+    split_rank = np.zeros(len(child) + 1, dtype=np.intp)  # splits before each node
+    np.cumsum(internal, out=split_rank[1:])
+    n_splits = np.diff(split_rank[np.append(firsts, len(child))])
+    split_rank = split_rank[:-1]
+    split_rank -= split_rank[firsts][tree_of]
+    leaf_rank = np.arange(len(child))
+    leaf_rank -= firsts[tree_of]
+    leaf_rank -= split_rank
+    tab = n_splits <= TABLE_MAX_SPLITS
+    k = np.zeros(len(models), dtype=np.intp)
+    np.maximum.at(k, model_of[tab], n_splits[tab])
+    n_tab = np.bincount(model_of[tab], minlength=len(models))
+    # Model m's (k, n_tab) split arrays begin at split_base[m] of the flat
+    # buffers, and its (n_tab, k + 1) leaf values at value_base[m]. A table
+    # tree is column ``row`` of its model's arrays: its split of rank r lies
+    # at split_at + r * stride, its leaf of rank l at leaf_at + l.
+    split_base, value_base = _offsets(k * n_tab), _offsets(n_tab * (k + 1))
+    row = np.cumsum(tab) - 1 - np.repeat(_offsets(n_tab), n_trees)
+    leaf_bases = row * (k + 1)[model_of]
+    split_at, stride = split_base[model_of] + row, n_tab[model_of]
+    leaf_at = value_base[model_of] + leaf_bases
+    on_tab = tab[tree_of]
+
+    # Splits, then leaves: each node's flat position, built in place to keep
+    # the pass's temporaries few.
+    node = np.flatnonzero(on_tab & internal)
+    t = tree_of[node]
+    at = split_rank[node]
+    at *= stride[t]
+    at += split_at[t]
+    size = int(np.dot(k, n_tab))
+    feats = np.zeros(size, dtype=np.intp)
+    feats[at] = feat[node]
+    thrs = np.zeros(size, dtype=np.float64)
+    thrs[at] = val[node]
+    # The left subtree of split i holds the leaves of pre-order ranks
+    # leaf_rank[i + 1] up to leaf_rank[i + child[i]].
+    keeps = np.full(size, _ALL_LEAVES, dtype=_MASK)
+    lo, hi = leaf_rank[node + 1], leaf_rank[node + child[node]]
+    keeps[at] = _ALL_LEAVES & ~((1 << hi) - (1 << lo))
+    del lo, hi
+    node = np.flatnonzero(on_tab & ~internal)
+    t = tree_of[node]
+    at = leaf_rank[node]
+    at += leaf_at[t]
+    term = np.array([m.learning_rate for m in models], dtype=np.float64)[model_of][t]
+    term *= val[node]  # lr * leaf value in float64
+    values = np.zeros(int(np.dot(n_tab, k + 1)))
+    values[at] = term
+    leaf_bases = leaf_bases[tab]
+    walk_starts = (firsts - node_base)[~tab]
+
+    out = []
+    n_walk = n_trees - n_tab
+    for model, k_m, n_m, s, v, b, n_w, w in zip(models, *(a.tolist() for a in (
+        k, n_tab, split_base, value_base, _offsets(n_tab), n_walk, _offsets(n_walk)
+    ))):
+        cut = slice(s, s + k_m * n_m)
+        model._layout = _Layout(
+            model, feats[cut].reshape(k_m, n_m), thrs[cut].reshape(k_m, n_m),
+            keeps[cut].reshape(k_m, n_m), values[v : v + n_m * (k_m + 1)],
+            leaf_bases[b : b + n_m], walk_starts[w : w + n_w],
+        )
+        out.append(model._layout)
+    return out
 
 
 # ---------------------------------------------------------------------------

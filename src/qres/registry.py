@@ -646,7 +646,10 @@ def train_registry(
             terms, problems = _entry_problems(op, resource, X, y, cfg)
             pending.append((op, resource, X, y, terms))
             by_rows.setdefault(len(y), []).extend(problems)
-    trained = {n: iter(gbrt.train_family(problems, cfg)) for n, problems in by_rows.items()}
+    families = {n: gbrt.train_family(problems, cfg) for n, problems in by_rows.items()}
+    # Every model is laid out in one pass before _build_entry scores it.
+    gbrt.lay_out([mart for family in families.values() for mart in family])
+    trained = {n: iter(family) for n, family in families.items()}
     registry = ModelRegistry()
     for op, resource, X, y, terms in pending:
         marts = [next(trained[len(y)]) for _ in terms]
@@ -669,6 +672,8 @@ def _encode_mart(model: MartModel, out: bytearray) -> None:
     for f in model.schema:
         low, high = model.feature_stats[f]
         out += struct.pack("<ff", np.float32(low), np.float32(high))
+    if len(model.trees) > 0xFFFF:
+        raise RegistryError("too many trees for the two-byte tree count")
     out += struct.pack("<H", len(model.trees))
     # Every node of every tree in one write, each tree led by its node count.
     starts, child, feat, val = model.packed()
@@ -712,21 +717,26 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def skip(self, n: int) -> int:
+        """Step over ``n`` bytes; returns where they begin."""
+        pos = self.pos
+        if pos + n > len(self.data):
             raise RegistryError("truncated model payload")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+        self.pos = pos + n
+        return pos
+
+    def take(self, n: int) -> bytes:
+        pos = self.skip(n)
+        return self.data[pos : pos + n]
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self.data[self.skip(1)]
 
     def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
+        return struct.unpack_from("<H", self.data, self.skip(2))[0]
 
-    def f32(self) -> float:
-        return float(np.frombuffer(self.take(4), dtype="<f4")[0])
+    def f32s(self, n: int) -> tuple:
+        return struct.unpack_from(f"<{n}f", self.data, self.skip(4 * n))
 
 
 #: Members of each stored enum by code; a code with no member is corrupt.
@@ -740,9 +750,10 @@ def _decode_enum(cls, code: int):
     return member
 
 
-def _check_trees(trees: gbrt.PackedTrees, schema) -> None:
+def _check_trees(trees: gbrt.PackedTrees, model_of: np.ndarray, schemas: Sequence) -> None:
     """Reject node arrays the prediction kernel cannot walk: it trusts every
-    right-child offset and split feature."""
+    right-child offset and split feature. Tree t belongs to the model
+    ``model_of[t]``, whose split features are ``schemas[model_of[t]]``."""
     starts, child, feat, value = trees.starts, trees.child, trees.feature, trees.value
     sizes = np.diff(starts)
     if (sizes == 0).any():
@@ -750,7 +761,8 @@ def _check_trees(trees: gbrt.PackedTrees, schema) -> None:
     internal = child != 0
     # Nodes left in the tree from each node on, itself included: a right
     # child must land inside, so the last node of a tree must be a leaf.
-    left_in_tree = np.repeat(starts[1:], sizes) - np.arange(len(child))
+    left_in_tree = np.repeat(starts[1:], sizes)
+    left_in_tree -= np.arange(len(child))
     n_splits = np.add.reduceat(internal, starts[:-1], dtype=np.intp)
     if (
         (child >= left_in_tree).any()
@@ -758,66 +770,84 @@ def _check_trees(trees: gbrt.PackedTrees, schema) -> None:
         or (sizes != 2 * n_splits + 1).any()
     ):
         raise RegistryError("malformed tree: child offsets leave the tree")
-    # Row 0 admits a leaf's feature byte 0, row 1 the split features.
-    allowed = np.zeros((2, 256), dtype=bool)
-    allowed[0, 0] = True
-    allowed[1, [int(f) for f in schema]] = True
-    if not allowed[internal.view(np.uint8), feat].all():
+    # allowed[m, 0] admits model m's leaf feature byte 0, allowed[m, 1] its
+    # split features; a node reads the flat index of its model, kind and byte.
+    allowed = np.zeros((len(schemas), 2, 256), dtype=bool)
+    allowed[:, 0, 0] = True
+    allowed[
+        np.repeat(np.arange(len(schemas)), [len(s) for s in schemas]), 1,
+        [int(f) for s in schemas for f in s],
+    ] = True
+    at = np.repeat(512 * model_of, sizes)
+    at += feat
+    np.add(at, 256, out=at, where=internal)
+    if not allowed.reshape(-1)[at].all():
         raise RegistryError("tree node feature outside its model's schema")
     if not np.isfinite(value).all():
         raise RegistryError("non-finite tree threshold or leaf value")
 
 
-def _decode_trees(r: _Reader, schema) -> gbrt.PackedTrees:
-    """All trees of one model, from one bulk read of their node records into
-    arrays of their own, checked together."""
-    n_trees = r.u16()
-    data, start = r.data, r.pos
-    offsets: list[int] = []  # where each tree's node count lies in data
-    pos, end = start, len(data)
-    for _ in range(n_trees):
-        if pos >= end:
-            raise RegistryError("truncated model payload")
-        offsets.append(pos)
-        pos += 1 + _NODE.itemsize * data[pos]
-    records = np.frombuffer(r.take(pos - start), dtype=np.uint8)
-    heads = np.array(offsets, dtype=np.intp) - start
-    starts = np.zeros(n_trees + 1, dtype=np.intp)
-    np.cumsum(records[heads], out=starts[1:])
-    nodes = np.delete(records, heads).view(_NODE)
-    trees = gbrt.PackedTrees(
-        starts,
-        np.ascontiguousarray(nodes["child"]),
-        np.ascontiguousarray(nodes["feature"]),
-        nodes["value"].astype(np.float32),
-    )
-    _check_trees(trees, schema)
-    return trees
+#: The trees of a model whose header has been read but whose nodes have not.
+_UNREAD = gbrt.PackedTrees(
+    np.zeros(1, dtype=np.intp), *(np.zeros(0, t) for t in ("u1", "u1", "f4"))
+)
 
 
-def _decode_mart(r: _Reader) -> MartModel:
-    init, lr = struct.unpack("<ff", r.take(8))
-    schema = [_decode_enum(FeatureId, r.u8()) for _ in range(r.u8())]
-    stats = {}
-    for f in schema:
-        low, high = struct.unpack("<ff", r.take(8))
-        stats[f] = (low, high)
-    numbers = [init, lr, *(v for pair in stats.values() for v in pair)]
-    if not all(map(math.isfinite, numbers)) or any(lo > hi for lo, hi in stats.values()):
+def _decode_mart(r: _Reader, heads: list) -> MartModel:
+    """One model's header, its trees left :data:`_UNREAD`; the offsets of
+    their node counts in ``r.data`` are appended to ``heads``."""
+    init, lr = r.f32s(2)
+    schema = [_decode_enum(FeatureId, c) for c in r.take(r.u8())]
+    ranges = r.f32s(2 * len(schema))
+    stats = {f: ranges[2 * j : 2 * j + 2] for j, f in enumerate(schema)}
+    if not all(map(math.isfinite, (init, lr, *ranges))) or any(
+        lo > hi for lo, hi in stats.values()
+    ):
         raise RegistryError("non-finite model parameter or inverted feature range")
-    return MartModel(
-        init=float(init),
-        trees=_decode_trees(r, schema),
-        learning_rate=float(lr),
-        schema=schema,
-        feature_stats=stats,
+    n_trees = r.u16()
+    data, pos = r.data, r.pos
+    try:
+        for _ in range(n_trees):
+            heads.append(pos)
+            pos += 1 + _NODE.itemsize * data[pos]
+    except IndexError:
+        raise RegistryError("truncated model payload") from None
+    r.skip(pos - r.pos)
+    return MartModel(init=init, trees=_UNREAD, learning_rate=lr, schema=schema, feature_stats=stats)
+
+
+def _decode_trees(data: bytes, heads: list, bounds: list, marts: Sequence[MartModel]) -> None:
+    """Give each model of ``marts`` its trees: model m has the trees whose
+    node counts lie at ``heads[bounds[m]:bounds[m + 1]]`` of ``data``, each
+    count followed by its node records. Every node of every model is
+    gathered and checked at once, then cut into arrays of each model's own."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    heads = np.array(heads, dtype=np.intp)
+    counts = buf[heads].astype(np.intp)
+    starts = np.zeros(len(heads) + 1, dtype=np.intp)
+    np.cumsum(counts, out=starts[1:])
+    # The file alternates between runs of other bytes and the runs of node
+    # records that follow each count.
+    edges = np.column_stack([heads + 1, heads + 1 + _NODE.itemsize * counts]).ravel()
+    in_records = np.arange(len(edges) + 1) % 2 == 1
+    nodes = buf[np.repeat(in_records, np.diff(edges, prepend=0, append=len(buf)))].view(_NODE)
+    child, feature, value = nodes["child"], nodes["feature"], nodes["value"]
+    model_of = np.repeat(np.arange(len(marts)), np.diff(bounds))
+    _check_trees(
+        gbrt.PackedTrees(starts, child, feature, value), model_of, [m.schema for m in marts]
     )
+    for mart, t0, t1 in zip(marts, bounds, bounds[1:]):
+        lo, hi = starts[t0], starts[t1]
+        mart.trees = gbrt.PackedTrees(
+            starts[t0 : t1 + 1] - lo, child[lo:hi].copy(), feature[lo:hi].copy(),
+            value[lo:hi].astype(np.float32),
+        )
 
 
 def _decode_term(r: _Reader, op: OperatorType) -> ScaleTerm:
     kind = _decode_enum(FormKind, r.u8())
-    beta = r.f32()
-    feats = tuple(_decode_enum(FeatureId, r.u8()) for _ in range(r.u8()))
+    (beta,) = r.f32s(1)
+    feats = tuple(_decode_enum(FeatureId, c) for c in r.take(r.u8()))
     scalable = SCALE_CANDIDATES.intersection(applicable_features(op))
     if len(feats) != (2 if kind in TWO_FEATURE_KINDS else 1) or not scalable.issuperset(feats):
         raise RegistryError(f"invalid {kind.name} scaling features for {op.name}")
@@ -829,7 +859,10 @@ def _decode_term(r: _Reader, op: OperatorType) -> ScaleTerm:
 
 
 def deserialize(data: bytes) -> ModelRegistry:
-    """Decode a model file; corrupt bytes raise :class:`RegistryError`."""
+    """Decode a model file; corrupt bytes raise :class:`RegistryError`.
+
+    One walk reads every header and finds every tree; then one pass decodes
+    and checks the trees of every model, and one more lays them all out."""
     r = _Reader(data)
     if r.take(4) != MAGIC:
         raise RegistryError("bad magic bytes: not a model file")
@@ -837,6 +870,9 @@ def deserialize(data: bytes) -> ModelRegistry:
     if version != FORMAT_VERSION:
         raise RegistryError(f"unsupported model format version {version}")
     registry = ModelRegistry()
+    marts: list[MartModel] = []
+    heads: list[int] = []  # where each tree's node count lies in data
+    bounds = [0]  # model m's trees are heads[bounds[m]:bounds[m + 1]]
     last_key = None
     for _ in range(r.u16()):
         op = _decode_enum(OperatorType, r.u8())
@@ -852,20 +888,21 @@ def deserialize(data: bytes) -> ModelRegistry:
         models: list = []
         for _ in range(n_models):
             kind = r.u8()
+            if kind not in (0, 1):
+                raise RegistryError(f"unknown model kind byte {kind}")
+            mart = _decode_mart(r, heads)
+            marts.append(mart)
+            bounds.append(len(heads))
             if kind == 0:
-                mart = _decode_mart(r)
                 schema = features
                 models.append(mart)
-            elif kind == 1:
-                mart = _decode_mart(r)
+            else:
                 terms = [_decode_term(r, op) for _ in range(r.u8())]
                 scale = [f for t in terms for f in t.features]
                 if len(set(scale)) != len(scale):
                     raise RegistryError(f"repeated scaling feature in a {op.name} model")
                 schema = tuple(f for f in features if f not in scale)
                 models.append(CombinedModel(terms=terms, scaled_model=mart))
-            else:
-                raise RegistryError(f"unknown model kind byte {kind}")
             # Featurization gives the model exactly these features.
             if tuple(mart.schema) != schema:
                 raise RegistryError("model schema does not match its operator's features")
@@ -877,12 +914,16 @@ def deserialize(data: bytes) -> ModelRegistry:
         )
     if r.pos != len(data):
         raise RegistryError("trailing bytes after model payload")
+    _decode_trees(data, heads, bounds, marts)
+    gbrt.lay_out(marts)
     return registry
 
 
 def save_registry(registry: ModelRegistry, path: str) -> None:
+    """Write the model file; a registry that cannot be encoded writes nothing."""
+    blob = serialize(registry)
     with open(path, "wb") as fh:
-        fh.write(serialize(registry))
+        fh.write(blob)
 
 
 def load_registry(path: str) -> ModelRegistry:

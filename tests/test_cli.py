@@ -545,6 +545,58 @@ def test_train_with_out_of_range_setting_is_usage_error(workspace, tmp_path, cap
     assert not out.exists()
 
 
+def test_train_with_more_iterations_than_a_model_file_holds_is_usage_error(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    # A model file stores each model's tree count in two bytes; the setting
+    # is refused before any training.
+    from qres import cli
+
+    def untrainable(*args, **kwargs):
+        raise AssertionError("trained despite the setting")
+
+    monkeypatch.setattr(cli, "train_registry", untrainable)
+    _, _, corpus, _ = workspace
+    out = tmp_path / "model.bin"
+    argv = ["train", "--corpus", str(corpus), "--out", str(out), "--iterations", "65536"]
+    assert main(argv) == EXIT_USAGE
+    assert "two-byte tree count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_of_a_model_with_more_trees_than_a_file_holds_is_data_error(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    # Training that somehow yields 65,536 trees for one model fails to save
+    # as a data error, not an internal one, and writes no file.
+    import numpy as np
+
+    from qres import cli
+    from qres.features import applicable_features
+    from qres.gbrt import MartModel, PackedTrees
+    from qres.plan import OperatorType
+    from qres.registry import ModelRegistry, RegistryEntry
+
+    n = 1 << 16
+    schema = list(applicable_features(OperatorType.TableScan))
+    mart = MartModel(
+        0.0,
+        PackedTrees(
+            np.arange(n + 1), np.zeros(n, np.uint8), np.zeros(n, np.uint8), np.zeros(n, np.float32)
+        ),
+        0.1, schema, {f: (0.0, 1.0) for f in schema},
+    )
+    key = (OperatorType.TableScan, "cpu_us")
+    monkeypatch.setattr(
+        cli, "train_registry", lambda *a, **k: ModelRegistry({key: RegistryEntry(*key, [mart])})
+    )
+    _, _, corpus, _ = workspace
+    out = tmp_path / "model.bin"
+    assert main(["train", "--corpus", str(corpus), "--out", str(out)]) == EXIT_DATA
+    assert "too many trees" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["gen", "train", "eval"])
 def test_negative_seed_flag_is_usage_error(workspace, tmp_path, capsys, command):
     _, spec, corpus, model = workspace

@@ -489,6 +489,84 @@ def test_kernel_equals_table_kernel_across_chunk_bounds(max_leaves, groups, monk
         _assert_kernel_equals_table_kernel(model, seed=n, n=n)
 
 
+_LAYOUT_ARRAYS = (
+    "feat", "thr", "keep", "value", "value_base", "walk_starts", "child", "node_feat", "node_thr",
+)
+
+
+def _assert_laid_out_as_alone(models: list[MartModel], layouts: list) -> None:
+    """Each of ``layouts``, built for ``models`` together, is cached on its
+    model and equals the layout of its model laid out alone, array by array
+    in dtype, shape and bytes, and scores probes bit for bit as it does."""
+    assert len(layouts) == len(models)
+    for seed, (model, got) in enumerate(zip(models, layouts)):
+        assert model.layout() is got
+        alone = gbrt.lay_out([dataclasses.replace(model)])[0]
+        assert (got.init, got.lr) == (alone.init, alone.lr)
+        for name in _LAYOUT_ARRAYS:
+            a, b = getattr(got, name), getattr(alone, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            assert a.flags.c_contiguous, name
+        X = _threshold_probes(model, np.random.default_rng(seed), 20)
+        assert got.predict_rows(X).tobytes() == alone.predict_rows(X).tobytes()
+        assert [got.predict(x) for x in X] == [alone.predict(x) for x in X]
+
+
+@pytest.mark.parametrize("run_nodes", [gbrt.LAYOUT_NODES, 500], ids=["one run", "runs"])
+@pytest.mark.parametrize(
+    "max_leaves", [[1, 4, 1], ["mixed", 40, 4, "mixed"]], ids=["leaf-only", "mixed"]
+)
+def test_lay_out_lays_out_each_model_as_alone(max_leaves, run_nodes, monkeypatch):
+    # One-leaf models (k = 0) on either side of a model with splits, and
+    # models mixing walked and table trees next to others of one kind, laid
+    # out in one pass or in runs of a few models.
+    monkeypatch.setattr(gbrt, "LAYOUT_NODES", run_nodes)
+    models = [_trained_model(m) for m in max_leaves]
+    layouts = gbrt.lay_out(models)
+    assert [lay.feat.shape[0] for lay in layouts][:3] == (
+        [0, 3, 0] if max_leaves[0] == 1 else [TABLE_MAX_SPLITS, 0, 3]
+    )
+    _assert_laid_out_as_alone(models, layouts)
+
+
+def _benchmark_corpus() -> list:
+    """The benchmark's training corpus: 20 plans of each of its nine
+    templates at scales 1 to 4, each template seeded by the CRC-32 of
+    ``0/train/<template>``."""
+    import zlib
+
+    from qres.synth import CorpusSpec, default_tables, generate_corpus
+
+    return [
+        plan
+        for template in ("filter_scan", "hash_agg", "hash_join", "merge_join", "nested_loop",
+                         "scan", "seek", "sort_filter_scan", "sort_scan")
+        for plan in generate_corpus(CorpusSpec(
+            templates={template: 1.0}, tables=default_tables(), scales=[1.0, 2.0, 3.0, 4.0],
+            query_count=20, rng_seed=zlib.crc32(f"0/train/{template}".encode()),
+            noise_sigma=0.05, card_sigma=0.1,
+        ))
+    ]
+
+
+def test_decoded_benchmark_model_lays_out_each_model_as_alone():
+    import hashlib
+
+    from qres.registry import deserialize, serialize
+
+    registry = train_registry(
+        _benchmark_corpus(), ["cpu_us", "logical_io"], TrainConfig(iterations=40)
+    )
+    blob = serialize(registry)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "21c33ed0ee6c6c040713d7380c0f9329baacee975aa440614b5166fab712cb87"
+    )
+    models = [_parts(m)[0] for e in deserialize(blob).entries.values() for m in e.models]
+    assert len(models) == 74
+    # deserialize lays out every model as it loads them.
+    _assert_laid_out_as_alone(models, [m._layout for m in models])
+
+
 def test_feature_stats_are_training_ranges():
     ex = _examples_2d(n=50, seed=2)
     model = train(ex, TrainConfig(iterations=5, rng_seed=0))
@@ -520,6 +598,12 @@ def test_config_validation():
     ):
         with pytest.raises(TrainingError):
             bad.validate()
+
+
+def test_iterations_fit_the_two_byte_tree_count():
+    TrainConfig(iterations=65535).validate()
+    with pytest.raises(TrainingError, match="two-byte tree count"):
+        TrainConfig(iterations=65536).validate()
 
 
 def test_negative_seed_is_training_error():

@@ -544,26 +544,50 @@ def _first_entry(registry):
     return registry.entries[min(registry.entries, key=lambda k: (int(k[0]), k[1]))]
 
 
-def _set_node(mart, name, i, v):
-    """Set node i of the model's first tree of three or more nodes, in its
-    packed arrays."""
+def _last_entry(registry):
+    return registry.entries[max(registry.entries, key=lambda k: (int(k[0]), k[1]))]
+
+
+#: Where the tree cases of CORRUPTIONS corrupt a model, as ``(entry,
+#: model index)``: the first and the last model of the file.
+MODEL_SLOTS = {
+    "": lambda r: (_first_entry(r), 0),
+    " in the last model": lambda r: (_last_entry(r), -1),
+}
+
+
+def _set_node(slot, name, i, v):
+    """Set node i of the first tree of three or more nodes of the slot's
+    model, in its packed arrays. A model without one first gets a
+    three-node first tree."""
+    mart = _mart(slot[0].models[slot[1]])
+    if all(tree.n_nodes < 3 for tree in mart.trees):
+        mart = _replace_first_tree(slot, [2, 0, 0], [int(mart.schema[0]), 0, 0])
     t = next(t for t, tree in enumerate(mart.trees) if tree.n_nodes >= 3)
     starts, *arrays = mart.packed()
     nodes = dict(zip(("child", "feature", "value"), arrays))[name]
     nodes[starts[t] : starts[t + 1]][i] = v
 
 
-def _replace_first_tree(entry, child, feature):
-    """Rebuild the entry's plain model with its first tree replaced."""
-    mart = entry.models[0]
+def _replace_first_tree(slot, child, feature):
+    """Rebuild the slot's model with its first tree replaced; returns its
+    ensemble."""
+    entry, i = slot
+    model = entry.models[i]
+    mart = _mart(model)
     tree = Tree(
         child=np.array(child, dtype=np.uint8),
         feature=np.array(feature, dtype=np.uint8),
         value=np.zeros(len(child), dtype=np.float32),
     )
-    entry.models[0] = MartModel(
+    mart = MartModel(
         mart.init, [tree, *mart.trees[1:]], mart.learning_rate, mart.schema, mart.feature_stats
     )
+    if isinstance(model, CombinedModel):
+        model.scaled_model = mart
+    else:
+        entry.models[i] = mart
+    return mart
 
 
 # Each case corrupts a fresh copy of a trained registry in memory, serializes
@@ -609,38 +633,29 @@ CORRUPTIONS = {
     "scale feature in two terms": (
         lambda r: _repeat_scale_feature(r, across_terms=True), "repeated scaling feature"
     ),
-    "offset past tree": (
-        lambda r: _set_node(_first_entry(r).models[0], "child", 0, 250),
-        "child offsets",
-    ),
-    "offset 1": (
-        lambda r: _set_node(_first_entry(r).models[0], "child", 0, 1),
-        "child offsets",
-    ),
+}
+
+# The cases of malformed trees, each on the first and on the last model of
+# the file, which load checks in one batch.
+TREE_CORRUPTIONS = {
+    "offset past tree": (lambda slot: _set_node(slot, "child", 0, 250), "child offsets"),
+    "offset 1": (lambda slot: _set_node(slot, "child", 0, 1), "child offsets"),
     "last node a split": (
-        lambda r: _replace_first_tree(_first_entry(r), [0, 0, 2], [0, 0, 1]),
-        "child offsets",
+        lambda slot: _replace_first_tree(slot, [0, 0, 2], [0, 0, 1]), "child offsets"
     ),
     "leaves not splits + 1": (
-        lambda r: _replace_first_tree(_first_entry(r), [2, 0, 0, 0], [1, 0, 0, 0]),
-        "child offsets",
+        lambda slot: _replace_first_tree(slot, [2, 0, 0, 0], [1, 0, 0, 0]), "child offsets"
     ),
-    "empty tree": (
-        lambda r: _replace_first_tree(_first_entry(r), [], []), "empty tree"
-    ),
-    "leaf feature": (
-        lambda r: _set_node(_first_entry(r).models[0], "feature", -1, 1),
-        "feature outside",
-    ),
-    "split feature": (
-        lambda r: _set_node(_first_entry(r).models[0], "feature", 0, 30),
-        "feature outside",
-    ),
-    "non-finite leaf": (
-        lambda r: _set_node(_first_entry(r).models[0], "value", 1, math.inf),
-        "non-finite tree",
-    ),
+    "empty tree": (lambda slot: _replace_first_tree(slot, [], []), "empty tree"),
+    "leaf feature": (lambda slot: _set_node(slot, "feature", -1, 1), "feature outside"),
+    "split feature": (lambda slot: _set_node(slot, "feature", 0, 30), "feature outside"),
+    "non-finite leaf": (lambda slot: _set_node(slot, "value", 1, math.inf), "non-finite tree"),
 }
+CORRUPTIONS.update(
+    (case + where, (lambda r, mutate=mutate, slot=slot: mutate(slot(r)), message))
+    for case, (mutate, message) in TREE_CORRUPTIONS.items()
+    for where, slot in MODEL_SLOTS.items()
+)
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
@@ -719,6 +734,25 @@ def test_single_bit_flips_raise_registry_error_or_estimate(flip_case):
                     assert math.isfinite(predict_dense(mart, x))
     # Flips of node offsets, feature codes and enum codes are caught on load.
     assert 0 < rejected < len(flips)
+
+
+def test_single_bit_flips_rejected_are_pinned(flip_case):
+    # The flips of test_single_bit_flips_raise_registry_error_or_estimate:
+    # checking every model's trees in one batch rejects the 118 that were
+    # rejected when each model's trees were checked on their own.
+    import random
+
+    blob, _ = flip_case
+    flips = random.Random(0).sample(range(8 * len(blob)), 320)
+    rejected = 0
+    for flip in flips:
+        corrupt = bytearray(blob)
+        corrupt[flip // 8] ^= 1 << (flip % 8)
+        try:
+            deserialize(bytes(corrupt))
+        except RegistryError:
+            rejected += 1
+    assert rejected == 118
 
 
 def test_train_rmse_is_default_models_training_error(trained):
