@@ -75,9 +75,10 @@ class TableMeta:
             raise PlanError(f"{path}: negative tuple_count {self.tuple_count}")
         if self.tuple_count > 0 and self.page_count < 1:
             raise PlanError(f"{path}: page_count must be >= 1 for a non-empty table")
-        for name in ("page_count", "column_count", "avg_row_bytes", "index_depth"):
-            if getattr(self, name) < 0:
-                raise PlanError(f"{path}: negative {name} {getattr(self, name)}")
+        if min(self.page_count, self.column_count, self.avg_row_bytes, self.index_depth) < 0:
+            for name in ("page_count", "column_count", "avg_row_bytes", "index_depth"):
+                if getattr(self, name) < 0:
+                    raise PlanError(f"{path}: negative {name} {getattr(self, name)}")
 
 
 #: The plan-file names of the node fields that are widths or counts,
@@ -107,6 +108,13 @@ class PlanNode:
     def validate(self, path: str = "root") -> None:
         """Check every node of the subtree; errors name the offending node's
         path from this node, e.g. ``root.children[0]``."""
+        try:
+            for node, _ in preorder(self):
+                node._validate_one(path)
+            return
+        except PlanError:
+            pass
+        # Paths are built only to name the first fault, which raises again.
         paths = {id(self): path}
         for node, _ in preorder(self):
             node_path = paths[id(node)]
@@ -273,29 +281,17 @@ def finite_int(value) -> int:
     return x
 
 
-def _object(value, path: str, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise PlanError(f"{path}: {what} must be an object")
-    return value
+def _not_an_object(path: str, what: str) -> PlanError:
+    return PlanError(f"{path}: {what} must be an object")
 
 
 #: Conversion failures of a field; ``int(inf)`` raises OverflowError.
 _FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
-
-def _table_from_dict(doc: dict, path: str) -> TableMeta:
-    try:
-        return TableMeta(
-            table_id=str(doc["table_id"]),
-            tuple_count=finite_int(doc["tuple_count"]),
-            page_count=finite_int(doc["page_count"]),
-            column_count=finite_int(doc["column_count"]),
-            avg_row_bytes=finite_float(doc["avg_row_bytes"]),
-            index_depth=finite_int(doc.get("index_depth", 0)),
-        )
-    except _FIELD_ERRORS as exc:
-        raise PlanError(f"{path}: malformed table metadata: {exc}") from None
-
+#: Integers strictly inside this bound convert to a finite float, so the
+#: decoder takes them as they are; any other value goes through
+#: :func:`finite_int` or :func:`finite_float`, which own every message.
+_INT_LIMIT = 2 ** 1000
 
 #: Most nodes on a root-to-leaf path of a plan in the JSON format. Decoding
 #: and encoding recurse once per level; deeper plans raise :class:`PlanError`
@@ -307,45 +303,127 @@ def _too_deep() -> PlanError:
     return PlanError(f"plan nested too deeply: more than {MAX_PLAN_DEPTH} levels")
 
 
-def _node_from_dict(doc: dict, path: str, depth: int = 1) -> PlanNode:
-    if depth > MAX_PLAN_DEPTH:
-        raise _too_deep()
-    _object(doc, path, "node")
-    try:
-        op = _OP_BY_NAME[doc["op"]]
-    except (KeyError, TypeError):
-        raise PlanError(f"{path}: unknown or missing operator {doc.get('op')!r}") from None
-    cols = _object(doc.get("cols", {}), path, "cols")
-    observed = doc.get("observed")
-    if observed is not None:
-        _object(observed, path, "observed")
-    children = doc.get("children", [])
-    if not isinstance(children, list):
-        raise PlanError(f"{path}: children must be a list")
-    try:
-        if observed is not None:
-            observed = {str(k): finite_float(v) for k, v in observed.items()}
-        node = PlanNode(
-            op=op,
-            true_out_cardinality=finite_int(doc["card_true"]),
-            est_out_cardinality=finite_int(doc["card_est"]),
-            out_row_bytes=finite_float(doc.get("row_bytes", 0.0)),
-            table=_table_from_dict(doc["table"], path) if doc.get("table") else None,
-            est_io_cost=finite_float(doc.get("est_io_cost", 0.0)),
-            sort_columns=finite_int(cols.get("sort_columns", 0)),
-            hash_columns=finite_int(cols.get("hash_columns", 0)),
-            join_inner_columns=finite_int(cols.get("join_inner_columns", 0)),
-            join_outer_columns=finite_int(cols.get("join_outer_columns", 0)),
-            hash_ops_per_tuple=finite_float(cols.get("hash_ops_per_tuple", 0.0)),
-            observed=observed,
-        )
-    except _FIELD_ERRORS as exc:
-        raise PlanError(f"{path}: malformed node: {exc}") from None
-    node.children = [
-        _node_from_dict(c, f"{path}.children[{i}]", depth + 1)
-        for i, c in enumerate(children)
-    ]
-    return node
+class _Decoder:
+    """Decodes the plan documents of one file.
+
+    Each node is decoded, type-checked and validated in one recursive pass.
+    A validation fault only marks the plan, so that a decode fault anywhere
+    in it, then the plan's ``scale`` and ``template``, are reported first,
+    and then the first fault in pre-order. Tables are immutable, so each
+    distinct table of the file is one :class:`TableMeta`."""
+
+    def __init__(self):
+        self.tables: dict[tuple, TableMeta] = {}
+        self.invalid = False
+
+    def plan(self, document: str) -> QueryPlan:
+        self.invalid = False
+        try:
+            doc = json.loads(document)
+            if not isinstance(doc, dict) or "root" not in doc:
+                raise PlanError("plan document must be an object with a 'root' node")
+            root = self._node(doc["root"], "root", 1)
+        except json.JSONDecodeError as exc:
+            raise PlanError(f"malformed plan document: {exc}") from None
+        except RecursionError:
+            raise _too_deep() from None
+        try:
+            scale = finite_float(doc["scale"]) if doc.get("scale") is not None else None
+        except _FIELD_ERRORS as exc:
+            raise PlanError(f"malformed plan scale: {exc}") from None
+        if scale is not None and scale <= 0:
+            raise PlanError(f"plan scale must be positive, got {scale}")
+        template = doc.get("template")
+        if template is not None and not isinstance(template, str):
+            raise PlanError(f"plan template must be a string, got {template!r}")
+        if self.invalid:
+            root.validate()  # raises the first fault in pre-order
+        return QueryPlan(query_id=str(doc.get("query_id", "")), root=root, scale=scale,
+                         template=template)
+
+    def _node(self, doc, path: str, depth: int) -> PlanNode:
+        if depth > MAX_PLAN_DEPTH:
+            raise _too_deep()
+        if type(doc) is not dict:
+            raise _not_an_object(path, "node")
+        try:
+            op = _OP_BY_NAME[doc["op"]]
+        except (KeyError, TypeError):
+            raise PlanError(f"{path}: unknown or missing operator {doc.get('op')!r}") from None
+        cols = doc.get("cols", {})
+        if type(cols) is not dict:
+            raise _not_an_object(path, "cols")
+        observed = doc.get("observed")
+        if observed is not None and type(observed) is not dict:
+            raise _not_an_object(path, "observed")
+        children = doc.get("children", [])
+        if type(children) is not list:
+            raise PlanError(f"{path}: children must be a list")
+        try:
+            if observed is not None:
+                observed = {
+                    k: v if type(v) is float and v - v == 0.0 else finite_float(v)
+                    for k, v in observed.items()
+                }
+            v = doc["card_true"]
+            card_true = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
+            v = doc["card_est"]
+            card_est = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
+            v = doc.get("row_bytes", 0.0)
+            row_bytes = v if type(v) is float and v - v == 0.0 else finite_float(v)
+            table = doc.get("table")
+            table = self._table(table, path) if table else None
+            v = doc.get("est_io_cost", 0.0)
+            io_cost = v if type(v) is float and v - v == 0.0 else finite_float(v)
+            v = cols.get("sort_columns", 0)
+            sort_cols = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
+            v = cols.get("hash_columns", 0)
+            hash_cols = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
+            v = cols.get("join_inner_columns", 0)
+            inner_cols = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
+            v = cols.get("join_outer_columns", 0)
+            outer_cols = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
+            v = cols.get("hash_ops_per_tuple", 0.0)
+            hash_ops = v if type(v) is float and v - v == 0.0 else finite_float(v)
+        except _FIELD_ERRORS as exc:
+            raise PlanError(f"{path}: malformed node: {exc}") from None
+        node = PlanNode(op, [], card_true, card_est, row_bytes, table, io_cost, sort_cols,
+                        hash_cols, inner_cols, outer_cols, hash_ops, observed)
+        if children:
+            node.children = [
+                self._node(c, f"{path}.children[{i}]", depth + 1) for i, c in enumerate(children)
+            ]
+        try:
+            node._validate_one(path)
+        except PlanError:
+            self.invalid = True
+        return node
+
+    def _table(self, doc, path: str) -> TableMeta:
+        try:
+            table_id = str(doc["table_id"])
+            v = doc["tuple_count"]
+            tuples = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
+            v = doc["page_count"]
+            pages = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
+            v = doc["column_count"]
+            columns = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
+            v = doc["avg_row_bytes"]
+            row_bytes = v if type(v) is float and v - v == 0.0 else finite_float(v)
+            v = doc.get("index_depth", 0)
+            index_depth = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
+        except _FIELD_ERRORS as exc:
+            raise PlanError(f"{path}: malformed table metadata: {exc}") from None
+        # Keyed on checked values, so ``true`` never meets ``1``; 0.0 and
+        # -0.0 are equal keys, so the sign is part of the key.
+        key = (table_id, tuples, pages, columns, row_bytes, math.copysign(1.0, row_bytes),
+               index_depth)
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = TableMeta(
+                table_id, tuples, pages, columns, row_bytes, index_depth
+            )
+        return table
 
 
 def _node_to_dict(node: PlanNode, depth: int = 1) -> dict:
@@ -382,32 +460,7 @@ def _node_to_dict(node: PlanNode, depth: int = 1) -> dict:
 
 def parse_plan(document: str) -> QueryPlan:
     """Parse and validate one plan document (a JSON object)."""
-    try:
-        doc = json.loads(document)
-        if not isinstance(doc, dict) or "root" not in doc:
-            raise PlanError("plan document must be an object with a 'root' node")
-        root = _node_from_dict(doc["root"], "root")
-    except json.JSONDecodeError as exc:
-        raise PlanError(f"malformed plan document: {exc}") from None
-    except RecursionError:
-        raise _too_deep() from None
-    try:
-        scale = finite_float(doc["scale"]) if doc.get("scale") is not None else None
-    except _FIELD_ERRORS as exc:
-        raise PlanError(f"malformed plan scale: {exc}") from None
-    if scale is not None and scale <= 0:
-        raise PlanError(f"plan scale must be positive, got {scale}")
-    template = doc.get("template")
-    if template is not None and not isinstance(template, str):
-        raise PlanError(f"plan template must be a string, got {template!r}")
-    plan = QueryPlan(
-        query_id=str(doc.get("query_id", "")),
-        root=root,
-        scale=scale,
-        template=template,
-    )
-    plan.validate()
-    return plan
+    return _Decoder().plan(document)
 
 
 def plan_to_json(plan: QueryPlan) -> str:
@@ -423,6 +476,7 @@ def plan_to_json(plan: QueryPlan) -> str:
 
 def load_corpus(path: str) -> list[QueryPlan]:
     """Read a line-delimited plan corpus file."""
+    decoder = _Decoder()
     plans = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -430,7 +484,7 @@ def load_corpus(path: str) -> list[QueryPlan]:
             if not line:
                 continue
             try:
-                plans.append(parse_plan(line))
+                plans.append(decoder.plan(line))
             except PlanError as exc:
                 raise PlanError(f"{path}:{lineno}: {exc}") from None
     return plans

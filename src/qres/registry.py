@@ -751,25 +751,52 @@ def _decode_enum(cls, code: int):
 
 
 def _check_trees(trees: gbrt.PackedTrees, model_of: np.ndarray, schemas: Sequence) -> None:
-    """Reject node arrays the prediction kernel cannot walk: it trusts every
-    right-child offset and split feature. Tree t belongs to the model
+    """Reject node arrays the prediction kernel cannot walk: it trusts the
+    shape of every tree and every split feature. Tree t belongs to the model
     ``model_of[t]``, whose split features are ``schemas[model_of[t]]``."""
     starts, child, feat, value = trees.starts, trees.child, trees.feature, trees.value
     sizes = np.diff(starts)
     if (sizes == 0).any():
         raise RegistryError("empty tree")
     internal = child != 0
+    # Splits before each node, and so in each tree.
+    splits_before = np.zeros(len(child) + 1, dtype=np.intp)
+    np.cumsum(internal.astype(np.intp), out=splits_before[1:])
+    n_splits = np.diff(splits_before[starts])
     # Nodes left in the tree from each node on, itself included: a right
     # child must land inside, so the last node of a tree must be a leaf.
     left_in_tree = np.repeat(starts[1:], sizes)
     left_in_tree -= np.arange(len(child))
-    n_splits = np.add.reduceat(internal, starts[:-1], dtype=np.intp)
     if (
         (child >= left_in_tree).any()
         or (child == 1).any()
         or (sizes != 2 * n_splits + 1).any()
     ):
         raise RegistryError("malformed tree: child offsets leave the tree")
+    # The kernel reads split i's left subtree as the nodes [i + 1, r), r =
+    # i + child[i] its right child, and so needs a pre-order tree. It is one
+    # when (1) every node but each tree's first is a child of exactly one
+    # split (children are distinct, and by the size check as many as those
+    # nodes) and (2) each range [i + 1, r) holds one leaf more than splits.
+    # Proof sketch: (1), with every edge pointing forward, makes a binary
+    # tree rooted at the first node. By induction from the last node down,
+    # each subtree is an interval [j, e_j) with one leaf more than splits.
+    # For split i the left subtree is [i + 1, e_{i+1}) and r >= e_{i+1}. No
+    # node of the gap [e_{i+1}, r) descends from i, and r has no ancestor
+    # after i, so the gap is a run of whole subtrees, each adding one to
+    # the balance of [i + 1, r), which (2) pins to 1. So the gap is empty
+    # and subtree(i) = [i, e_r).
+    split = np.flatnonzero(internal)
+    right = split + child[split]
+    is_child = np.zeros(len(child), dtype=bool)
+    is_child[split + 1] = True
+    is_child[right] = True
+    left_splits = splits_before[right] - splits_before[split + 1]
+    if (
+        np.count_nonzero(is_child) != 2 * len(split)
+        or (2 * left_splits + 2 != right - split).any()
+    ):
+        raise RegistryError("malformed tree: nodes are not a pre-order tree")
     # allowed[m, 0] admits model m's leaf feature byte 0, allowed[m, 1] its
     # split features; a node reads the flat index of its model, kind and byte.
     allowed = np.zeros((len(schemas), 2, 256), dtype=bool)

@@ -409,11 +409,16 @@ def generate_corpus(spec: CorpusSpec) -> list[QueryPlan]:
     names, weights = spec._template_mix()
     seeds = np.random.SeedSequence(spec.rng_seed).spawn(spec.query_count)
     plans = []
+    # A table depends only on its spec and the scale, and TableMeta is
+    # frozen, so each scale's tables are built once.
+    tables_at: dict[float, list[TableMeta]] = {}
     for qidx in range(spec.query_count):
         rng = np.random.default_rng(seeds[qidx])
         template = names[rng.choice(len(names), p=weights)]
         scale = float(spec.scales[rng.integers(len(spec.scales))])
-        tables = [_table_meta(t, scale) for t in spec.tables]
+        tables = tables_at.get(scale)
+        if tables is None:
+            tables = tables_at[scale] = [_table_meta(t, scale) for t in spec.tables]
         root = _TEMPLATES[template](rng, tables)
         _assign_estimates(root, rng, spec.card_bias, spec.card_sigma)
         _assign_optimizer_cost(root)

@@ -20,7 +20,8 @@ HOT = (
     features.extract_features,
     features.featurize,
     features.featurize_many,
-    plan._node_from_dict,
+    plan._Decoder._node,
+    plan._Decoder._table,
     plan._node_to_dict,
     plan.PlanNode._validate_one,
     plan.preorder,

@@ -326,6 +326,38 @@ def test_estimate_on_a_repeated_scale_feature_is_data_error(workspace, tmp_path,
     assert err.startswith("error: repeated scaling feature in a ")
 
 
+@pytest.mark.parametrize("child", [[2, 2, 0, 0, 0], [4, 0, 2, 0, 0]])
+def test_estimate_on_a_tree_that_is_not_in_pre_order_is_data_error(
+    workspace, tmp_path, capsys, child
+):
+    # Every offset lands inside the tree and it has one leaf more than
+    # splits, but two splits share a child, so the mask kernel and a walk
+    # of the nodes would disagree.
+    import numpy as np
+
+    from qres.gbrt import MartModel, Tree
+    from qres.registry import CombinedModel, load_registry, save_registry
+
+    _, _, corpus, model = workspace
+    registry = load_registry(str(model))
+    entry = next(iter(registry.entries.values()))
+    mart = entry.models[0]
+    assert not isinstance(mart, CombinedModel)
+    f = int(mart.schema[0])
+    tree = Tree(
+        child=np.array(child, dtype=np.uint8),
+        feature=np.array([f if c else 0 for c in child], dtype=np.uint8),
+        value=np.zeros(len(child), dtype=np.float32),
+    )
+    entry.models[0] = MartModel(
+        mart.init, [tree, *mart.trees[1:]], mart.learning_rate, mart.schema, mart.feature_stats
+    )
+    bad = tmp_path / "shape.bin"
+    save_registry(registry, str(bad))
+    assert main(["estimate", "--model", str(bad), "--plans", str(corpus)]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: malformed tree: nodes are not a pre-order tree\n"
+
+
 @pytest.mark.parametrize("field", ['"observed":[1,2]', '"cols":[1]', '"row_bytes":NaN'])
 def test_estimate_on_malformed_plan_field_is_data_error(workspace, tmp_path, capsys, field):
     _, _, _, model = workspace

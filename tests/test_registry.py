@@ -590,6 +590,13 @@ def _replace_first_tree(slot, child, feature):
     return mart
 
 
+def _reshape_first_tree(slot, child):
+    """Replace the slot's first tree by one of shape ``child``, each split
+    on the model's first feature."""
+    f = int(_mart(slot[0].models[slot[1]]).schema[0])
+    return _replace_first_tree(slot, child, [f if c else 0 for c in child])
+
+
 # Each case corrupts a fresh copy of a trained registry in memory, serializes
 # it (the encoder does not validate) and expects load to name the fault.
 CORRUPTIONS = {
@@ -647,6 +654,19 @@ TREE_CORRUPTIONS = {
         lambda slot: _replace_first_tree(slot, [2, 0, 0, 0], [1, 0, 0, 0]), "child offsets"
     ),
     "empty tree": (lambda slot: _replace_first_tree(slot, [], []), "empty tree"),
+    # Offsets inside the tree and one leaf more than splits, but not a
+    # pre-order tree: two splits share node 2; a split's left range [1, 4)
+    # ends with a node that is no child of it; or node 1's right child 4
+    # lies past node 0's, so node 0's left range [1, 3) is cut short.
+    "right children shared": (
+        lambda slot: _reshape_first_tree(slot, [2, 2, 0, 0, 0]), "not a pre-order tree"
+    ),
+    "left range completes early": (
+        lambda slot: _reshape_first_tree(slot, [4, 0, 2, 0, 0]), "not a pre-order tree"
+    ),
+    "subtrees interleaved": (
+        lambda slot: _reshape_first_tree(slot, [3, 3, 0, 0, 0]), "not a pre-order tree"
+    ),
     "leaf feature": (lambda slot: _set_node(slot, "feature", -1, 1), "feature outside"),
     "split feature": (lambda slot: _set_node(slot, "feature", 0, 30), "feature outside"),
     "non-finite leaf": (lambda slot: _set_node(slot, "value", 1, math.inf), "non-finite tree"),
@@ -739,7 +759,8 @@ def test_single_bit_flips_raise_registry_error_or_estimate(flip_case):
 def test_single_bit_flips_rejected_are_pinned(flip_case):
     # The flips of test_single_bit_flips_raise_registry_error_or_estimate:
     # checking every model's trees in one batch rejects the 118 that were
-    # rejected when each model's trees were checked on their own.
+    # rejected when each model's trees were checked on their own. The check
+    # that trees are in pre-order rejects 3 more (121; 118 before it).
     import random
 
     blob, _ = flip_case
@@ -752,7 +773,7 @@ def test_single_bit_flips_rejected_are_pinned(flip_case):
             deserialize(bytes(corrupt))
         except RegistryError:
             rejected += 1
-    assert rejected == 118
+    assert rejected == 121
 
 
 def test_train_rmse_is_default_models_training_error(trained):
