@@ -162,6 +162,8 @@ def cmd_eval(args) -> int:
         if not args.train_corpus:
             raise UsageError("--baselines requires --train-corpus")
         train = load_corpus(args.train_corpus)
+        if not train:
+            raise RegistryError("empty training corpus")
         table["LINEAR"] = estimators.train_linear_estimator(
             train, resource, args.source, seed=args.seed or 0
         )

@@ -225,30 +225,61 @@ class Pipeline:
     boundary: Optional[PlanNode] = None
 
 
+#: Operators whose child 0 starts a pipeline of its own.
+_CUT_OPS = BLOCKING_OPS | {HashJoin}
+
+
+def pipeline_preorder(root: PlanNode) -> Iterator[tuple[PlanNode, int, int, int]]:
+    """Every node under ``root`` in pre-order, as :func:`preorder` visits it,
+    with its parent's operator code, its pipeline and its depth in that
+    pipeline.
+
+    Pipelines are cut below every Sort and HashAggregate and above every
+    HashJoin's build side (child 0). Pipeline 0 holds ``root``; the others
+    are numbered 1, 2, ... in the pre-order of the operator they feed, whose
+    child 0 follows it at depth 0. Each visit carries its own place, so a
+    node held twice lands where a copy of it would.
+    """
+    stack = [(root, NO_PARENT, 0, 0)]
+    count = 0
+    while stack:
+        node, _, pipeline, depth = item = stack.pop()
+        yield item
+        if node.children:
+            op = node.op
+            code, depth = OP_CODE[op], depth + 1
+            for child in reversed(node.children):
+                stack.append((child, code, pipeline, depth))
+            if op in _CUT_OPS:
+                count += 1
+                stack[-1] = (node.children[0], code, count, 0)
+
+
+def pipeline_lists(levels: list[list[list]]) -> list[list]:
+    """Each pipeline's items in level order, the pipelines in the order
+    :func:`decompose_pipelines` lists them. ``levels[p][d]`` holds, in
+    pre-order, an item per node that :func:`pipeline_preorder` placed at
+    depth ``d`` of pipeline ``p``."""
+    return [[x for level in rows for x in level] for rows in levels[1:] + levels[:1]]
+
+
 def decompose_pipelines(plan: QueryPlan) -> list[Pipeline]:
-    """Partition the plan's nodes into pipelines, cut below every Sort and
-    HashAggregate and above every HashJoin's build side (child 0). The root
-    pipeline is listed last, the others by pre-order position of their
-    boundary; each lists its nodes level by level, left to right."""
-    root = Pipeline(nodes=[])
-    pipelines: list[Pipeline] = []
-    # Each node's pipeline and its depth in it, set by the node's parent.
-    place = {id(plan.root): (root, 0)}
-    for node, _ in preorder(plan.root):
-        pipeline, depth = place[id(node)]
-        pipeline.nodes.append(node)
-        cut = node.op in BLOCKING_OPS or node.op is HashJoin
-        for i, child in enumerate(node.children):
-            if cut and i == 0:
-                pipelines.append(Pipeline(nodes=[], boundary=node))
-                place[id(child)] = (pipelines[-1], 0)
-            else:
-                place[id(child)] = (pipeline, depth + 1)
-    pipelines.append(root)
-    # A stable sort of pre-order by depth is level order on a tree.
-    for pipeline in pipelines:
-        pipeline.nodes.sort(key=lambda n: place[id(n)][1])
-    return pipelines
+    """Partition the plan's nodes into the pipelines of
+    :func:`pipeline_preorder`. The root pipeline is listed last, the others
+    by pre-order position of their boundary; each lists its nodes level by
+    level, left to right."""
+    walk = list(pipeline_preorder(plan.root))
+    levels: list[list[list[PlanNode]]] = []
+    for node, _, pipeline, depth in walk:
+        if pipeline == len(levels):
+            levels.append([])
+        rows = levels[pipeline]
+        if depth == len(rows):
+            rows.append([])
+        rows[depth].append(node)
+    # A pipeline's one node at depth 0 follows the operator it feeds.
+    boundaries = [walk[i - 1][0] for i, (_, _, p, depth) in enumerate(walk) if p and not depth]
+    return [Pipeline(n, b) for n, b in zip(pipeline_lists(levels), boundaries + [None])]
 
 
 # ---------------------------------------------------------------------------

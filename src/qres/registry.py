@@ -28,11 +28,14 @@ from .features import (
     FeatureVector,
     applicable_features,
     dependents,
-    featurize,
+    extract_features,
     featurize_many,
 )
 from .gbrt import MartModel, TrainConfig, TrainingError
-from .plan import JOIN_OPS, OP_NAME, OperatorType, PlanNode, QueryPlan, decompose_pipelines, ordered_sum
+from .plan import (
+    JOIN_OPS, OP_NAME, OperatorType, PlanNode, QueryPlan, ordered_sum, pipeline_lists,
+    pipeline_preorder,
+)
 from .scaling import (
     POWER_EXPONENT_GRID,
     SINGLE_FEATURE_CANDIDATES,
@@ -331,13 +334,18 @@ def select_model(
     is returned unchecked.
     """
     entry = registry.entry(op, resource)
-    default = entry.models[entry.default_idx]
-    if len(entry.models) == 1 or not any(_selection_table(default).out_ratios(fv.values)):
-        return default, entry.default_idx
+    default_idx = entry.default_idx
+    default = entry.models[default_idx]
+    if len(entry.models) == 1:
+        return default, default_idx
+    default_ratios = _selection_table(default).out_ratios(fv.values)
+    if not any(default_ratios):
+        return default, default_idx
 
     def key(idx: int) -> tuple:
         model = entry.models[idx]
-        ratios = sorted(model_out_ratios(model, fv), reverse=True)
+        ratios = default_ratios if idx == default_idx else model_out_ratios(model, fv)
+        ratios = sorted(ratios, reverse=True)
         return ratios[0], len(_selection_table(model).scale_ids), ratios[1:]
 
     idx = min(range(len(entry.models)), key=key)
@@ -356,24 +364,32 @@ def estimate_query(
 ) -> QueryEstimate:
     """Operator, pipeline, and query-level estimates; the total is the exact
     sum of the pipeline subtotals."""
-    nodes, values = [], []
-    for node, fv in featurize(plan.root, source):
+
+    def value_of(node: PlanNode, parent_op: int) -> float:
+        fv = extract_features(node, parent_op, source)
         model, _ = select_model(registry, node.op, resource, fv)
-        nodes.append(node)
-        values.append(estimate_with_model(model, fv))
-    return _query_estimate(plan, nodes, values)
+        return estimate_with_model(model, fv)
+
+    return _query_estimate(plan.root, value_of)
 
 
-def _query_estimate(
-    plan: QueryPlan, nodes: Sequence[PlanNode], values: Sequence[float]
-) -> QueryEstimate:
-    """The plan's estimate from the ``values`` of its operators ``nodes``, in
-    pre-order."""
-    value_of = {id(n): v for n, v in zip(nodes, values)}
-    per_pipeline = [
-        ordered_sum(value_of[id(n)] for n in p.nodes) for p in decompose_pipelines(plan)
-    ]
-    per_operator = [(OP_NAME[n.op], v) for n, v in zip(nodes, values)]
+def _query_estimate(root: PlanNode, value_of) -> QueryEstimate:
+    """The estimate of the plan under ``root`` from one
+    :func:`pipeline_preorder` walk, each visit's operator valued by
+    ``value_of(node, parent_op)``."""
+    levels: list[list[list[float]]] = []
+    per_operator = []
+    for node, parent_op, pipeline, depth in pipeline_preorder(root):
+        value = value_of(node, parent_op)
+        per_operator.append((OP_NAME[node.op], value))
+        if pipeline == len(levels):
+            levels.append([])
+        rows = levels[pipeline]
+        if depth == len(rows):
+            rows.append([value])
+        else:
+            rows[depth].append(value)
+    per_pipeline = [ordered_sum(values) for values in pipeline_lists(levels)]
     return QueryEstimate(ordered_sum(per_pipeline), per_pipeline, per_operator)
 
 
@@ -397,7 +413,8 @@ def estimate_batch(
     values = operator_estimates(registry, batch, resource).tolist()
     b = batch.bounds
     for i, plan in enumerate(batch.plans):
-        yield _query_estimate(plan, batch.nodes[b[i] : b[i + 1]], values[b[i] : b[i + 1]])
+        value = iter(values[b[i] : b[i + 1]]).__next__
+        yield _query_estimate(plan.root, lambda node, parent_op: value())
 
 
 def operator_estimates(

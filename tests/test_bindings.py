@@ -25,7 +25,9 @@ HOT = (
     plan._node_to_dict,
     plan.PlanNode._validate_one,
     plan.preorder,
+    plan.pipeline_preorder,
     plan.decompose_pipelines,
+    registry.estimate_query,
     registry._query_estimate,
     registry.estimate_with_model,
     scaling._basis,
@@ -42,6 +44,7 @@ HOT = (
 NO_NAME = (
     plan._node_to_dict,
     plan.preorder,
+    plan.pipeline_preorder,
     plan.decompose_pipelines,
     registry._query_estimate,
 )

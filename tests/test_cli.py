@@ -103,6 +103,21 @@ def test_eval_baselines_require_train_corpus(workspace):
     assert code == EXIT_USAGE
 
 
+def test_eval_baselines_on_empty_train_corpus_is_data_error(workspace, tmp_path, capsys):
+    # The baselines train on the file, so an empty one is refused as
+    # ``qres train`` refuses it, before any operator lacks a model.
+    _, _, corpus, model = workspace
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    prefix = tmp_path / "report"
+    assert main([
+        "eval", "--model", str(model), "--corpus", str(corpus), "--resource", "cpu",
+        "--baselines", "--train-corpus", str(empty), "--out", str(prefix),
+    ]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: empty training corpus\n"
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_fit_scaling_selects_generating_form(tmp_path, capsys):
     import math
 

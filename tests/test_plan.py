@@ -21,7 +21,9 @@ from qres.plan import (
     load_corpus,
     operator_arity,
     parse_plan,
+    pipeline_preorder,
     plan_to_json,
+    preorder,
     save_corpus,
 )
 from qres.synth import _TEMPLATES, CorpusSpec, generate_corpus
@@ -175,6 +177,61 @@ def test_pipelines_equal_the_queue_based_decomposition(tiny_tables):
     assert max(depth for _, depth in depths) == 9
     for plan in corpus + drawn:
         assert shape(decompose_pipelines(plan)) == shape(_reference_pipelines(plan)), plan.query_id
+
+
+def _walk_pipelines(plan: QueryPlan) -> list[Pipeline]:
+    """The pipelines of :func:`pipeline_preorder`'s places, assembled here:
+    each pipeline's nodes by a stable sort of pre-order on depth, under the
+    node visited just before the pipeline's first; numbered ones first, in
+    number order, and pipeline 0 last."""
+    members: dict[int, list] = {}
+    boundary: dict[int, PlanNode] = {}
+    before = None
+    for node, _, pipeline, depth in pipeline_preorder(plan.root):
+        if pipeline not in members:
+            members[pipeline] = []
+            boundary[pipeline] = before
+        members[pipeline].append((depth, node))
+        before = node
+    order = sorted(members, key=lambda p: (p == 0, p))
+    assert order == [*range(1, len(order)), 0]
+    return [
+        Pipeline([n for _, n in sorted(members[p], key=lambda dn: dn[0])], boundary[p])
+        for p in order
+    ]
+
+
+def test_walk_places_nodes_as_the_queue_based_decomposition(tiny_tables):
+    # The walk visits as preorder does, and its pipeline numbers and depths
+    # give the reference's pipelines, nodes in order, under each boundary.
+    def shape(pipes):
+        return [([id(n) for n in p.nodes], id(p.boundary) if p.boundary is not None else None) for p in pipes]
+
+    corpus = generate_corpus(CorpusSpec(
+        templates={name: 1.0 for name in _TEMPLATES}, tables=tiny_tables,
+        scales=[1.0, 8.0], query_count=90, rng_seed=12,
+    ))
+    rng = random.Random(12)
+    drawn = [QueryPlan(query_id=f"r{i}", root=_random_node(rng, 1, 9)) for i in range(2_000)]
+    for plan in corpus + drawn:
+        walk = list(pipeline_preorder(plan.root))
+        assert [(node, parent) for node, parent, *_ in walk] == list(preorder(plan.root))
+        assert shape(_walk_pipelines(plan)) == shape(_reference_pipelines(plan)), plan.query_id
+
+
+def test_shared_node_is_placed_at_each_visit():
+    # One scan object under both sides of a HashJoin lands where a copy of
+    # it would: alone on the build side, and with the join on the probe side.
+    scan = scan_node(make_table())
+    join = PlanNode(op=OperatorType.HashJoin, children=[scan, scan])
+    plan = QueryPlan(query_id="shared", root=join)
+    plan.validate()
+    places = [(id(node), pipeline, depth) for node, _, pipeline, depth in pipeline_preorder(join)]
+    assert places == [(id(join), 0, 0), (id(scan), 1, 0), (id(scan), 0, 1)]
+    pipes = decompose_pipelines(plan)
+    assert [([id(n) for n in p.nodes], id(p.boundary)) for p in pipes] == [
+        ([id(scan)], id(join)), ([id(join), id(scan)], id(None)),
+    ]
 
 
 def test_json_round_trip_is_identity(small_corpus):

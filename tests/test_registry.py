@@ -29,7 +29,7 @@ from qres.features import (
     featurize_many,
 )
 from qres.gbrt import MartModel, TrainConfig, Tree
-from qres.plan import NO_PARENT, OperatorType, PlanError, PlanNode, QueryPlan
+from qres.plan import NO_PARENT, OperatorType, PlanError, PlanNode, QueryPlan, ordered_sum
 from qres.registry import (
     CombinedModel,
     ModelRegistry,
@@ -969,6 +969,72 @@ def test_estimate_many_equals_estimate_query(batch_case, resource):
     registry, in_range, large = batch_case
     _same_as_single(registry, in_range, resource)
     _same_as_single(registry, large, resource)
+
+
+def _reference_query_estimate(registry, plan, resource):
+    """[DERIVED] The two-walk estimate: every operator valued in pre-order by
+    the model select_model picks, then each pipeline of the queue-based
+    decomposition summed through an ``id()`` map, the pipelines in its
+    order. It shares no code with the one-walk placement."""
+    from test_plan import _reference_pipelines
+
+    nodes, values = [], []
+    for node, fv in featurize(plan.root):
+        model, _ = select_model(registry, node.op, resource, fv)
+        nodes.append(node)
+        values.append(estimate_with_model(model, fv))
+    value_of = {id(n): v for n, v in zip(nodes, values)}
+    per_pipeline = [
+        ordered_sum(value_of[id(n)] for n in p.nodes) for p in _reference_pipelines(plan)
+    ]
+    per_operator = [(n.op.name, v) for n, v in zip(nodes, values)]
+    return ordered_sum(per_pipeline), per_pipeline, per_operator
+
+
+@pytest.mark.parametrize("resource", ["cpu_us", "logical_io"])
+def test_one_walk_estimates_equal_the_two_walk_reference(batch_case, all_template_spec, resource):
+    # In range and at scales 16-64, where selection leaves the default:
+    # the same operator values, pipeline subtotals and total, bit for bit.
+    import dataclasses
+
+    from qres.synth import generate_corpus
+
+    registry, in_range, _ = batch_case
+    extrap = generate_corpus(dataclasses.replace(
+        all_template_spec, scales=[16.0, 32.0, 64.0], query_count=48,
+    ))
+    for plans in (in_range, extrap):
+        many = estimate_many(registry, plans, resource)
+        for plan, batched in zip(plans, many):
+            want = _reference_query_estimate(registry, plan, resource)
+            got = estimate_query(registry, plan, resource)
+            assert (got.total, got.per_pipeline, got.per_operator) == want, plan.query_id
+            assert (batched.total, batched.per_pipeline, batched.per_operator) == want
+
+
+def test_shared_node_is_estimated_at_each_visit(batch_case):
+    # One scan object on both sides of a HashJoin: each visit is valued and
+    # placed as a copy would be, the build side in its own pipeline.
+    registry, _, _ = batch_case
+    scan = scan_node(make_table())
+    join = PlanNode(
+        op=OperatorType.HashJoin, children=[scan, scan],
+        true_out_cardinality=5_000, est_out_cardinality=5_000, out_row_bytes=200.0,
+        join_inner_columns=1, join_outer_columns=1, hash_ops_per_tuple=1.0,
+    )
+    plan = QueryPlan(query_id="shared", root=join)
+    plan.validate()
+    for resource in ("cpu_us", "logical_io"):
+        est = estimate_query(registry, plan, resource)
+        [(_, j), (_, s), (_, s2)] = est.per_operator
+        assert [name for name, _ in est.per_operator] == ["HashJoin", "TableScan", "TableScan"]
+        assert s == s2 and s > 0.0
+        assert est.per_pipeline == [s, j + s]
+        assert est.total == s + (j + s)
+        [batched] = estimate_many(registry, [plan], resource)
+        assert (batched.total, batched.per_pipeline, batched.per_operator) == (
+            est.total, est.per_pipeline, est.per_operator
+        )
 
 
 @pytest.mark.parametrize("max_leaves", [1, 40])
