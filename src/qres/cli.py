@@ -41,12 +41,16 @@ def seed(text: str) -> int:
     return int(text)
 
 
-def feature_names(text: str) -> list[str]:
-    """A ``--features`` value: one or two distinct comma-separated names."""
+def feature_names(text: str) -> list[FeatureId]:
+    """A ``--features`` value: one or two distinct comma-separated feature
+    names, as their members."""
     names = [name.strip() for name in text.split(",")]
     if len(names) > 2 or len(set(names)) < len(names):
         raise argparse.ArgumentTypeError(f"one or two distinct feature names, not {text}")
-    return names
+    for name in names:
+        if name not in FeatureId.__members__:
+            raise argparse.ArgumentTypeError(f"unknown feature name {name!r}")
+    return [FeatureId[name] for name in names]
 
 
 def _resources(flag: str) -> list[str]:
@@ -193,19 +197,18 @@ def _csv_number(row: dict, name: str, where: str) -> float:
 
 
 def cmd_fit_scaling(args) -> int:
-    features = [FeatureId[name] for name in args.features]
     observations = []
     with open(args.csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             where = f"{args.csv} line {reader.line_num}"
-            xs = [_csv_number(row, f.name, where) for f in features]
+            xs = [_csv_number(row, f.name, where) for f in args.features]
             observations.append((xs, _csv_number(row, args.resource_column, where)))
-    if len(features) == 1:
+    if len(args.features) == 1:
         candidates = scaling.SINGLE_FEATURE_CANDIDATES
     else:
         candidates = scaling.TWO_FEATURE_CANDIDATES
-    fitted = scaling.fit_candidates(candidates, features, observations)
+    fitted = scaling.fit_candidates(candidates, args.features, observations)
     report = [
         {
             "kind": form.kind.name,

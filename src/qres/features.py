@@ -235,7 +235,6 @@ def extract_features(
         inner = _inner_table_tuple_count(node)
         v[SSEKTABLE] = float(inner) if inner is not None else cins[1]
 
-    assert tuple(sorted(v)) == applicable_features(op)
     if not all(map(math.isfinite, v.values())):
         f = next(f for f, x in v.items() if not math.isfinite(x))
         raise PlanError(f"{op.name} operator: feature {f.name} is not finite ({v[f]})")
@@ -244,7 +243,7 @@ def extract_features(
 
 def featurize(root: PlanNode, source: str = "true") -> Iterator[tuple[PlanNode, FeatureVector]]:
     """Every operator under ``root`` in pre-order, with its feature vector."""
-    for node, parent_op in preorder(root):
+    for node, parent_op, _, _ in preorder(root):
         yield node, extract_features(node, parent_op, source)
 
 

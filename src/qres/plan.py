@@ -109,14 +109,14 @@ class PlanNode:
         """Check every node of the subtree; errors name the offending node's
         path from this node, e.g. ``root.children[0]``."""
         try:
-            for node, _ in preorder(self):
+            for node, _, _, _ in preorder(self):
                 node._validate_one(path)
             return
         except PlanError:
             pass
         # Paths are built only to name the first fault, which raises again.
         paths = {id(self): path}
-        for node, _ in preorder(self):
+        for node, _, _, _ in preorder(self):
             node_path = paths[id(node)]
             node._validate_one(node_path)
             for i, child in enumerate(node.children):
@@ -153,25 +153,38 @@ class PlanNode:
 
     def walk(self) -> Iterator["PlanNode"]:
         """Pre-order traversal of the subtree rooted at this node."""
-        return (node for node, _ in preorder(self))
+        return (node for node, _, _, _ in preorder(self))
 
 
-def preorder(root: PlanNode, mirrored: bool = False) -> Iterator[tuple[PlanNode, int]]:
-    """Every node under ``root`` in pre-order, with its parent's operator code
-    (``NO_PARENT`` for ``root``).
+#: Operators whose child 0 starts a pipeline of its own.
+_CUT_OPS = BLOCKING_OPS | {HashJoin}
+
+
+def preorder(root: PlanNode) -> Iterator[tuple[PlanNode, int, int, int]]:
+    """Every node under ``root`` in pre-order, children left to right, with
+    its parent's operator code (``NO_PARENT`` for ``root``), its pipeline
+    and its depth in that pipeline.
 
     The walk keeps its own stack, so plans of any depth can be visited.
-    Children are visited left to right, or right to left when ``mirrored``:
-    the reverse of a mirrored walk is a post-order with children left to right.
+    Pipelines are cut below every Sort and HashAggregate and above every
+    HashJoin's build side (child 0). Pipeline 0 holds ``root``; the others
+    are numbered 1, 2, ... in the pre-order of the operator they feed, whose
+    child 0 follows it at depth 0. Each visit carries its own place, so a
+    node held twice lands where a copy of it would.
     """
-    stack = [(root, NO_PARENT)]
+    stack = [(root, NO_PARENT, 0, 0)]
+    count = 0
     while stack:
-        node, parent_op = stack.pop()
-        yield node, parent_op
+        node, _, pipeline, depth = item = stack.pop()
+        yield item
         if node.children:
-            op = OP_CODE[node.op]
-            for child in node.children if mirrored else reversed(node.children):
-                stack.append((child, op))
+            op = node.op
+            code, depth = OP_CODE[op], depth + 1
+            for child in reversed(node.children):
+                stack.append((child, code, pipeline, depth))
+            if op in _CUT_OPS:
+                count += 1
+                stack[-1] = (node.children[0], code, count, 0)
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -193,9 +206,6 @@ class QueryPlan:
 
     def validate(self) -> None:
         self.root.validate()
-
-    def nodes(self) -> list[PlanNode]:
-        return list(self.root.walk())
 
     def labels(self, resource: str) -> list[float]:
         """Every node's observed ``resource`` label, in pre-order; a node
@@ -225,50 +235,19 @@ class Pipeline:
     boundary: Optional[PlanNode] = None
 
 
-#: Operators whose child 0 starts a pipeline of its own.
-_CUT_OPS = BLOCKING_OPS | {HashJoin}
-
-
-def pipeline_preorder(root: PlanNode) -> Iterator[tuple[PlanNode, int, int, int]]:
-    """Every node under ``root`` in pre-order, as :func:`preorder` visits it,
-    with its parent's operator code, its pipeline and its depth in that
-    pipeline.
-
-    Pipelines are cut below every Sort and HashAggregate and above every
-    HashJoin's build side (child 0). Pipeline 0 holds ``root``; the others
-    are numbered 1, 2, ... in the pre-order of the operator they feed, whose
-    child 0 follows it at depth 0. Each visit carries its own place, so a
-    node held twice lands where a copy of it would.
-    """
-    stack = [(root, NO_PARENT, 0, 0)]
-    count = 0
-    while stack:
-        node, _, pipeline, depth = item = stack.pop()
-        yield item
-        if node.children:
-            op = node.op
-            code, depth = OP_CODE[op], depth + 1
-            for child in reversed(node.children):
-                stack.append((child, code, pipeline, depth))
-            if op in _CUT_OPS:
-                count += 1
-                stack[-1] = (node.children[0], code, count, 0)
-
-
 def pipeline_lists(levels: list[list[list]]) -> list[list]:
     """Each pipeline's items in level order, the pipelines in the order
     :func:`decompose_pipelines` lists them. ``levels[p][d]`` holds, in
-    pre-order, an item per node that :func:`pipeline_preorder` placed at
-    depth ``d`` of pipeline ``p``."""
+    pre-order, an item per node that :func:`preorder` placed at depth ``d``
+    of pipeline ``p``."""
     return [[x for level in rows for x in level] for rows in levels[1:] + levels[:1]]
 
 
 def decompose_pipelines(plan: QueryPlan) -> list[Pipeline]:
-    """Partition the plan's nodes into the pipelines of
-    :func:`pipeline_preorder`. The root pipeline is listed last, the others
-    by pre-order position of their boundary; each lists its nodes level by
-    level, left to right."""
-    walk = list(pipeline_preorder(plan.root))
+    """Partition the plan's nodes into the pipelines of :func:`preorder`.
+    The root pipeline is listed last, the others by pre-order position of
+    their boundary; each lists its nodes level by level, left to right."""
+    walk = list(preorder(plan.root))
     levels: list[list[list[PlanNode]]] = []
     for node, _, pipeline, depth in walk:
         if pipeline == len(levels):
@@ -286,10 +265,17 @@ def decompose_pipelines(plan: QueryPlan) -> list[Pipeline]:
 # External line-delimited JSON plan format
 
 
+#: Integers strictly inside this bound convert to a finite float, so
+#: :func:`finite_int` returns them as they are.
+_INT_LIMIT = 2 ** 1000
+
+
 def finite_float(value) -> float:
     """``value``, an int or a float, as a float. Other types (``bool`` and
     ``str`` included), NaN, infinities and integers beyond the float range
     raise."""
+    if type(value) is float and value - value == 0.0:  # finite
+        return value
     if type(value) is not float and type(value) is not int:  # not a bool
         raise TypeError(f"expected a number, got {value!r}")
     x = float(value)  # OverflowError beyond the float range
@@ -302,6 +288,8 @@ def finite_int(value) -> int:
     """``value``, an integer or a float of integral value, as an int. Other
     types (``bool`` and ``str`` included), fractions, NaN, infinities and
     integers beyond the float range, which features convert to float, raise."""
+    if type(value) is int and -_INT_LIMIT < value < _INT_LIMIT:
+        return value
     if type(value) is not int:  # a bool is not an int here
         if type(value) is not float:
             raise TypeError(f"expected an integer, got {value!r}")
@@ -318,11 +306,6 @@ def _not_an_object(path: str, what: str) -> PlanError:
 
 #: Conversion failures of a field; ``int(inf)`` raises OverflowError.
 _FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
-
-#: Integers strictly inside this bound convert to a finite float, so the
-#: decoder takes them as they are; any other value goes through
-#: :func:`finite_int` or :func:`finite_float`, which own every message.
-_INT_LIMIT = 2 ** 1000
 
 #: Most nodes on a root-to-leaf path of a plan in the JSON format. Decoding
 #: and encoding recurse once per level; deeper plans raise :class:`PlanError`
@@ -392,30 +375,21 @@ class _Decoder:
             raise PlanError(f"{path}: children must be a list")
         try:
             if observed is not None:
-                observed = {
-                    k: v if type(v) is float and v - v == 0.0 else finite_float(v)
-                    for k, v in observed.items()
-                }
-            v = doc["card_true"]
-            card_true = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
-            v = doc["card_est"]
-            card_est = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
-            v = doc.get("row_bytes", 0.0)
-            row_bytes = v if type(v) is float and v - v == 0.0 else finite_float(v)
+                observed = {k: finite_float(v) for k, v in observed.items()}
+            card_true = finite_int(doc["card_true"])
+            card_est = finite_int(doc["card_est"])
+            row_bytes = finite_float(doc.get("row_bytes", 0.0))
             table = doc.get("table")
-            table = self._table(table, path) if table else None
-            v = doc.get("est_io_cost", 0.0)
-            io_cost = v if type(v) is float and v - v == 0.0 else finite_float(v)
-            v = cols.get("sort_columns", 0)
-            sort_cols = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
-            v = cols.get("hash_columns", 0)
-            hash_cols = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
-            v = cols.get("join_inner_columns", 0)
-            inner_cols = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
-            v = cols.get("join_outer_columns", 0)
-            outer_cols = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
-            v = cols.get("hash_ops_per_tuple", 0.0)
-            hash_ops = v if type(v) is float and v - v == 0.0 else finite_float(v)
+            if table is not None:
+                table = self._table(table, path)
+            io_cost = finite_float(doc.get("est_io_cost", 0.0))
+            sort_cols = finite_int(cols.get("sort_columns", 0))
+            hash_cols = finite_int(cols.get("hash_columns", 0))
+            inner_cols = finite_int(cols.get("join_inner_columns", 0))
+            outer_cols = finite_int(cols.get("join_outer_columns", 0))
+            hash_ops = finite_float(cols.get("hash_ops_per_tuple", 0.0))
+        except PlanError:  # a table fault, which names its node itself
+            raise
         except _FIELD_ERRORS as exc:
             raise PlanError(f"{path}: malformed node: {exc}") from None
         node = PlanNode(op, [], card_true, card_est, row_bytes, table, io_cost, sort_cols,
@@ -431,18 +405,15 @@ class _Decoder:
         return node
 
     def _table(self, doc, path: str) -> TableMeta:
+        if type(doc) is not dict:
+            raise _not_an_object(path, "table")
         try:
             table_id = str(doc["table_id"])
-            v = doc["tuple_count"]
-            tuples = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
-            v = doc["page_count"]
-            pages = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
-            v = doc["column_count"]
-            columns = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
-            v = doc["avg_row_bytes"]
-            row_bytes = v if type(v) is float and v - v == 0.0 else finite_float(v)
-            v = doc.get("index_depth", 0)
-            index_depth = v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT else finite_int(v)
+            tuples = finite_int(doc["tuple_count"])
+            pages = finite_int(doc["page_count"])
+            columns = finite_int(doc["column_count"])
+            row_bytes = finite_float(doc["avg_row_bytes"])
+            index_depth = finite_int(doc.get("index_depth", 0))
         except _FIELD_ERRORS as exc:
             raise PlanError(f"{path}: malformed table metadata: {exc}") from None
         # Keyed on checked values, so ``true`` never meets ``1``; 0.0 and

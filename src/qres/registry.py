@@ -33,8 +33,7 @@ from .features import (
 )
 from .gbrt import MartModel, TrainConfig, TrainingError
 from .plan import (
-    JOIN_OPS, OP_NAME, OperatorType, PlanNode, QueryPlan, ordered_sum, pipeline_lists,
-    pipeline_preorder,
+    JOIN_OPS, OP_NAME, OperatorType, PlanNode, QueryPlan, ordered_sum, pipeline_lists, preorder,
 )
 from .scaling import (
     POWER_EXPONENT_GRID,
@@ -374,12 +373,11 @@ def estimate_query(
 
 
 def _query_estimate(root: PlanNode, value_of) -> QueryEstimate:
-    """The estimate of the plan under ``root`` from one
-    :func:`pipeline_preorder` walk, each visit's operator valued by
-    ``value_of(node, parent_op)``."""
+    """The estimate of the plan under ``root`` from one :func:`preorder`
+    walk, each visit's operator valued by ``value_of(node, parent_op)``."""
     levels: list[list[list[float]]] = []
     per_operator = []
-    for node, parent_op, pipeline, depth in pipeline_preorder(root):
+    for node, parent_op, pipeline, depth in preorder(root):
         value = value_of(node, parent_op)
         per_operator.append((OP_NAME[node.op], value))
         if pipeline == len(levels):

@@ -22,7 +22,7 @@ from .features import (
 from .plan import (
     ComputeScalar, Filter, HashAggregate, HashJoin, IndexScan, IndexSeek, MergeJoin,
     NestedLoopJoin, OperatorType, PlanNode, QueryPlan, Sort, StreamAggregate, TableMeta, TableScan,
-    finite_float, finite_int, ordered_sum, preorder,
+    finite_float, finite_int, ordered_sum,
 )
 
 PAGE_BYTES = 8192
@@ -348,7 +348,12 @@ def _lognormal(rng, sigma: float) -> float:
 
 def _assign_estimates(root: PlanNode, rng, bias: float, sigma: float) -> None:
     # The draw order is part of the corpus: post-order, children left to right.
-    for node, _ in reversed(list(preorder(root, mirrored=True))):
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)  # the last child is taken first
+    for node in reversed(order):
         if node.op in _EXACT_CARD_OPS:
             node.est_out_cardinality = node.true_out_cardinality
         else:

@@ -154,14 +154,23 @@ def test_fit_scaling_fits_each_candidate_once(tmp_path, capsys, monkeypatch, fea
     assert len(fits) == len(set(fits)) == len(doc["candidates"])
 
 
-@pytest.mark.parametrize("features", ["CIN1,CIN2,COUT", "CIN1,CIN1", "CIN1, CIN1"])
+#: ``--features`` values naming an unknown feature, and the name reported.
+_UNKNOWN_FEATURES = {"FOO": "FOO", "CIN1,": "", "CIN1,cin2": "cin2", "CIN1,1": "1"}
+
+
+@pytest.mark.parametrize(
+    "features", ["CIN1,CIN2,COUT", "CIN1,CIN1", "CIN1, CIN1", *_UNKNOWN_FEATURES]
+)
 def test_fit_scaling_on_a_third_or_repeated_feature_is_usage_error(tmp_path, capsys, features):
     csv_path = tmp_path / "obs.csv"
     csv_path.write_text("CIN1,CIN2,COUT,resource\n10,3,5,50\n40,7,20,200\n90,11,45,450\n")
     assert main(["fit-scaling", "--csv", str(csv_path), "--features", features]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
-    assert "argument --features: one or two distinct feature names" in err
+    if features in _UNKNOWN_FEATURES:
+        assert f"argument --features: unknown feature name {_UNKNOWN_FEATURES[features]!r}\n" in err
+    else:
+        assert "argument --features: one or two distinct feature names" in err
 
 
 def test_inspect_lists_models(workspace, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_table, scan_node, sort_over_scan
+from test_plan import drawn_plans
 from qres.features import (
     NEVER_SCALE_IO,
     FeatureError,
@@ -126,7 +127,7 @@ def test_sseek_table_uses_inner_base_table():
 
 def test_merge_join_sinsum_identity(small_corpus):
     for plan in small_corpus:
-        for node in plan.nodes():
+        for node in plan.root.walk():
             if node.op is OperatorType.MergeJoin:
                 fv = extract_features(node, NO_PARENT)
                 assert fv.values[F.SINSUM] == pytest.approx(
@@ -135,8 +136,11 @@ def test_merge_join_sinsum_identity(small_corpus):
 
 
 def test_schema_matches_applicable_exactly(small_corpus):
-    # Invariant: extraction produces exactly the applicable feature set.
-    for plan in small_corpus:
+    # Invariant: extraction produces exactly the applicable feature set, on
+    # the corpus and on drawn plans of every shape and operator type.
+    plans = list(small_corpus) + drawn_plans()
+    assert {n.op for p in plans for n in p.root.walk()} == set(OperatorType)
+    for plan in plans:
         stack = [(plan.root, NO_PARENT)]
         while stack:
             node, parent = stack.pop()
@@ -319,7 +323,7 @@ def test_extract_features_equals_the_reference_definitions(small_corpus):
     from qres.features import featurize_many
 
     plans = list(small_corpus) + _hand_built_plans()
-    assert {n.op for p in plans for n in p.nodes()} == set(OperatorType)
+    assert {n.op for p in plans for n in p.root.walk()} == set(OperatorType)
 
     def bits(values: dict) -> dict:
         return {name: struct.pack("<d", v) for name, v in values.items()}

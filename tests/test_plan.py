@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -21,7 +22,6 @@ from qres.plan import (
     load_corpus,
     operator_arity,
     parse_plan,
-    pipeline_preorder,
     plan_to_json,
     preorder,
     save_corpus,
@@ -115,7 +115,7 @@ def test_pipeline_partition_is_exact_cover(small_corpus):
     for plan in small_corpus:
         pipes = decompose_pipelines(plan)
         seen = [id(n) for p in pipes for n in p.nodes]
-        assert sorted(seen) == sorted(id(n) for n in plan.nodes())
+        assert sorted(seen) == sorted(id(n) for n in plan.root.walk())
         assert pipes[-1].boundary is None
 
 
@@ -150,11 +150,20 @@ def _reference_pipelines(plan: QueryPlan) -> list[Pipeline]:
     return pipelines
 
 
+_DRAWN_TABLE = make_table()
+
+
 def _random_node(rng: random.Random, depth: int, max_depth: int) -> PlanNode:
     ops = list(OperatorType) if depth < max_depth else sorted(LEAF_OPS)
     op = rng.choice(ops)
     children = [_random_node(rng, depth + 1, max_depth) for _ in range(operator_arity(op))]
-    return PlanNode(op=op, children=children)
+    return PlanNode(op=op, children=children, table=_DRAWN_TABLE if op in LEAF_OPS else None)
+
+
+def drawn_plans() -> list[QueryPlan]:
+    """2,000 plans of random shape, every leaf a scan over one table."""
+    rng = random.Random(12)
+    return [QueryPlan(query_id=f"r{i}", root=_random_node(rng, 1, 9)) for i in range(2_000)]
 
 
 def test_pipelines_equal_the_queue_based_decomposition(tiny_tables):
@@ -168,9 +177,8 @@ def test_pipelines_equal_the_queue_based_decomposition(tiny_tables):
         scales=[1.0, 8.0], query_count=90, rng_seed=12,
     ))
     assert {plan.template for plan in corpus} == set(_TEMPLATES)
-    rng = random.Random(12)
-    drawn = [QueryPlan(query_id=f"r{i}", root=_random_node(rng, 1, 9)) for i in range(2_000)]
-    assert {n.op for plan in drawn for n in plan.nodes()} == set(OperatorType)
+    drawn = drawn_plans()
+    assert {n.op for plan in drawn for n in plan.root.walk()} == set(OperatorType)
     depths = [(plan.root, 1) for plan in drawn]
     for node, depth in depths:
         depths.extend((child, depth + 1) for child in node.children)
@@ -179,15 +187,25 @@ def test_pipelines_equal_the_queue_based_decomposition(tiny_tables):
         assert shape(decompose_pipelines(plan)) == shape(_reference_pipelines(plan)), plan.query_id
 
 
+def _recursive_preorder(node: PlanNode, parent_op: int = NO_PARENT, out=None) -> list:
+    """``(id(node), parent operator code)`` of every node under ``node`` in
+    pre-order, children left to right, by recursion."""
+    out = [] if out is None else out
+    out.append((id(node), parent_op))
+    for child in node.children:
+        _recursive_preorder(child, int(node.op), out)
+    return out
+
+
 def _walk_pipelines(plan: QueryPlan) -> list[Pipeline]:
-    """The pipelines of :func:`pipeline_preorder`'s places, assembled here:
+    """The pipelines of :func:`preorder`'s places, assembled here:
     each pipeline's nodes by a stable sort of pre-order on depth, under the
     node visited just before the pipeline's first; numbered ones first, in
     number order, and pipeline 0 last."""
     members: dict[int, list] = {}
     boundary: dict[int, PlanNode] = {}
     before = None
-    for node, _, pipeline, depth in pipeline_preorder(plan.root):
+    for node, _, pipeline, depth in preorder(plan.root):
         if pipeline not in members:
             members[pipeline] = []
             boundary[pipeline] = before
@@ -202,8 +220,9 @@ def _walk_pipelines(plan: QueryPlan) -> list[Pipeline]:
 
 
 def test_walk_places_nodes_as_the_queue_based_decomposition(tiny_tables):
-    # The walk visits as preorder does, and its pipeline numbers and depths
-    # give the reference's pipelines, nodes in order, under each boundary.
+    # The walk visits in the order and with the parent operators of a
+    # recursive pre-order, and its pipeline numbers and depths give the
+    # reference's pipelines, nodes in order, under each boundary.
     def shape(pipes):
         return [([id(n) for n in p.nodes], id(p.boundary) if p.boundary is not None else None) for p in pipes]
 
@@ -211,11 +230,9 @@ def test_walk_places_nodes_as_the_queue_based_decomposition(tiny_tables):
         templates={name: 1.0 for name in _TEMPLATES}, tables=tiny_tables,
         scales=[1.0, 8.0], query_count=90, rng_seed=12,
     ))
-    rng = random.Random(12)
-    drawn = [QueryPlan(query_id=f"r{i}", root=_random_node(rng, 1, 9)) for i in range(2_000)]
-    for plan in corpus + drawn:
-        walk = list(pipeline_preorder(plan.root))
-        assert [(node, parent) for node, parent, *_ in walk] == list(preorder(plan.root))
+    for plan in corpus + drawn_plans():
+        visits = [(id(node), parent) for node, parent, _, _ in preorder(plan.root)]
+        assert visits == _recursive_preorder(plan.root), plan.query_id
         assert shape(_walk_pipelines(plan)) == shape(_reference_pipelines(plan)), plan.query_id
 
 
@@ -226,7 +243,7 @@ def test_shared_node_is_placed_at_each_visit():
     join = PlanNode(op=OperatorType.HashJoin, children=[scan, scan])
     plan = QueryPlan(query_id="shared", root=join)
     plan.validate()
-    places = [(id(node), pipeline, depth) for node, _, pipeline, depth in pipeline_preorder(join)]
+    places = [(id(node), pipeline, depth) for node, _, pipeline, depth in preorder(join)]
     assert places == [(id(join), 0, 0), (id(scan), 1, 0), (id(scan), 0, 1)]
     pipes = decompose_pipelines(plan)
     assert [([id(n) for n in p.nodes], id(p.boundary)) for p in pipes] == [
@@ -297,6 +314,13 @@ _SCAN = (
     '"op":"TableScan","card_true":10,"card_est":10,"table":{"table_id":"a",'
     '"tuple_count":10,"page_count":1,"column_count":2,"avg_row_bytes":10.0}'
 )
+_FILTER = '"op":"Filter","card_true":10,"card_est":10,"children":[{%s}]' % _SCAN
+
+
+def _whole(message: str) -> str:
+    """A pattern that matches ``message`` as the whole text after the
+    ``path:1:`` prefix of a one-line plan file."""
+    return r"\.jsonl:1: " + re.escape(message) + r"\Z"
 
 
 BAD_PLAN_LINES = {
@@ -379,14 +403,39 @@ BAD_PLAN_LINES = {
     ),
     "string avg_row_bytes": (
         '{"root":{%s}}' % _SCAN.replace('"avg_row_bytes":10.0', '"avg_row_bytes":"10.5"'),
-        "root: malformed table metadata: expected a number, got '10.5'",
+        _whole("root: malformed table metadata: expected a number, got '10.5'"),
     ),
     "string scale": (
         '{"root":{%s},"scale":"2"}' % _SCAN, "malformed plan scale: expected a number, got '2'"
     ),
     "fractional column_count": (
         '{"root":{%s}}' % _SCAN.replace('"column_count":2', '"column_count":2.9'),
-        "root: malformed table metadata: expected an integer, got 2.9",
+        _whole("root: malformed table metadata: expected an integer, got 2.9"),
+    ),
+    # A table that is present and not null is an object, on any operator.
+    **{
+        f"{name} table": (
+            '{"root":{%s,"table":%s}}' % (_FILTER, value), _whole("root: table must be an object")
+        )
+        for name, value in (("zero", "0"), ("false", "false"), ("empty string", '""'),
+                            ("empty list", "[]"), ("list", "[1]"), ("string", '"t"'))
+    },
+    "empty table": (
+        '{"root":{%s,"table":{}}}' % _FILTER, _whole("root: malformed table metadata: 'table_id'")
+    ),
+    "string tuple_count below a Filter": (
+        '{"root":{%s}}' % _FILTER.replace('"tuple_count":10', '"tuple_count":"10"'),
+        _whole("root.children[0]: malformed table metadata: expected an integer, got '10'"),
+    ),
+    # Fields are read in a fixed order: card_true, card_est, row_bytes,
+    # table, est_io_cost, then cols.
+    "string card_true before a bad table": (
+        '{"root":{%s,"table":0}}' % _FILTER.replace('"card_true":10', '"card_true":"1"', 1),
+        _whole("root: malformed node: expected an integer, got '1'"),
+    ),
+    "bad table before a string est_io_cost": (
+        '{"root":{%s,"table":0,"est_io_cost":"x"}}' % _FILTER,
+        _whole("root: table must be an object"),
     ),
 }
 
@@ -405,7 +454,7 @@ def test_observed_total_and_labels():
     for read in (plan.labels, plan.observed_total):
         with pytest.raises(PlanError, match="plan sort-scan: missing observed label for 'cpu_us'"):
             read("cpu_us")
-    for value, node in enumerate(plan.nodes(), 1):
+    for value, node in enumerate(plan.root.walk(), 1):
         node.observed = {"cpu_us": float(value)}
     assert plan.labels("cpu_us") == [1.0, 2.0]
     assert plan.observed_total("cpu_us") == 3.0

@@ -29,7 +29,8 @@ from test_cli import _mutated_plans
 # [DERIVED] The two-pass decoder: it decodes the whole tree, converting each
 # number with finite_int or finite_float and building a TableMeta for every
 # table, then walks the tree again to validate it. Kept as the reference for
-# plans and error messages.
+# plans and error messages. A table that is present and not null must be an
+# object, and a table fault names its node once.
 
 def _ref_object(value, path: str, what: str) -> dict:
     if not isinstance(value, dict):
@@ -37,7 +38,8 @@ def _ref_object(value, path: str, what: str) -> dict:
     return value
 
 
-def _ref_table(doc: dict, path: str) -> TableMeta:
+def _ref_table(doc, path: str) -> TableMeta:
+    _ref_object(doc, path, "table")
     try:
         return TableMeta(
             table_id=str(doc["table_id"]),
@@ -66,6 +68,7 @@ def _ref_node(doc: dict, path: str, depth: int = 1) -> PlanNode:
     children = doc.get("children", [])
     if not isinstance(children, list):
         raise PlanError(f"{path}: children must be a list")
+    table = doc.get("table")
     try:
         if observed is not None:
             observed = {str(k): finite_float(v) for k, v in observed.items()}
@@ -74,7 +77,7 @@ def _ref_node(doc: dict, path: str, depth: int = 1) -> PlanNode:
             true_out_cardinality=finite_int(doc["card_true"]),
             est_out_cardinality=finite_int(doc["card_est"]),
             out_row_bytes=finite_float(doc.get("row_bytes", 0.0)),
-            table=_ref_table(doc["table"], path) if doc.get("table") else None,
+            table=None if table is None else _ref_table(table, path),
             est_io_cost=finite_float(doc.get("est_io_cost", 0.0)),
             sort_columns=finite_int(cols.get("sort_columns", 0)),
             hash_columns=finite_int(cols.get("hash_columns", 0)),
@@ -83,6 +86,8 @@ def _ref_node(doc: dict, path: str, depth: int = 1) -> PlanNode:
             hash_ops_per_tuple=finite_float(cols.get("hash_ops_per_tuple", 0.0)),
             observed=observed,
         )
+    except PlanError:
+        raise
     except _FIELD_ERRORS as exc:
         raise PlanError(f"{path}: malformed node: {exc}") from None
     node.children = [
@@ -93,7 +98,7 @@ def _ref_node(doc: dict, path: str, depth: int = 1) -> PlanNode:
 
 def _ref_validate(root: PlanNode) -> None:
     paths = {id(root): "root"}
-    for node, _ in preorder(root):
+    for node, _, _, _ in preorder(root):
         node_path = paths[id(node)]
         node._validate_one(node_path)
         for i, child in enumerate(node.children):
@@ -271,7 +276,7 @@ def test_load_corpus_prefixes_the_reference_error_with_path_and_line(tmp_path, d
 def test_equal_tables_of_one_file_are_one_object(tmp_path, small_corpus):
     path = tmp_path / "plans.jsonl"
     path.write_text("".join(plan_to_json(p) + "\n" for p in small_corpus))
-    tables = [n.table for p in load_corpus(str(path)) for n in p.nodes() if n.table is not None]
+    tables = [n.table for p in load_corpus(str(path)) for n in p.root.walk() if n.table is not None]
     by_value = {}
     for table in tables:
         by_value.setdefault(table, set()).add(id(table))
@@ -298,5 +303,6 @@ def test_tables_that_compare_equal_but_decode_apart_stay_apart(tmp_path):
     assert plans[0].root.table is plans[2].root.table
     assert plans[0].root.table is not plans[1].root.table
     path.write_text("".join(_ZERO_WIDTH_SCAN % (n, n, "1.0") + "\n" for n in ("1", "true")))
-    with pytest.raises(PlanError, match=r":2: root: malformed node: .*expected an integer, got True"):
+    message = r":2: root: malformed table metadata: expected an integer, got True\Z"
+    with pytest.raises(PlanError, match=message):
         load_corpus(str(path))

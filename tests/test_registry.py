@@ -284,7 +284,7 @@ def small_corpus_module():
 
 def test_registry_covers_all_ops_and_resources(trained):
     registry, corpus = trained
-    ops = {n.op for p in corpus for n in p.nodes()}
+    ops = {n.op for p in corpus for n in p.root.walk()}
     for op in ops:
         for resource in ("cpu_us", "logical_io"):
             entry = registry.entry(op, resource)
@@ -298,7 +298,7 @@ def test_estimate_query_totals_consistent(trained):
         est = estimate_query(registry, plan, "cpu_us")
         assert est.total == sum(est.per_pipeline)
         assert est.total == pytest.approx(sum(v for _, v in est.per_operator))
-        assert len(est.per_operator) == len(plan.nodes())
+        assert len(est.per_operator) == len(list(plan.root.walk()))
         assert est.total >= 0.0
 
 
@@ -312,7 +312,7 @@ def test_collect_examples_rows_are_the_feature_vectors(trained):
     _, corpus = trained
     for resource in ("cpu_us", "logical_io"):
         by_op = collect_examples(corpus, resource)
-        assert set(by_op) == {n.op for p in corpus for n in p.nodes()}
+        assert set(by_op) == {n.op for p in corpus for n in p.root.walk()}
         for op, (X, y) in by_op.items():
             want_X, want_y = as_rows(labeled_vectors(corpus, resource, op))
             assert X.tobytes() == want_X.tobytes()

@@ -144,7 +144,8 @@ def test_plans_valid_and_labeled():
         plan.validate()
         assert plan.scale in (1.0, 2.0)
         assert plan.template in base_spec().templates
-        assert len(plan.labels("cpu_us")) == len(plan.labels("logical_io")) == len(plan.nodes())
+        nodes = list(plan.root.walk())
+        assert len(plan.labels("cpu_us")) == len(plan.labels("logical_io")) == len(nodes)
         assert plan.query_id.startswith("q")
 
 
@@ -194,7 +195,7 @@ def test_cardinality_error_spares_full_scans():
     corpus = generate_corpus(base_spec(card_sigma=0.5, card_bias=2.0))
     biased = exact = 0
     for plan in corpus:
-        for node in plan.nodes():
+        for node in plan.root.walk():
             if node.op in (OperatorType.TableScan, OperatorType.IndexScan):
                 assert node.est_out_cardinality == node.true_out_cardinality
                 exact += 1
@@ -206,7 +207,7 @@ def test_cardinality_error_spares_full_scans():
 def test_cardinality_bias_is_systematic():
     corpus = generate_corpus(base_spec(card_sigma=0.0, card_bias=2.0, query_count=40))
     for plan in corpus:
-        for node in plan.nodes():
+        for node in plan.root.walk():
             if node.op not in (OperatorType.TableScan, OperatorType.IndexScan):
                 want = max(1, math.ceil(node.true_out_cardinality * 2.0))
                 assert node.est_out_cardinality == want
@@ -228,7 +229,7 @@ def test_label_noise_is_multiplicative_lognormal():
 def test_optimizer_cost_positive_everywhere():
     corpus = generate_corpus(base_spec())
     for plan in corpus:
-        for node in plan.nodes():
+        for node in plan.root.walk():
             assert node.est_io_cost > 0.0
 
 
