@@ -184,15 +184,17 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _csv_number(row: dict, name: str, where: str) -> float:
-    """Cell ``name`` of a CSV row as a finite float; a missing column raises
-    ``KeyError``, any other cell that is not a finite number ScalingError."""
+def _csv_number(row: dict, name: str, where: str, positive: bool) -> float:
+    """Cell ``name`` of a CSV row as a finite float, above 0 if ``positive``;
+    any other cell raises ScalingError."""
     try:
         value = float(row[name])
     except (TypeError, ValueError):
         value = math.nan
     if not math.isfinite(value):
         raise scaling.ScalingError(f"{where}: {name} value {row[name]!r} is not a finite number")
+    if positive and value <= 0:
+        raise scaling.ScalingError(f"{where}: {name} value {row[name]!r} must be positive")
     return value
 
 
@@ -200,10 +202,13 @@ def cmd_fit_scaling(args) -> int:
     observations = []
     with open(args.csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        for name in [f.name for f in args.features] + [args.resource_column]:
+            if name not in (reader.fieldnames or ()):
+                raise scaling.ScalingError(f"{args.csv}: no {name!r} column in the header")
         for row in reader:
             where = f"{args.csv} line {reader.line_num}"
-            xs = [_csv_number(row, f.name, where) for f in args.features]
-            observations.append((xs, _csv_number(row, args.resource_column, where)))
+            xs = [_csv_number(row, f.name, where, positive=True) for f in args.features]
+            observations.append((xs, _csv_number(row, args.resource_column, where, positive=False)))
     if len(args.features) == 1:
         candidates = scaling.SINGLE_FEATURE_CANDIDATES
     else:

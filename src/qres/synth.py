@@ -169,7 +169,8 @@ def default_oracles() -> dict[tuple[OperatorType, str], OracleFn]:
 
 
 # ---------------------------------------------------------------------------
-# Plan templates
+# Plan templates: compositions of one builder per operator. The order of
+# their draws from ``rng`` is part of the corpus.
 
 
 def _table_meta(t: TableSpec, scale: float) -> TableMeta:
@@ -197,41 +198,51 @@ def _scan(table: TableMeta, op: OperatorType = TableScan) -> PlanNode:
     )
 
 
+def _filter(rng, child: PlanNode, low: float, high: float) -> PlanNode:
+    sel = rng.uniform(low, high)
+    return PlanNode(
+        op=Filter,
+        children=[child],
+        true_out_cardinality=max(1, int(round(sel * child.true_out_cardinality))),
+        out_row_bytes=child.out_row_bytes,
+    )
+
+
+def _sort(rng, child: PlanNode) -> PlanNode:
+    return PlanNode(
+        op=Sort,
+        children=[child],
+        true_out_cardinality=child.true_out_cardinality,
+        out_row_bytes=child.out_row_bytes,
+        sort_columns=int(rng.integers(1, 5)),
+    )
+
+
+def _join(rng, op: OperatorType, left: PlanNode, right: PlanNode, cout: int) -> PlanNode:
+    return PlanNode(
+        op=op,
+        children=[left, right],
+        true_out_cardinality=cout,
+        out_row_bytes=left.out_row_bytes + right.out_row_bytes,
+        join_inner_columns=int(rng.integers(1, 3)),
+        join_outer_columns=int(rng.integers(1, 3)),
+    )
+
+
 def _t_scan(rng, tables):
     return _scan(tables[rng.integers(len(tables))])
 
 
 def _t_filter_scan(rng, tables):
-    scan = _t_scan(rng, tables)
-    sel = rng.uniform(0.1, 1.0)
-    return PlanNode(
-        op=Filter,
-        children=[scan],
-        true_out_cardinality=max(1, int(round(sel * scan.true_out_cardinality))),
-        out_row_bytes=scan.out_row_bytes,
-    )
+    return _filter(rng, _t_scan(rng, tables), 0.1, 1.0)
 
 
 def _t_sort_scan(rng, tables):
-    child = _t_scan(rng, tables)
-    return PlanNode(
-        op=Sort,
-        children=[child],
-        true_out_cardinality=child.true_out_cardinality,
-        out_row_bytes=child.out_row_bytes,
-        sort_columns=int(rng.integers(1, 5)),
-    )
+    return _sort(rng, _t_scan(rng, tables))
 
 
 def _t_sort_filter_scan(rng, tables):
-    child = _t_filter_scan(rng, tables)
-    return PlanNode(
-        op=Sort,
-        children=[child],
-        true_out_cardinality=child.true_out_cardinality,
-        out_row_bytes=child.out_row_bytes,
-        sort_columns=int(rng.integers(1, 5)),
-    )
+    return _sort(rng, _t_filter_scan(rng, tables))
 
 
 def _t_seek(rng, tables):
@@ -265,54 +276,25 @@ def _pick_two(rng, tables):
 def _t_hash_join(rng, tables):
     a, b = _pick_two(rng, tables)
     build, probe = (a, b) if a.tuple_count <= b.tuple_count else (b, a)
-    left, right = _scan(build), _scan(probe)
     cout = max(1, int(round(rng.uniform(0.5, 1.0) * probe.tuple_count)))
-    return PlanNode(
-        op=HashJoin,
-        children=[left, right],
-        true_out_cardinality=cout,
-        out_row_bytes=left.out_row_bytes + right.out_row_bytes,
-        join_inner_columns=int(rng.integers(1, 3)),
-        join_outer_columns=int(rng.integers(1, 3)),
-        hash_ops_per_tuple=float(rng.uniform(1.0, 3.0)),
-    )
+    node = _join(rng, HashJoin, _scan(build), _scan(probe), cout)
+    node.hash_ops_per_tuple = float(rng.uniform(1.0, 3.0))
+    return node
 
 
 def _t_merge_join(rng, tables):
     a, b = _pick_two(rng, tables)
-    left, right = _scan(a), _scan(b)
     cout = max(1, int(round(rng.uniform(0.5, 1.0) * max(a.tuple_count, b.tuple_count))))
-    return PlanNode(
-        op=MergeJoin,
-        children=[left, right],
-        true_out_cardinality=cout,
-        out_row_bytes=left.out_row_bytes + right.out_row_bytes,
-        join_inner_columns=int(rng.integers(1, 3)),
-        join_outer_columns=int(rng.integers(1, 3)),
-    )
+    return _join(rng, MergeJoin, _scan(a), _scan(b), cout)
 
 
 def _t_nested_loop(rng, tables):
     a, b = _pick_two(rng, tables)
-    outer_scan = _scan(a)
-    sel = rng.uniform(0.01, 0.1)
-    outer = PlanNode(
-        op=Filter,
-        children=[outer_scan],
-        true_out_cardinality=max(1, int(round(sel * a.tuple_count))),
-        out_row_bytes=outer_scan.out_row_bytes,
-    )
+    outer = _filter(rng, _scan(a), 0.01, 0.1)
     per_probe = int(rng.integers(1, 5))
     inner = _scan(b, IndexSeek)
     inner.true_out_cardinality = per_probe
-    return PlanNode(
-        op=NestedLoopJoin,
-        children=[outer, inner],
-        true_out_cardinality=outer.true_out_cardinality * per_probe,
-        out_row_bytes=outer.out_row_bytes + inner.out_row_bytes,
-        join_inner_columns=int(rng.integers(1, 3)),
-        join_outer_columns=int(rng.integers(1, 3)),
-    )
+    return _join(rng, NestedLoopJoin, outer, inner, outer.true_out_cardinality * per_probe)
 
 
 _TEMPLATES: dict[str, Callable] = {
@@ -326,10 +308,6 @@ _TEMPLATES: dict[str, Callable] = {
     "merge_join": _t_merge_join,
     "nested_loop": _t_nested_loop,
 }
-
-#: Templates whose resource curve is dominated by a scan or sort.
-SORT_SCAN_TEMPLATES = frozenset({"scan", "filter_scan", "sort_scan", "sort_filter_scan"})
-
 
 # ---------------------------------------------------------------------------
 # Cardinality estimates, optimizer cost, labels
@@ -347,6 +325,9 @@ def _lognormal(rng, sigma: float) -> float:
 
 
 def _assign_estimates(root: PlanNode, rng, bias: float, sigma: float) -> None:
+    """Set each node's cardinality estimate, then its crude hand-style optimizer
+    cost (arbitrary units, deliberately not proportional to the oracles), which
+    reads only estimates that the post-order visit has already set."""
     # The draw order is part of the corpus: post-order, children left to right.
     order, stack = [], [root]
     while stack:
@@ -354,35 +335,25 @@ def _assign_estimates(root: PlanNode, rng, bias: float, sigma: float) -> None:
         order.append(node)
         stack.extend(node.children)  # the last child is taken first
     for node in reversed(order):
-        if node.op in _EXACT_CARD_OPS:
+        op = node.op
+        if op in _EXACT_CARD_OPS:
             node.est_out_cardinality = node.true_out_cardinality
         else:
             noise = _lognormal(rng, sigma) if sigma > 0 else 1.0
             est = node.true_out_cardinality * bias * noise
             if not math.isfinite(est):
-                raise SynthError(f"{node.op.name} cardinality estimate overflows a float")
+                raise SynthError(f"{op.name} cardinality estimate overflows a float")
             node.est_out_cardinality = max(1, math.ceil(est))
-
-
-def _assign_optimizer_cost(root: PlanNode) -> None:
-    """Crude hand-style cost in arbitrary optimizer units (deliberately not
-    proportional to the oracles). A node's cost reads cardinality estimates
-    only, so the nodes may be visited in any order."""
-    for node in root.walk():
-        op = node.op
         est = float(node.est_out_cardinality)
         if node.table is not None:
             if op is IndexSeek:
-                node.est_io_cost = node.table.index_depth + 0.003 * est
+                cost = node.table.index_depth + 0.003 * est
             else:
-                node.est_io_cost = node.table.page_count + 0.001 * node.table.tuple_count
+                cost = node.table.page_count + 0.001 * node.table.tuple_count
         else:
             cin = ordered_sum(float(c.est_out_cardinality) for c in node.children)
-            if op is Sort:
-                node.est_io_cost = 0.002 * cin * lg(cin)
-            else:
-                node.est_io_cost = 0.002 * cin + 0.0005 * est
-        node.est_io_cost = max(node.est_io_cost, 1e-6)
+            cost = 0.002 * cin * lg(cin) if op is Sort else 0.002 * cin + 0.0005 * est
+        node.est_io_cost = max(cost, 1e-6)
 
 
 def _assign_labels(
@@ -426,7 +397,6 @@ def generate_corpus(spec: CorpusSpec) -> list[QueryPlan]:
             tables = tables_at[scale] = [_table_meta(t, scale) for t in spec.tables]
         root = _TEMPLATES[template](rng, tables)
         _assign_estimates(root, rng, spec.card_bias, spec.card_sigma)
-        _assign_optimizer_cost(root)
         _assign_labels(root, oracles, spec.noise_sigma, rng)
         plan = QueryPlan(
             query_id=f"q{qidx:05d}", root=root, scale=scale, template=template

@@ -31,15 +31,12 @@ from qres.registry import (
     train_registry,
 )
 from qres.scaling import SINGLE_FEATURE_CANDIDATES, FormKind, select_form
-from qres.synth import (
-    SORT_SCAN_TEMPLATES,
-    CorpusSpec,
-    TableSpec,
-    default_tables,
-    generate_corpus,
-)
+from qres.synth import CorpusSpec, TableSpec, default_tables, generate_corpus
 
 F = FeatureId
+
+#: Templates whose resource curve is dominated by a scan or sort.
+SORT_SCAN_TEMPLATES = frozenset({"scan", "filter_scan", "sort_scan", "sort_filter_scan"})
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

@@ -34,7 +34,9 @@ HOT = (
     scaling._basis,
     synth.default_oracles,
     synth._assign_estimates,
-    synth._assign_optimizer_cost,
+    synth._filter,
+    synth._sort,
+    synth._join,
     synth._assign_labels,
     synth._scan,
     *synth._TEMPLATES.values(),

@@ -741,6 +741,36 @@ def test_fit_scaling_on_bad_cell_is_data_error(tmp_path, capsys, row, problem):
     assert err == f"error: {csv_path} line 4: {problem} is not a finite number\n"
 
 
+@pytest.mark.parametrize("argv,column", [
+    pytest.param(["--features", "COUT"], "COUT", id="feature"),
+    pytest.param(["--features", "CIN1,COUT"], "COUT", id="second-feature"),
+    pytest.param(["--features", "CIN1", "--resource-column", "nope"], "nope", id="resource"),
+])
+def test_fit_scaling_on_a_missing_column_is_data_error(tmp_path, capsys, argv, column):
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_text("CIN1,resource\n100,1.0\n200,2.1\n")
+    assert main(["fit-scaling", "--csv", str(csv_path), *argv]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {csv_path}: no {column!r} column in the header\n"
+
+
+@pytest.mark.parametrize("features,row,problem", [
+    pytest.param("CIN1", "0,2,5.0", "CIN1 value '0'", id="zero"),
+    pytest.param("CIN1", "-3e2,2,5.0", "CIN1 value '-3e2'", id="negative"),
+    pytest.param("CIN1,CIN2", "400,-0.0,5.0", "CIN2 value '-0.0'", id="second-feature"),
+])
+def test_fit_scaling_on_a_feature_cell_not_above_zero_is_data_error(
+    tmp_path, capsys, features, row, problem
+):
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_text(f"CIN1,CIN2,resource\n100,2,1.0\n200,3,2.1\n{row}\n")
+    assert main(["fit-scaling", "--csv", str(csv_path), "--features", features]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {csv_path} line 4: {problem} must be positive\n"
+
+
 @pytest.mark.parametrize("features,rows", [
     pytest.param("CIN1", ["1e60,1e260", "2e60,3e260"], id="alpha-overflows"),
     pytest.param("CIN1,CIN2", ["1e155,2,1", "2e155,3,2", "3e155,4,3"], id="denominator-overflows"),

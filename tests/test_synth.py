@@ -254,3 +254,29 @@ def test_default_tables_usable():
     spec = base_spec(tables=default_tables(), query_count=8)
     corpus = generate_corpus(spec)
     assert len(corpus) == 8
+
+
+def test_all_template_corpus_bytes_are_pinned(tmp_path):
+    # The draw order is part of the corpus. This pin covers every template,
+    # scales past the training range, a biased and noisy optimizer, noisy
+    # labels, and a one-table catalog, where a join reads one table twice.
+    import hashlib
+
+    from qres.plan import save_corpus
+
+    every = {name: 1.0 for name in (
+        "scan", "filter_scan", "sort_scan", "sort_filter_scan", "seek",
+        "hash_agg", "hash_join", "merge_join", "nested_loop",
+    )}
+    digest = hashlib.sha256()
+    for tables in (default_tables(), [TableSpec("solo", 3_000, 90.0, 5)]):
+        spec = base_spec(
+            templates=every, tables=tables, scales=[1.0, 4.0, 16.0, 64.0], query_count=120,
+            rng_seed=997, noise_sigma=0.1, card_sigma=0.3, card_bias=1.7,
+        )
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(generate_corpus(spec), str(path))
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == (
+        "48d7cd7bd276bbbed38ab99efa01d36984f3ac0175eed9642ad8bd88366cbc26"
+    )
