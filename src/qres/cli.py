@@ -202,8 +202,12 @@ def cmd_fit_scaling(args) -> int:
     observations = []
     with open(args.csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise scaling.ScalingError(f"{args.csv}: the header names {name!r} twice")
         for name in [f.name for f in args.features] + [args.resource_column]:
-            if name not in (reader.fieldnames or ()):
+            if name not in header:
                 raise scaling.ScalingError(f"{args.csv}: no {name!r} column in the header")
         for row in reader:
             where = f"{args.csv} line {reader.line_num}"

@@ -23,16 +23,18 @@ Training boosts a family of independent problems (:func:`train_family`) in
 lock step: every iteration grows one tree per problem, and each best-first
 step scores the new leaves of all trees in one padded pass (:class:`_Grower`).
 A family shares one :class:`TrainConfig`, and its problems need to share
-only their row count, each drawing its subsamples from its own seed; so
-``registry.train_registry`` boosts the models of every operator and
-resource with one row count as one family, whatever their feature counts.
-Each column is sorted once per family, filtered to each tree's subsample, and
-carried down to a node's children by a stable partition, in the spirit of the
-attribute lists of SLIQ (Mehta et al., EDBT 1996) and SPRINT (Shafer et al.,
-VLDB 1996). Prefix sums therefore add a node's residuals in the order of a
-fresh stable sort of its rows, and a node's residual total is NumPy's pairwise
-sum of its residuals in row order, so every tree is bit for bit the tree of a
-node-at-a-time search.
+only their row count, each drawing its subsamples from its own seed (one draw
+serves the problems of one seed); so ``registry.train_registry`` boosts the
+models of every operator and resource with one row count as one family,
+whatever their feature counts. Each column is sorted once per family,
+filtered to each tree's subsample, and carried down to a node's children by a
+stable partition, in the spirit of the attribute lists of SLIQ (Mehta et al.,
+EDBT 1996) and SPRINT (Shafer et al., VLDB 1996). Prefix sums therefore add a
+node's residuals in the order of a fresh stable sort of its rows, and a
+node's residual total is NumPy's pairwise sum of its residuals in row order,
+so every tree is bit for bit the tree of a node-at-a-time search. Splits
+are searched only on the columns of :func:`_split_columns`, and not at a node
+too small to split or made by a tree's last split.
 """
 from __future__ import annotations
 
@@ -435,9 +437,10 @@ class _Grower:
         P, S = self.P, self.S
         trees = np.arange(P) * S
         self.size[trees] = self.k
-        self.score(trees)
         split_at = np.full((P, (S - 1) // 2), -1, dtype=np.intp)
-        for step in range(split_at.shape[1]):
+        last = split_at.shape[1] - 1  # the last step: the leaves it makes never split
+        self.score(trees, last >= 0)
+        for step in range(last + 1):
             at = self.gain.reshape(P, S).argmax(axis=1)
             node = trees + at
             live = self.gain[node] > -np.inf
@@ -452,7 +455,7 @@ class _Grower:
             self.start[kid], self.size[kid] = start, n_left
             self.start[kid + 1], self.size[kid + 1] = start + n_left, size - n_left
             self.gain[node] = -np.inf
-            self.score(np.concatenate([kid, kid + 1]))
+            self.score(np.concatenate([kid, kid + 1]), step < last)
         return _pack(self, split_at)
 
     def runs(self, node: np.ndarray, length: int, *arrays: np.ndarray) -> list:
@@ -469,8 +472,9 @@ class _Grower:
             out.append(window[at])
         return out
 
-    def score(self, node: np.ndarray) -> None:
-        """Leaf value and best split of every node in ``node``, in one pass
+    def score(self, node: np.ndarray, split: bool) -> None:
+        """Leaf value of every node in ``node`` and, if ``split``, the best
+        split of those with at least ``2 * min_per_leaf`` rows, in one pass
         over their segments padded to the longest.
 
         The split minimizes the SSE over every column and midpoint between
@@ -478,16 +482,19 @@ class _Grower:
         across columns the lowest column wins unless a later one beats it by
         more than 1e-12, and a split needs a finite gain above 1e-12.
         """
-        C, N = self.C, len(node)
+        C, mpl = self.C, self.min_per_leaf
         m = self.size[node]
-        L = int(m.max())
-        sr, sv = self.runs(node, L, self.res, self.vals)
         # NumPy's own pairwise sum of each node's residuals in row order.
-        total = np.array([v[:n].sum() for v, n in zip(sr[:, C], m.tolist())])
+        by_row = self.res[:, C]
+        total = np.array([by_row[p, s : s + n].sum() for p, s, n in zip(
+            (node // self.S).tolist(), self.start[node].tolist(), m.tolist())])
         self.value[node] = total / m
-        if L < 2:
+        can = m >= 2 * mpl
+        if not (split and can.any()):
             return
-        mpl = self.min_per_leaf
+        node, m, total = node[can], m[can], total[can]
+        N, L = len(node), int(m.max())
+        sr, sv = self.runs(node, L, self.res, self.vals)
         ahead = self.ahead[: L - 1]
         allowed = (ahead < (m - mpl)[:, None]) & (ahead >= mpl - 1)
         sv = sv[:, :C]
@@ -609,17 +616,30 @@ def _examples_to_arrays(
     return schema, X, y
 
 
+def _split_columns(X: np.ndarray) -> np.ndarray:
+    """The columns of ``X`` (rows, columns) a split can use: the lowest of
+    each class with the same dense ranks of the rows, which has every gain of
+    the others and wins their ties, and no constant column."""
+    order = np.argsort(X, axis=0, kind="stable")
+    rises = np.diff(np.take_along_axis(X, order, axis=0), axis=0) > 0
+    first = {}  # each class's lowest column, by its stable order and ties
+    for c in np.flatnonzero(rises.any(axis=0)).tolist():
+        first.setdefault((order[:, c].tobytes(), rises[:, c].tobytes()), c)
+    return np.array(list(first.values()), dtype=np.intp)
+
+
 def _boost(problems: Sequence[Problem], cfg: TrainConfig) -> list:
     """Boost P problems of one row count by ``cfg``, each with its own seed,
     in lock step; returns each problem's ``(init, trees, train_rmse)``, its
     trees as :class:`PackedTrees`."""
     P, n = len(problems), len(problems[0].y)
-    C = max(1, max(X.shape[1] for _, X, _, _ in problems))
+    kept = [_split_columns(X) for _, X, _, _ in problems]
+    C = max(1, max(len(cols) for cols in kept))
     XF = np.zeros((P, n, C))
     codes = np.zeros((P, C), dtype=np.uint8)  # feature code of each column
-    for p, (schema, X, _, _) in enumerate(problems):
-        XF[p, :, : X.shape[1]] = X
-        codes[p, : X.shape[1]] = [int(f) for f in schema]
+    for p, ((schema, X, _, _), cols) in enumerate(zip(problems, kept)):
+        XF[p, :, : len(cols)] = X[:, cols]
+        codes[p, : len(cols)] = [int(schema[c]) for c in cols]
     Y = np.array([y for _, _, y, _ in problems])
     # Every column sorted once, stably; a subsample's rows are ascending, so
     # its stable order is this order less the rows left out.
@@ -627,7 +647,9 @@ def _boost(problems: Sequence[Problem], cfg: TrainConfig) -> list:
     ranked_ids = ranked + (np.arange(P) * n)[:, None, None]  # rows of flat (P * n)
     init = [np.float32(y.mean()) for _, _, y, _ in problems]
     F = np.repeat(np.array(init, dtype=np.float64)[:, None], n, axis=1)
-    rngs = [np.random.default_rng(p.seed) for p in problems]
+    seeds = list(dict.fromkeys(p.seed for p in problems))
+    seed_of = np.array([seeds.index(p.seed) for p in problems])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     k = max(1, int(round(cfg.subsample_fraction * n)))
     every = np.arange(P * n)
     grown = []  # each iteration's (starts, child, feature code, value)
@@ -635,7 +657,7 @@ def _boost(problems: Sequence[Problem], cfg: TrainConfig) -> list:
     first = np.arange(P)[:, None]
     for it in range(cfg.iterations):
         if k < n:
-            rows = np.array([np.sort(rng.choice(n, size=k, replace=False)) for rng in rngs])
+            rows = np.array([np.sort(rng.choice(n, size=k, replace=False)) for rng in rngs])[seed_of]
             local = np.full(P * n, -1)  # each sampled row's number in its subsample
             local[(first * n + rows).ravel()] = np.tile(np.arange(k), P)
             order = local.take(ranked_ids)

@@ -567,6 +567,8 @@ def _training_sse(model, X: np.ndarray, op: OperatorType, y: np.ndarray) -> floa
 
 
 def _model_seed(cfg: TrainConfig, salt: int) -> int:
+    """The seed of model ``salt`` (0: plain) of every entry: entries share
+    seeds by model index, so a family draws subsamples once per index."""
     return (cfg.rng_seed * 1000003 + salt) % (2**31)
 
 

@@ -755,6 +755,21 @@ def test_fit_scaling_on_a_missing_column_is_data_error(tmp_path, capsys, argv, c
     assert err == f"error: {csv_path}: no {column!r} column in the header\n"
 
 
+@pytest.mark.parametrize("header,column", [
+    pytest.param("CIN1,CIN1,resource", "CIN1", id="feature"),
+    pytest.param("CIN1,resource,resource", "resource", id="resource"),
+    pytest.param("CIN1,other,resource,other", "other", id="unread"),
+])
+def test_fit_scaling_on_a_column_named_twice_is_data_error(tmp_path, capsys, header, column):
+    # csv.DictReader would keep the last of the two cells without a word.
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_text(f"{header}\n1,2,3,4\n4,5,6,7\n")
+    assert main(["fit-scaling", "--csv", str(csv_path), "--features", "CIN1"]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {csv_path}: the header names {column!r} twice\n"
+
+
 @pytest.mark.parametrize("features,row,problem", [
     pytest.param("CIN1", "0,2,5.0", "CIN1 value '0'", id="zero"),
     pytest.param("CIN1", "-3e2,2,5.0", "CIN1 value '-3e2'", id="negative"),

@@ -923,3 +923,159 @@ def test_equal_leaf_gains_split_the_first_made_leaf():
     examples = make_examples(range(1, 9), [0, 0, 10, 10, 20, 20, 30, 30])
     tree = _assert_matches_reference(examples, max_leaves=3, min_per_leaf=1)
     assert tree.child.tolist() == [4, 2, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# Work that cannot change a tree: split columns, small nodes, shared draws
+
+
+def _stable_ranks(x: np.ndarray) -> np.ndarray:
+    """Each row's place in the stable order of ``x``: ``x`` with every tie
+    broken by row number."""
+    return np.argsort(np.argsort(x, kind="stable"), kind="stable").astype(np.float64)
+
+
+def test_split_columns_keep_the_lowest_of_each_rank_class():
+    a = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
+    ints = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 1.0, 3.0, 2.0])
+    X = np.column_stack([
+        2 * a,       # 0: a class of a, kept as its lowest
+        np.full(8, 7.0),  # 1: constant
+        a,           # 2: same ranks as column 0
+        -a,          # 3: decreasing copy, ranks the rows the other way
+        a**3,        # 4: increasing, same ranks as column 0
+        ints,        # 5: tie-heavy, a class of its own
+        np.zeros(8),  # 6: constant
+        ints + 0.5,  # 7: same ranks as column 5
+        a + ints,    # 8: ranks of its own
+        _stable_ranks(ints),  # 9: column 5's stable order without its ties
+    ])
+    assert gbrt._split_columns(X).tolist() == [0, 3, 5, 8, 9]
+    assert gbrt._split_columns(X[:, [1, 6]]).tolist() == []
+    assert gbrt._split_columns(X[:1]).tolist() == []  # one row never splits
+    assert gbrt._split_columns(np.zeros((5, 0))).tolist() == []
+
+
+def _assert_family_equals_reference(members, cfg) -> list[MartModel]:
+    family = train_family(_problems(members), cfg)
+    for (examples, member_cfg), model in zip(members, family):
+        assert _model_bytes(model) == _model_bytes(train(examples, member_cfg))
+        trees, rmse = _reference_boost(examples, member_cfg)
+        assert model.train_rmse == rmse
+        assert len(model.trees) == len(trees)
+        for tree, (child, feature, value) in zip(model.trees, trees):
+            assert tree.child.tolist() == child.tolist()
+            assert tree.feature.tolist() == feature.tolist()
+            assert tree.value.tobytes() == value.tobytes()
+    return family
+
+
+#: Columns made from a member's base column ``a``, its tie-heavy integer
+#: column ``t`` and its uniform column ``u``.
+_DERIVED = {
+    "base": lambda a, t, u: a,
+    "copy": lambda a, t, u: a.copy(),
+    "double": lambda a, t, u: 2 * a,
+    "shifted": lambda a, t, u: a + 1000.0,
+    "cube": lambda a, t, u: a**3,
+    "decreasing": lambda a, t, u: -a,
+    "constant": lambda a, t, u: np.full_like(a, 5.0),
+    "ties": lambda a, t, u: t,
+    "ties doubled": lambda a, t, u: 2 * t,
+    "ties decreasing": lambda a, t, u: 10 - t,
+    "ties broken": lambda a, t, u: _stable_ranks(t),
+    "uniform": lambda a, t, u: u,
+}
+
+
+@st.composite
+def _rank_class_families(draw):
+    n = draw(st.integers(6, 36))
+    fraction = draw(st.sampled_from([0.5, 0.8, 1.0]))
+    cfg = TrainConfig(
+        iterations=draw(st.integers(1, 3)), max_leaves=draw(st.sampled_from([1, 2, 3, 6, 10])),
+        subsample_fraction=fraction,
+    )
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        a = rng.integers(0, draw(st.sampled_from([3, 8, 1000])), n).astype(np.float64)
+        t = rng.integers(0, 3, n).astype(np.float64)
+        u = rng.uniform(1, 100, n)
+        kinds = draw(st.lists(st.sampled_from(sorted(_DERIVED)), min_size=1, max_size=len(_FEATURES)))
+        X = np.column_stack([_DERIVED[kind](a, t, u) for kind in kinds])
+        y = np.round(X @ rng.uniform(-2, 2, len(kinds)) + rng.normal(0, 3, n), 2)
+        examples = [
+            (FeatureVector(op=OperatorType.Filter,
+                           values={_FEATURES[j]: float(X[i, j]) for j in range(len(kinds))}),
+             float(y[i]))
+            for i in range(n)
+        ]
+        # Seeds from a small set, so that members often share one.
+        seed = draw(st.sampled_from([1, 2, 3]))
+        members.append((examples, dataclasses.replace(cfg, rng_seed=seed)))
+    return members, cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_rank_class_families())
+def test_families_with_rank_alike_columns_equal_the_reference(case):
+    members, cfg = case
+    _assert_family_equals_reference(members, cfg)
+
+
+@pytest.mark.parametrize("seeds", [(5, 5, 5), (5, 6, 5, 6), (1, 2, 3)], ids=["shared", "paired", "distinct"])
+def test_members_of_one_seed_share_their_subsamples(seeds):
+    # Members with equal rows and targets but different column sets, so that
+    # members of one seed grow trees on the same subsample rows.
+    cfg = TrainConfig(iterations=4, max_leaves=4)
+    members = _family(30, cfg, [3] * len(seeds), kind="ties")
+    members = [(examples, dataclasses.replace(c, rng_seed=s)) for (examples, c), s in zip(members, seeds)]
+    _assert_family_equals_reference(members, cfg)
+
+
+def _searches_and_partitions(members, cfg, monkeypatch) -> list:
+    """The node count of every ``_Grower.runs`` call, one per split search
+    and one per partition, as ``train_family`` trains ``members``."""
+    calls = []
+    runs = gbrt._Grower.runs
+
+    def counting(grower, node, length, *arrays):
+        calls.append(len(node))
+        return runs(grower, node, length, *arrays)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gbrt._Grower, "runs", counting)
+        train_family(_problems(members), cfg)
+    return calls
+
+
+def test_nodes_below_twice_the_leaf_minimum_are_not_searched(monkeypatch):
+    # Subsamples of 3 of 6 rows: fewer than 2 * MIN_EXAMPLES_PER_LEAF, so
+    # no root is searched and every tree is one leaf.
+    assert gbrt.MIN_EXAMPLES_PER_LEAF == 2
+    cfg = TrainConfig(iterations=3)
+    members = _family(6, cfg, (2, 3), seed=3)
+    assert _searches_and_partitions(members, cfg, monkeypatch) == []
+    for model in _assert_family_equals_reference(members, cfg):
+        assert all(tree.n_nodes == 1 for tree in model.trees)
+
+
+def test_a_step_whose_nodes_are_all_too_small_searches_nothing(monkeypatch):
+    # Eight rows split 4 | 4, each half 2 | 2: the last two steps each make
+    # two leaves of 2 rows, which are scored without a split search.
+    examples = make_examples(range(1, 9), [0, 0, 10, 10, 20, 20, 30, 30])
+    cfg = TrainConfig(iterations=1, subsample_fraction=1.0)
+    # Search the root, split it, search both halves, split one, then the other.
+    assert _searches_and_partitions([(examples, cfg)], cfg, monkeypatch) == [1, 1, 2, 1, 1]
+    (model,) = _assert_family_equals_reference([(examples, cfg)], cfg)
+    assert model.trees[0].child.tolist() == [4, 2, 0, 0, 2, 0, 0]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "ties"])
+def test_two_leaf_trees_search_only_their_root(kind, monkeypatch):
+    cfg = TrainConfig(iterations=5, max_leaves=2)
+    members = _family(40, cfg, (3, 2, 4), kind)
+    # Each iteration searches the roots and partitions those that split.
+    assert _searches_and_partitions(members, cfg, monkeypatch) == [3, 3] * cfg.iterations
+    _assert_family_equals_reference(members, cfg)
