@@ -19,14 +19,14 @@ training applies each new tree to all of its rows with the same walk. One
 vector and a block of rows go through the same expressions, the block
 gathering every row's split features at once (:class:`_Layout`).
 
-Training boosts a family of independent problems (:func:`train_family`) in
-lock step: every iteration grows one tree per problem, and each best-first
-step scores the new leaves of all trees in one padded pass (:class:`_Grower`).
-A family shares one :class:`TrainConfig`, and its problems need to share
-only their row count, each drawing its subsamples from its own seed (one draw
-serves the problems of one seed); so ``registry.train_registry`` boosts the
-models of every operator and resource with one row count as one family,
-whatever their feature counts. Each column is sorted once per family,
+Training boosts independent problems (:func:`train_family`) in lock step:
+every iteration grows one tree per problem, and each best-first step scores
+the new leaves of all trees in one padded pass (:class:`_Grower`). The
+problems of one call share one :class:`TrainConfig`; those of one row count
+are boosted together as one family, whatever their feature counts, each
+drawing its subsamples from its own seed (one draw serves the problems of one
+seed). So ``registry.train_registry`` trains the models of every operator and
+resource in one call. Each column is sorted once per family,
 filtered to each tree's subsample, and carried down to a node's children by a
 stable partition, in the spirit of the attribute lists of SLIQ (Mehta et al.,
 EDBT 1996) and SPRINT (Shafer et al., VLDB 1996). Prefix sums therefore add a
@@ -709,25 +709,23 @@ def train(examples: Sequence[tuple[FeatureVector, float]], cfg: TrainConfig) -> 
 
 
 def train_family(problems: Sequence[Problem], cfg: TrainConfig) -> list[MartModel]:
-    """One model per problem, bit for bit the model of training it alone by
-    ``cfg`` with the problem's seed, boosted in lock step: every iteration
-    grows the problems' trees together. The problems must share their row
-    count."""
+    """One model per problem, in input order, bit for bit the model of
+    training it alone by ``cfg`` with the problem's seed. The problems of
+    each row count are boosted in lock step: every iteration grows their
+    trees together."""
     cfg.validate()
-    if len({len(p.y) for p in problems}) > 1:
-        raise TrainingError("family members differ in row count")
-    models = []
-    for (schema, X, _, _), (init, trees, rmse) in zip(problems, _boost(problems, cfg)):
-        lows = np.min(X, axis=0).astype(np.float32)
-        highs = np.max(X, axis=0).astype(np.float32)
-        models.append(MartModel(
-            init=init,
-            trees=trees,
-            learning_rate=float(np.float32(cfg.learning_rate)),
-            schema=schema,
-            feature_stats={f: (float(lows[j]), float(highs[j])) for j, f in enumerate(schema)},
-            train_rmse=rmse,
-        ))
+    by_rows: dict[int, list[int]] = {}
+    for i, p in enumerate(problems):
+        by_rows.setdefault(len(p.y), []).append(i)
+    models: list = [None] * len(problems)
+    for members in by_rows.values():
+        for i, (init, trees, rmse) in zip(members, _boost([problems[i] for i in members], cfg)):
+            schema, X, _, _ = problems[i]
+            lows, highs = (a.astype(np.float32).tolist() for a in (X.min(axis=0), X.max(axis=0)))
+            models[i] = MartModel(
+                init=init, trees=trees, learning_rate=float(np.float32(cfg.learning_rate)),
+                schema=schema, feature_stats=dict(zip(schema, zip(lows, highs))), train_rmse=rmse,
+            )
     return models
 
 

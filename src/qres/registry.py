@@ -293,7 +293,7 @@ def model_out_ratios(model, fv: FeatureVector) -> list[float]:
 class RegistryEntry:
     op: OperatorType
     resource: str
-    models: list  # MartModel | CombinedModel; index 0 is always the plain model
+    models: list  # MartModel | CombinedModel; training puts the plain model first
     default_idx: int = 0
     #: The default model's RMSE over its training examples; set by training,
     #: not stored in the model file.
@@ -419,13 +419,17 @@ def operator_estimates(
     registry: ModelRegistry, batch: FeatureBatch, resource: str, plain: bool = False
 ) -> np.ndarray:
     """Every operator's :func:`estimate_with_model` in batch order, by the
-    model :func:`select_model` picks, or by the plain model when ``plain``.
+    model :func:`select_model` picks, or by the entry's first model without
+    scale terms when ``plain``; an entry with no such model raises.
     Each picked model scores all of its rows in one kernel call."""
     out = np.empty(len(batch.nodes))
     for op, X in batch.raw.items():
         entry = registry.entry(op, resource)
         if plain:
-            pick = np.zeros(len(X), dtype=np.intp)
+            unscaled = [i for i, model in enumerate(entry.models) if not _parts(model)[1]]
+            if not unscaled:
+                raise RegistryError(f"no plain model for operator {op.name} / resource {resource}")
+            pick = np.full(len(X), unscaled[0])
         else:
             pick = _select_rows(entry, X)
         values = np.empty(len(X))
@@ -604,33 +608,35 @@ def _entry_problems(
     return terms, problems
 
 
-def _build_entry(
-    op: OperatorType, resource: str, X: np.ndarray, y: np.ndarray, terms: list, marts: list
-) -> RegistryEntry:
-    """The entry of the ensembles ``marts`` trained on the problems of
-    :func:`_entry_problems`, with the minimum-training-error model as default."""
-    models = [
-        mart if t is None else CombinedModel(terms=t, scaled_model=mart)
-        for t, mart in zip(terms, marts)
-    ]
-    sses = [_training_sse(model, X, op, y) for model in models]
-    default_idx = min(range(len(models)), key=lambda i: (sses[i], i))
-    return RegistryEntry(
-        op=op,
-        resource=resource,
-        models=models,
-        default_idx=default_idx,
-        train_rmse=(sses[default_idx] / len(y)) ** 0.5,
-    )
+def _train_entries(rows: Sequence[tuple], cfg: TrainConfig) -> list[RegistryEntry]:
+    """The entry of each ``(op, resource, X, y)`` of ``rows`` (op's raw rows
+    and targets), its default the model of least training error. The
+    problems of every entry are trained in one :func:`gbrt.train_family`
+    call, and every model is laid out in one pass before it is scored."""
+    built = [_entry_problems(op, resource, X, y, cfg) for op, resource, X, y in rows]
+    marts = gbrt.train_family([p for _, problems in built for p in problems], cfg)
+    gbrt.lay_out(marts)
+    trained = iter(marts)
+    entries = []
+    for (op, resource, X, y), (terms, _) in zip(rows, built):
+        # zip stops at the end of terms, so it takes only this entry's models.
+        models = [
+            mart if t is None else CombinedModel(terms=t, scaled_model=mart)
+            for t, mart in zip(terms, trained)
+        ]
+        sses = [_training_sse(model, X, op, y) for model in models]
+        default_idx = min(range(len(models)), key=lambda i: (sses[i], i))
+        rmse = (sses[default_idx] / len(y)) ** 0.5
+        entries.append(RegistryEntry(op, resource, models, default_idx, train_rmse=rmse))
+    return entries
 
 
 def train_entry(
     op: OperatorType, resource: str, X: np.ndarray, y: np.ndarray, cfg: TrainConfig
 ) -> RegistryEntry:
     """Train the model family for one operator/resource on op's raw rows
-    ``X`` and targets ``y``, all models boosted in lock step."""
-    terms, problems = _entry_problems(op, resource, X, y, cfg)
-    return _build_entry(op, resource, X, y, terms, gbrt.train_family(problems, cfg))
+    ``X`` and targets ``y``: :func:`_train_entries` of one row."""
+    return _train_entries([(op, resource, X, y)], cfg)[0]
 
 
 def train_registry(
@@ -640,38 +646,23 @@ def train_registry(
     source: str = "true",
 ) -> ModelRegistry:
     """One entry per operator type and resource, each as :func:`train_entry`
-    trains it. The rows of every resource are collected and checked before
-    any model is trained. Every entry trains by ``cfg``, each model with a
-    seed of its own, so every problem of one row count, across operators and
-    resources, is boosted in one lock-step :func:`gbrt.train_family` call."""
+    trains it; a resource named twice trains once. The rows of every
+    resource are collected and checked before any model is trained, then
+    every entry trains in one :func:`_train_entries` call: every problem of
+    one row count, across operators and resources, is boosted in lock step."""
     cfg.validate()
-    rows = {}
-    for resource in resources:
+    rows = []
+    for resource in dict.fromkeys(resources):
         if resource not in RESOURCES:
             raise RegistryError(f"unknown resource {resource!r}")
-        rows[resource] = collect_examples(plans, resource, source)
-        for op, (X, y) in rows[resource].items():
+        by_op = collect_examples(plans, resource, source)
+        for op, (X, y) in by_op.items():
             if max(np.abs(X).max(), np.abs(y).max()) > _FLOAT32_MAX:
                 raise RegistryError(
                     f"{op.name} {resource} training data beyond the float32 range of model files"
                 )
-    pending = []
-    by_rows: dict[int, list[gbrt.Problem]] = {}
-    for resource, by_op in rows.items():
-        for op in sorted(by_op):
-            X, y = by_op[op]
-            terms, problems = _entry_problems(op, resource, X, y, cfg)
-            pending.append((op, resource, X, y, terms))
-            by_rows.setdefault(len(y), []).extend(problems)
-    families = {n: gbrt.train_family(problems, cfg) for n, problems in by_rows.items()}
-    # Every model is laid out in one pass before _build_entry scores it.
-    gbrt.lay_out([mart for family in families.values() for mart in family])
-    trained = {n: iter(family) for n, family in families.items()}
-    registry = ModelRegistry()
-    for op, resource, X, y, terms in pending:
-        marts = [next(trained[len(y)]) for _ in terms]
-        registry.entries[(op, resource)] = _build_entry(op, resource, X, y, terms, marts)
-    return registry
+        rows += [(op, resource, *by_op[op]) for op in sorted(by_op)]
+    return ModelRegistry({(e.op, e.resource): e for e in _train_entries(rows, cfg)})
 
 
 # ---------------------------------------------------------------------------

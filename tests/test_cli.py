@@ -330,6 +330,34 @@ def test_model_without_a_plain_model_on_a_zero_scale_feature_is_data_error(
     assert err == "error: degenerate scaling feature: CIN1 absent or non-positive\n"
 
 
+def test_eval_mart_scores_the_model_without_scale_terms(workspace, tmp_path, capsys):
+    # The decoder accepts an entry whose first model is combined. MART is
+    # the entry's plain model wherever it lies, and an entry without one has
+    # no MART estimate.
+    from qres.plan import OperatorType
+    from qres.registry import CombinedModel, load_registry, save_registry
+
+    _, _, corpus, model = workspace
+    argv = ["eval", "--corpus", str(corpus), "--resource", "cpu", "--model"]
+    assert main([*argv, str(model)]) == EXIT_OK
+    report = capsys.readouterr().out
+    registry = load_registry(str(model))
+    entry = registry.entry(OperatorType.Sort, "cpu_us")
+    assert not isinstance(entry.models[0], CombinedModel)
+    assert isinstance(entry.models[1], CombinedModel)
+    entry.models[:2] = entry.models[1::-1]
+    entry.default_idx = {0: 1, 1: 0}.get(entry.default_idx, entry.default_idx)
+    swapped = tmp_path / "swapped.bin"
+    save_registry(registry, str(swapped))
+    assert main([*argv, str(swapped)]) == EXIT_OK
+    assert capsys.readouterr().out == report
+    entry.models = [m for m in entry.models if isinstance(m, CombinedModel)]
+    entry.default_idx = 0
+    save_registry(registry, str(swapped))
+    assert main([*argv, str(swapped)]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: no plain model for operator Sort / resource cpu_us\n"
+
+
 def test_estimate_on_a_repeated_scale_feature_is_data_error(workspace, tmp_path, capsys):
     # Product2(f, f) is a valid term to the decoder's per-term checks, but
     # it would normalize by f twice and scale by f squared.

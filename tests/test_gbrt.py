@@ -872,12 +872,30 @@ def test_model_trees_are_read_only_views_of_the_packed_arrays():
     assert [a.dtype for a in empty.packed()[1:]] == [np.uint8, np.uint8, np.float32]
 
 
-def test_train_family_rejects_members_of_another_shape():
+@pytest.mark.parametrize("rows", [(50, 30), (50, 30, 12)], ids=["2 row counts", "3 row counts"])
+def test_train_family_boosts_each_row_count_once(rows, monkeypatch):
+    # Members of two or three row counts, interleaved, with seeds shared
+    # across row counts: one lock-step boost per row count, and each model
+    # in input order is the model of training its member alone.
     cfg = TrainConfig(iterations=3)
-    a = _family(50, cfg, (2, 3))
-    other_rows = _family(30, cfg, (3,), seed=1)
-    with pytest.raises(TrainingError, match="family members differ in row count"):
-        train_family(_problems([a[0], other_rows[0], a[1]]), cfg)
+    groups = [_family(n, cfg, (2, 3, 1), seed=g) for g, n in enumerate(rows)]
+    members = [m for step in zip(*groups) for m in step]
+    boosted = []
+    boost = gbrt._boost
+
+    def counting(problems, cfg):
+        boosted.append([len(p.y) for p in problems])
+        return boost(problems, cfg)
+
+    problems = _problems(members)
+    with monkeypatch.context() as patch:
+        patch.setattr(gbrt, "_boost", counting)
+        family = train_family(problems, cfg)
+    assert sorted(boosted, reverse=True) == [[n] * 3 for n in rows]
+    for problem, model in zip(problems, family):
+        assert _model_bytes(model) == _model_bytes(train_family([problem], cfg)[0])
+    _assert_family_equals_reference(members, cfg)
+    assert train_family([], cfg) == []
 
 
 def _assert_matches_reference(examples, max_leaves, min_per_leaf):

@@ -813,13 +813,13 @@ def test_grouped_training_equals_entry_by_entry_training(fast_cfg, monkeypatch):
     assert any(len(w) > 1 for w in widths.values())
 
     calls = []
-    train_family = gbrt.train_family
+    boost = gbrt._boost
 
     def counted(problems, cfg):
         calls.append(len(problems))
-        return train_family(problems, cfg)
+        return boost(problems, cfg)
 
-    monkeypatch.setattr(gbrt, "train_family", counted)
+    monkeypatch.setattr(gbrt, "_boost", counted)
     grouped = train_registry(corpus, resources, fast_cfg)
     monkeypatch.undo()
     assert len(calls) == len(widths)  # one boost per row count
@@ -830,6 +830,21 @@ def test_grouped_training_equals_entry_by_entry_training(fast_cfg, monkeypatch):
     assert serialize(grouped) == serialize(alone)
     picks = {k: (e.default_idx, e.train_rmse) for k, e in alone.entries.items()}
     assert {k: (e.default_idx, e.train_rmse) for k, e in grouped.entries.items()} == picks
+
+
+@pytest.mark.parametrize("resource", ["cpu_us", "logical_io"])
+def test_one_resource_trains_its_entries_of_both(small_corpus, fast_cfg, resource):
+    # Every model draws from a seed of its own, so the entries of one
+    # resource do not depend on what trains beside them, and naming the
+    # resource twice gives the same entries.
+    both = train_registry(small_corpus, ["cpu_us", "logical_io"], fast_cfg)
+    for names in ([resource], [resource, resource]):
+        one = train_registry(small_corpus, names, fast_cfg)
+        assert list(one.entries) == [k for k in both.entries if k[1] == resource]
+        for key, entry in one.entries.items():
+            other = both.entries[key]
+            assert serialize(ModelRegistry({key: entry})) == serialize(ModelRegistry({key: other}))
+            assert (entry.default_idx, entry.train_rmse) == (other.default_idx, other.train_rmse)
 
 
 def test_fixed_corpus_bytes_and_estimates_are_pinned(small_corpus, fast_cfg, tmp_path):
