@@ -282,7 +282,9 @@ LAYOUT_NODES = 1 << 17
 def lay_out(models: Sequence[MartModel]) -> list[_Layout]:
     """Build and cache the :class:`_Layout` of every model of ``models``;
     returns them. Each run of models of about :data:`LAYOUT_NODES` nodes is
-    laid out in one pass over its concatenated nodes."""
+    checked and laid out in one pass over its concatenated nodes. Trained,
+    decoded and hand-built models are all laid out here, so all pass one
+    check of the trees the kernel trusts."""
     ends = np.cumsum([m.trees.starts[-1] for m in models], dtype=np.intp) // LAYOUT_NODES
     cuts = [0, *(np.flatnonzero(np.diff(ends)) + 1).tolist(), len(models)]
     return [lay for lo, hi in zip(cuts, cuts[1:]) for lay in _lay_out_run(models[lo:hi])]
@@ -292,7 +294,10 @@ def _lay_out_run(models: Sequence[MartModel]) -> list[_Layout]:
     """:func:`lay_out` of ``models`` in one pass: the arrays of every model
     are filled as flat buffers and cut per model, so each layout has its
     model's own ``k`` (most splits of a table tree) and arrays, as if its
-    model were laid out alone."""
+    model were laid out alone. First, since the kernel trusts each tree's
+    shape and split features, an empty tree, child offsets that leave their
+    tree or make no pre-order tree, a node feature outside its model's
+    schema or a non-finite value raises :class:`TrainingError`."""
     packed = [m.packed() for m in models]
     n_trees = np.array([len(p[0]) - 1 for p in packed], dtype=np.intp)
     model_of = np.repeat(np.arange(len(models)), n_trees)  # each tree's model
@@ -303,12 +308,56 @@ def _lay_out_run(models: Sequence[MartModel]) -> list[_Layout]:
         for i, dtype in ((1, np.uint8), (2, np.uint8), (3, np.float32))
     )
     sizes = np.diff(firsts, append=len(child))
+    if (sizes == 0).any():
+        raise TrainingError("empty tree")
     tree_of = np.repeat(np.arange(len(firsts)), sizes)
     internal = child != 0
     # Rank of each node among the split (internal) or leaf nodes of its tree.
     split_rank = np.zeros(len(child) + 1, dtype=np.intp)  # splits before each node
     np.cumsum(internal, out=split_rank[1:])
     n_splits = np.diff(split_rank[np.append(firsts, len(child))])
+    # Nodes left in the tree from each node on, itself included: a right
+    # child must land inside, so the last node of a tree must be a leaf.
+    left_in_tree = np.repeat(firsts + sizes, sizes)
+    left_in_tree -= np.arange(len(child))
+    if (child >= left_in_tree).any() or (child == 1).any() or (sizes != 2 * n_splits + 1).any():
+        raise TrainingError("malformed tree: child offsets leave the tree")
+    # The kernel reads split i's left subtree as the nodes [i + 1, r), r =
+    # i + child[i] its right child, and so needs a pre-order tree. It is one
+    # when (1) every node but each tree's first is a child of exactly one
+    # split (children are distinct, and by the size check as many as those
+    # nodes) and (2) each range [i + 1, r) holds one leaf more than splits.
+    # Proof sketch: (1), with every edge pointing forward, makes a binary
+    # tree rooted at the first node. By induction from the last node down,
+    # each subtree is an interval [j, e_j) with one leaf more than splits.
+    # For split i the left subtree is [i + 1, e_{i+1}) and r >= e_{i+1}. No
+    # node of the gap [e_{i+1}, r) descends from i, and r has no ancestor
+    # after i, so the gap is a run of whole subtrees, each adding one to
+    # the balance of [i + 1, r), which (2) pins to 1. So the gap is empty
+    # and subtree(i) = [i, e_r).
+    split = np.flatnonzero(internal)
+    right = split + child[split]
+    is_child = np.zeros(len(child), dtype=bool)
+    is_child[split + 1] = True
+    is_child[right] = True
+    left_splits = split_rank[right] - split_rank[split + 1]
+    if np.count_nonzero(is_child) != 2 * len(split) or (2 * left_splits + 2 != right - split).any():
+        raise TrainingError("malformed tree: nodes are not a pre-order tree")
+    # allowed[m, 0] admits model m's leaf feature byte 0, allowed[m, 1] its
+    # split features; a node reads the flat index of its model, kind and byte.
+    allowed = np.zeros((len(models), 2, 256), dtype=bool)
+    allowed[:, 0, 0] = True
+    allowed[
+        np.repeat(np.arange(len(models)), [len(m.schema) for m in models]), 1,
+        [int(f) for m in models for f in m.schema],
+    ] = True
+    at = np.repeat(512 * model_of, sizes)
+    at += feat
+    np.add(at, 256, out=at, where=internal)
+    if not allowed.reshape(-1)[at].all():
+        raise TrainingError("tree node feature outside its model's schema")
+    if not np.isfinite(val).all():
+        raise TrainingError("non-finite tree threshold or leaf value")
     split_rank = split_rank[:-1]
     split_rank -= split_rank[firsts][tree_of]
     leaf_rank = np.arange(len(child))

@@ -705,6 +705,8 @@ def serialize(registry: ModelRegistry) -> bytes:
         out += struct.pack("<HH", entry.default_idx, len(entry.models))
         for model in entry.models:
             if isinstance(model, CombinedModel):
+                if not model.terms:
+                    raise RegistryError(f"combined {entry.op.name} model without scaling terms")
                 out.append(1)
                 _encode_mart(model.scaled_model, out)
                 out.append(len(model.terms))
@@ -758,70 +760,6 @@ def _decode_enum(cls, code: int):
     return member
 
 
-def _check_trees(trees: gbrt.PackedTrees, model_of: np.ndarray, schemas: Sequence) -> None:
-    """Reject node arrays the prediction kernel cannot walk: it trusts the
-    shape of every tree and every split feature. Tree t belongs to the model
-    ``model_of[t]``, whose split features are ``schemas[model_of[t]]``."""
-    starts, child, feat, value = trees.starts, trees.child, trees.feature, trees.value
-    sizes = np.diff(starts)
-    if (sizes == 0).any():
-        raise RegistryError("empty tree")
-    internal = child != 0
-    # Splits before each node, and so in each tree.
-    splits_before = np.zeros(len(child) + 1, dtype=np.intp)
-    np.cumsum(internal.astype(np.intp), out=splits_before[1:])
-    n_splits = np.diff(splits_before[starts])
-    # Nodes left in the tree from each node on, itself included: a right
-    # child must land inside, so the last node of a tree must be a leaf.
-    left_in_tree = np.repeat(starts[1:], sizes)
-    left_in_tree -= np.arange(len(child))
-    if (
-        (child >= left_in_tree).any()
-        or (child == 1).any()
-        or (sizes != 2 * n_splits + 1).any()
-    ):
-        raise RegistryError("malformed tree: child offsets leave the tree")
-    # The kernel reads split i's left subtree as the nodes [i + 1, r), r =
-    # i + child[i] its right child, and so needs a pre-order tree. It is one
-    # when (1) every node but each tree's first is a child of exactly one
-    # split (children are distinct, and by the size check as many as those
-    # nodes) and (2) each range [i + 1, r) holds one leaf more than splits.
-    # Proof sketch: (1), with every edge pointing forward, makes a binary
-    # tree rooted at the first node. By induction from the last node down,
-    # each subtree is an interval [j, e_j) with one leaf more than splits.
-    # For split i the left subtree is [i + 1, e_{i+1}) and r >= e_{i+1}. No
-    # node of the gap [e_{i+1}, r) descends from i, and r has no ancestor
-    # after i, so the gap is a run of whole subtrees, each adding one to
-    # the balance of [i + 1, r), which (2) pins to 1. So the gap is empty
-    # and subtree(i) = [i, e_r).
-    split = np.flatnonzero(internal)
-    right = split + child[split]
-    is_child = np.zeros(len(child), dtype=bool)
-    is_child[split + 1] = True
-    is_child[right] = True
-    left_splits = splits_before[right] - splits_before[split + 1]
-    if (
-        np.count_nonzero(is_child) != 2 * len(split)
-        or (2 * left_splits + 2 != right - split).any()
-    ):
-        raise RegistryError("malformed tree: nodes are not a pre-order tree")
-    # allowed[m, 0] admits model m's leaf feature byte 0, allowed[m, 1] its
-    # split features; a node reads the flat index of its model, kind and byte.
-    allowed = np.zeros((len(schemas), 2, 256), dtype=bool)
-    allowed[:, 0, 0] = True
-    allowed[
-        np.repeat(np.arange(len(schemas)), [len(s) for s in schemas]), 1,
-        [int(f) for s in schemas for f in s],
-    ] = True
-    at = np.repeat(512 * model_of, sizes)
-    at += feat
-    np.add(at, 256, out=at, where=internal)
-    if not allowed.reshape(-1)[at].all():
-        raise RegistryError("tree node feature outside its model's schema")
-    if not np.isfinite(value).all():
-        raise RegistryError("non-finite tree threshold or leaf value")
-
-
 #: The trees of a model whose header has been read but whose nodes have not.
 _UNREAD = gbrt.PackedTrees(
     np.zeros(1, dtype=np.intp), *(np.zeros(0, t) for t in ("u1", "u1", "f4"))
@@ -855,7 +793,8 @@ def _decode_trees(data: bytes, heads: list, bounds: list, marts: Sequence[MartMo
     """Give each model of ``marts`` its trees: model m has the trees whose
     node counts lie at ``heads[bounds[m]:bounds[m + 1]]`` of ``data``, each
     count followed by its node records. Every node of every model is
-    gathered and checked at once, then cut into arrays of each model's own."""
+    gathered at once, then cut into arrays of each model's own; the trees
+    are checked when :func:`gbrt.lay_out` lays them out."""
     buf = np.frombuffer(data, dtype=np.uint8)
     heads = np.array(heads, dtype=np.intp)
     counts = buf[heads].astype(np.intp)
@@ -867,10 +806,6 @@ def _decode_trees(data: bytes, heads: list, bounds: list, marts: Sequence[MartMo
     in_records = np.arange(len(edges) + 1) % 2 == 1
     nodes = buf[np.repeat(in_records, np.diff(edges, prepend=0, append=len(buf)))].view(_NODE)
     child, feature, value = nodes["child"], nodes["feature"], nodes["value"]
-    model_of = np.repeat(np.arange(len(marts)), np.diff(bounds))
-    _check_trees(
-        gbrt.PackedTrees(starts, child, feature, value), model_of, [m.schema for m in marts]
-    )
     for mart, t0, t1 in zip(marts, bounds, bounds[1:]):
         lo, hi = starts[t0], starts[t1]
         mart.trees = gbrt.PackedTrees(
@@ -897,7 +832,9 @@ def deserialize(data: bytes) -> ModelRegistry:
     """Decode a model file; corrupt bytes raise :class:`RegistryError`.
 
     One walk reads every header and finds every tree; then one pass decodes
-    and checks the trees of every model, and one more lays them all out."""
+    the trees of every model, and :func:`gbrt.lay_out` checks and lays them
+    all out, its :class:`TrainingError` on a malformed tree raised again as
+    :class:`RegistryError` with the same message."""
     r = _Reader(data)
     if r.take(4) != MAGIC:
         raise RegistryError("bad magic bytes: not a model file")
@@ -933,6 +870,8 @@ def deserialize(data: bytes) -> ModelRegistry:
                 models.append(mart)
             else:
                 terms = [_decode_term(r, op) for _ in range(r.u8())]
+                if not terms:
+                    raise RegistryError(f"combined {op.name} model without scaling terms")
                 scale = [f for t in terms for f in t.features]
                 if len(set(scale)) != len(scale):
                     raise RegistryError(f"repeated scaling feature in a {op.name} model")
@@ -950,7 +889,10 @@ def deserialize(data: bytes) -> ModelRegistry:
     if r.pos != len(data):
         raise RegistryError("trailing bytes after model payload")
     _decode_trees(data, heads, bounds, marts)
-    gbrt.lay_out(marts)
+    try:
+        gbrt.lay_out(marts)
+    except TrainingError as exc:
+        raise RegistryError(str(exc)) from None
     return registry
 
 

@@ -410,6 +410,51 @@ def test_estimate_on_a_tree_that_is_not_in_pre_order_is_data_error(
     assert capsys.readouterr().err == "error: malformed tree: nodes are not a pre-order tree\n"
 
 
+def test_combined_model_without_scaling_terms_is_data_error(workspace, tmp_path, capsys):
+    # Training never writes a combined model of no terms. Files with one,
+    # made from the Sort cpu_us entry's plain model relabelled combined, or
+    # by cutting the one term out of a combined model, each with a term
+    # count of 0, are data errors, and the encoder refuses to write one.
+    import struct
+
+    from qres.plan import OperatorType
+    from qres.registry import (
+        CombinedModel, RegistryError, _encode_mart, load_registry, save_registry,
+    )
+
+    def encoded(kind, mart):
+        out = bytearray([kind])
+        _encode_mart(mart, out)
+        return bytes(out)
+
+    _, _, corpus, model = workspace
+    registry = load_registry(str(model))
+    entry = registry.entry(OperatorType.Sort, "cpu_us")
+    plain = next(m for m in entry.models if not isinstance(m, CombinedModel))
+    combined = next(m for m in entry.models if isinstance(m, CombinedModel) and len(m.terms) == 1)
+    (term,) = combined.terms
+    term_bytes = bytes([int(term.kind), *struct.pack("<f", term.beta), len(term.features),
+                        *map(int, term.features)])
+    blob = model.read_bytes()
+    bad = tmp_path / "no-terms.bin"
+    for whole, cut in [
+        (encoded(0, plain), encoded(1, plain) + b"\x00"),
+        (encoded(1, combined.scaled_model) + b"\x01" + term_bytes,
+         encoded(1, combined.scaled_model) + b"\x00"),
+    ]:
+        assert blob.count(whole) == 1
+        bad.write_bytes(blob.replace(whole, cut))
+        for argv in (["estimate", "--model", str(bad), "--plans", str(corpus)],
+                     ["eval", "--model", str(bad), "--corpus", str(corpus)]):
+            assert main(argv) == EXIT_DATA
+            assert capsys.readouterr().err == "error: combined Sort model without scaling terms\n"
+    combined.terms.clear()
+    refused = tmp_path / "refused.bin"
+    with pytest.raises(RegistryError, match="combined Sort model without scaling terms"):
+        save_registry(registry, str(refused))
+    assert not refused.exists()
+
+
 @pytest.mark.parametrize("field", ['"observed":[1,2]', '"cols":[1]', '"row_bytes":NaN'])
 def test_estimate_on_malformed_plan_field_is_data_error(workspace, tmp_path, capsys, field):
     _, _, _, model = workspace

@@ -529,6 +529,35 @@ def test_lay_out_lays_out_each_model_as_alone(max_leaves, run_nodes, monkeypatch
     _assert_laid_out_as_alone(models, layouts)
 
 
+# Trees the kernel cannot score, each as (child, feature, value, message):
+# the messages of the model file check.
+MALFORMED_TREES = {
+    "empty tree": ([], [], [], "empty tree"),
+    "right child past its tree": ([5, 0, 0], [1, 0, 0], [0.5, 1.0, 2.0], "child offsets leave"),
+    "split feature outside the schema": (
+        [2, 0, 0], [2, 0, 0], [0.5, 1.0, 2.0], "feature outside its model's schema"
+    ),
+    "NaN threshold": ([2, 0, 0], [1, 0, 0], [math.nan, 1.0, 2.0], "non-finite tree threshold"),
+    "not in pre-order": ([2, 2, 0, 0, 0], [1, 1, 0, 0, 0], [0.0] * 5, "not a pre-order tree"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TREES))
+def test_hand_built_malformed_tree_raises_training_error(case):
+    # A well-formed tree, then the malformed one: laying the model out
+    # raises, directly or on its first prediction, and caches no layout.
+    child, feature, value, message = MALFORMED_TREES[case]
+    trees = [
+        Tree(np.array(c, np.uint8), np.array(f, np.uint8), np.array(v, np.float32))
+        for c, f, v in [([2, 0, 0], [1, 0, 0], [0.5, 1.0, 2.0]), (child, feature, value)]
+    ]
+    model = MartModel(0.0, trees, 0.1, [F(1)], {F(1): (0.0, 1.0)})
+    with pytest.raises(TrainingError, match=message):
+        model.layout()
+    with pytest.raises(TrainingError, match=message):
+        predict(model, FeatureVector(OperatorType.Sort, {F(1): 1.0}))
+
+
 def _benchmark_corpus() -> list:
     """The benchmark's training corpus: 20 plans of each of its nine
     templates at scales 1 to 4, each template seeded by the CRC-32 of

@@ -691,6 +691,26 @@ def test_deserialize_names_corruption(trained, case):
         deserialize(corrupt)
 
 
+@pytest.mark.parametrize("case", sorted(TREE_CORRUPTIONS))
+def test_corrupt_tree_in_a_later_layout_run_is_named(trained, monkeypatch, case):
+    # Layout runs of a model or so each: the corrupt last model lies in a
+    # later run than the first, whose models are checked and laid out first.
+    from qres import gbrt
+
+    registry, _ = trained
+    copy = deserialize(serialize(registry))
+    mutate, message = TREE_CORRUPTIONS[case]
+    mutate(MODEL_SLOTS[" in the last model"](copy))
+    corrupt = serialize(copy)
+    runs = []
+    lay_out_run = gbrt._lay_out_run
+    monkeypatch.setattr(gbrt, "LAYOUT_NODES", 500)
+    monkeypatch.setattr(gbrt, "_lay_out_run", lambda models: runs.append(models) or lay_out_run(models))
+    with pytest.raises(RegistryError, match=message):
+        deserialize(corrupt)
+    assert len(runs) > 1
+
+
 @pytest.mark.parametrize("offset, value, message", [
     (7, 0, "invalid OperatorType code 0"),   # first entry's operator
     (8, 5, "invalid resource code 5"),       # first entry's resource
